@@ -20,7 +20,12 @@ from .errors import CapabilityError, ParameterError
 from .metrics import AggregateReport, aggregate, summarize
 from .simcore import BufferModel, SimConfig, run_simulation
 from .strategies import StrategySpec
-from .workload import ParetoMixture, WorkloadConfig, default_size_mixture
+from .workload import (
+    ParetoMixture,
+    WorkloadConfig,
+    default_size_mixture,
+    generate_workload,
+)
 
 TABLE_HEADER = (
     "strategy",
@@ -113,31 +118,50 @@ def default_experiment_config(
     )
 
 
-def replication_reports(sim_template, strategy, base_seed, replications):
-    """Metric reports of `replications` seeded runs of one strategy."""
-    reports = []
+def replicate(sim_template, specs, base_seed, replications):
+    """Metric reports of every strategy in ``specs`` on each replication seed.
+
+    Returns one list per strategy, in seed order.  Seeds form the outer
+    loop: each seed's workload is generated once and every strategy runs on
+    those same flows, so only one seed's flows are alive at a time.
+    """
+    templates = []
+    for spec in specs:
+        try:
+            templates.append(replace(sim_template, strategy=spec))
+        except CapabilityError as err:
+            raise CapabilityError(f"strategy {spec.label()}: {err}") from err
+    reports = [[] for _ in templates]
     for i in range(replications):
         workload = replace(sim_template.workload, seed=base_seed + i)
-        config = replace(sim_template, workload=workload, strategy=strategy)
-        result = run_simulation(config)
-        reports.append(summarize(result.records, result.unfinished))
+        flows = generate_workload(workload)
+        for template, spec_reports in zip(templates, reports):
+            config = replace(template, workload=workload)
+            result = run_simulation(config, flows=flows)
+            spec_reports.append(summarize(result.records, result.unfinished))
     return reports
 
 
+def replication_reports(sim_template, strategy, base_seed, replications):
+    """Metric reports of `replications` seeded runs of one strategy."""
+    return replicate(sim_template, (strategy,), base_seed, replications)[0]
+
+
+def _scores(config: ExperimentConfig, specs) -> list[StrategyScore]:
+    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    return [
+        StrategyScore(label=spec.label(), spec=spec, score=aggregate(spec_reports))
+        for spec, spec_reports in zip(specs, reports)
+    ]
+
+
 def score_strategy(config: ExperimentConfig, spec: StrategySpec) -> StrategyScore:
-    label = spec.label()
-    try:
-        reports = replication_reports(
-            config.sim, spec, config.base_seed, config.replications
-        )
-    except CapabilityError as err:
-        raise CapabilityError(f"strategy {label}: {err}") from err
-    return StrategyScore(label=label, spec=spec, score=aggregate(reports))
+    return _scores(config, (spec,))[0]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
     """Score every strategy on shared seeds; rows sorted by logALPT descending."""
-    rows = [score_strategy(config, spec) for spec in config.strategies]
+    rows = _scores(config, config.strategies)
     rows.sort(key=lambda row: row.score.log_alpt_mean, reverse=True)
     return tuple(rows)
 
@@ -177,16 +201,12 @@ def sweep_linear(config: ExperimentConfig, grid=None):
         raise ParameterError("alpha grid must be sorted ascending")
     tas = StrategySpec(kind="tas")
     das = StrategySpec(kind="das")
-    rows = []
-    for alpha in grid:
-        spec = StrategySpec(
-            kind="linear", children=(tas, das), weights=(1.0, alpha)
-        )
-        reports = replication_reports(
-            config.sim, spec, config.base_seed, config.replications
-        )
-        rows.append((alpha, aggregate(reports)))
-    return tuple(rows)
+    specs = [
+        StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
+        for alpha in grid
+    ]
+    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    return tuple((alpha, aggregate(r)) for alpha, r in zip(grid, reports))
 
 
 def sweep_probabilistic(config: ExperimentConfig, grid=None):
@@ -210,14 +230,12 @@ def sweep_probabilistic(config: ExperimentConfig, grid=None):
         StrategySpec(kind="tas"),
         StrategySpec(kind="das"),
     )
-    rows = []
-    for point in grid:
-        spec = StrategySpec(kind="probabilistic", children=children, weights=point)
-        reports = replication_reports(
-            config.sim, spec, config.base_seed, config.replications
-        )
-        rows.append((point, aggregate(reports)))
-    return tuple(rows)
+    specs = [
+        StrategySpec(kind="probabilistic", children=children, weights=point)
+        for point in grid
+    ]
+    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    return tuple((point, aggregate(r)) for point, r in zip(grid, reports))
 
 
 # --- serialization -------------------------------------------------------

@@ -74,7 +74,6 @@ class FlowState:
     unfetched: float = 0.0
     refill_due: int | None = None
     congestion_window: float = 0.0
-    departure_slot: int | None = None
     rate_history_sum: float = 0.0
     rate_history_count: int = 0
     last_served: int | None = None
@@ -206,7 +205,6 @@ def serve_slot(active, t, rates, chosen):
     state.last_served = t
     if state.buffer == 0.0 and state.unfetched == 0.0:
         state.served = state.spec.file_size
-        state.departure_slot = t + 1
         del active[chosen]
         return (
             FlowRecord(
@@ -234,9 +232,10 @@ def run_simulation(
     scheduling decisions), and a dedicated stream for probabilistic
     strategy choices, which consumes exactly one draw per slot.
 
-    ``flows`` (sorted by arrival_slot) replaces the generated workload and
-    ``rate_source`` the seeded channel source; both exist for crafted
-    scenarios with known arithmetic.
+    ``flows`` (sorted by arrival_slot) replaces the generated workload, so
+    runs on one seed can share its flows; ``rate_source`` replaces the
+    seeded channel source.  Both also serve crafted scenarios with known
+    arithmetic.
     """
     if flows is None:
         flows = generate_workload(config.workload)
@@ -257,9 +256,13 @@ def run_simulation(
 
     active: dict[int, FlowState] = {}
     streams = {}
+    # one view per active flow, created at admission and refreshed in place
+    # on each slot the flow is eligible
+    flow_views: dict[int, FlowView] = {}
     records = []
     trace = [] if collect_trace else None
 
+    pending_count = len(flows)
     next_pending = 0
     t = 0
     while True:
@@ -270,11 +273,22 @@ def run_simulation(
                 raise SchedulingError(
                     f"drain phase still busy after {t} slots; invariant broken"
                 )
-        else:
+        elif next_pending < pending_count and flows[next_pending].arrival_slot <= t:
             before = next_pending
             next_pending = admit_arrivals(active, t, flows, model, next_pending)
             for spec in flows[before:next_pending]:
                 streams[spec.id] = source.stream_for(spec)
+                flow_views[spec.id] = FlowView(
+                    spec.id,
+                    t,
+                    0,
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                    spec.file_size if anticipating else None,
+                    None,
+                )
         if tcp:
             refill_buffers(active, t, model)
 
@@ -284,25 +298,20 @@ def run_simulation(
             r = streams[fid].draw(t)
             rates[fid] = r
             if state.buffer > 0.0:
+                view = flow_views[fid]
+                view.t = t
+                view.age = t - state.spec.arrival_slot
+                view.served = state.served
+                view.buffer = state.buffer
+                view.rate = r
                 if assigned_mean:
-                    mean_est = state.spec.mean_rate
+                    view.mean_rate_est = state.spec.mean_rate
                 else:
-                    mean_est = (state.rate_history_sum + r) / (
+                    view.mean_rate_est = (state.rate_history_sum + r) / (
                         state.rate_history_count + 1
                     )
-                views.append(
-                    FlowView(
-                        id=fid,
-                        t=t,
-                        age=t - state.spec.arrival_slot,
-                        served=state.served,
-                        buffer=state.buffer,
-                        rate=r,
-                        mean_rate_est=mean_est,
-                        true_size=state.spec.file_size if anticipating else None,
-                        last_served=state.last_served,
-                    )
-                )
+                view.last_served = state.last_served
+                views.append(view)
 
         chosen = select_client(strategy, views, choice_rng)
         active_count = len(active)
@@ -310,6 +319,7 @@ def run_simulation(
         if record is not None:
             records.append(record)
             del streams[chosen]
+            del flow_views[chosen]
         if trace is not None or trace_sink is not None:
             event = TraceEvent(t, chosen, transfer, active_count)
             if trace is not None:

@@ -18,7 +18,7 @@ two conventions the source paper meant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapabilityError, ParameterError
 
@@ -127,6 +127,9 @@ class FlowView:
     of all rates observed so far (including this slot).  ``true_size`` is
     populated only for anticipating strategies.  ``last_served`` feeds the
     tie-breaking rule and is None for flows never served.
+
+    The simulator keeps one view per active flow and overwrites its fields
+    each slot, so a view is valid only during the slot it was passed in.
     """
 
     id: int
@@ -138,11 +141,6 @@ class FlowView:
     mean_rate_est: float
     true_size: float | None = None
     last_served: int | None = None
-
-    @property
-    def throughput(self) -> float:
-        """Lifetime throughput served/age, +inf for brand-new flows."""
-        return _div(self.served, self.age)
 
 
 def _div(num: float, den: float) -> float:

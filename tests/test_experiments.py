@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,16 +19,20 @@ from cellsched import (
     SweepSpec,
     TraceEvent,
     WorkloadConfig,
+    aggregate,
     default_experiment_config,
     default_sim_config,
     experiment_from_dict,
     experiment_to_dict,
     generate_workload,
     run_experiment,
+    run_simulation,
     simplex_grid,
+    summarize,
     sweep_linear,
     sweep_probabilistic,
 )
+from cellsched import experiments
 from cellsched.experiments import (
     CURVE_HEADER,
     RANKING_KINDS,
@@ -136,6 +141,68 @@ class TestScoring:
 
     def test_run_experiment_empty_is_empty(self):
         assert run_experiment(tiny_config(strategies=())) == ()
+
+
+class TestOneWorkloadPerSeed:
+    """Each seed's workload is generated once and shared by every strategy."""
+
+    @pytest.fixture
+    def generated_seeds(self, monkeypatch):
+        seeds = []
+        real = experiments.generate_workload
+
+        def counting(workload):
+            seeds.append(workload.seed)
+            return real(workload)
+
+        monkeypatch.setattr(experiments, "generate_workload", counting)
+        return seeds
+
+    @staticmethod
+    def separate_runs(config, spec):
+        """Score of ``spec`` with every run generating its own workload."""
+        reports = []
+        for seed in config.seeds:
+            workload = replace(config.sim.workload, seed=seed)
+            result = run_simulation(
+                replace(config.sim, workload=workload, strategy=spec)
+            )
+            reports.append(summarize(result.records, result.unfinished))
+        return aggregate(reports)
+
+    def test_run_experiment(self, generated_seeds):
+        specs = tuple(StrategySpec(kind=k) for k in ("tas", "max_ci", "T"))
+        config = tiny_config(replications=3, strategies=specs)
+        rows = run_experiment(config)
+        assert generated_seeds == [1, 2, 3]
+        by_label = {row.label: row.score for row in rows}
+        for spec in specs:
+            score = score_strategy(config, spec).score
+            assert by_label[spec.label()] == score
+            assert score == self.separate_runs(config, spec)
+
+    def test_sweep_linear(self, generated_seeds):
+        config = tiny_config(replications=3)
+        curve = sweep_linear(config, grid=(0.0, 0.5, 1.0))
+        assert generated_seeds == [1, 2, 3]
+        for alpha, score in curve:
+            spec = StrategySpec(
+                kind="linear",
+                children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
+                weights=(1.0, alpha),
+            )
+            assert score == score_strategy(config, spec).score
+
+    def test_sweep_probabilistic(self, generated_seeds):
+        config = tiny_config(replications=3)
+        grid = ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.2, 0.3, 0.5))
+        surface = sweep_probabilistic(config, grid=grid)
+        assert generated_seeds == [1, 2, 3]
+        children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
+        for point, score in surface:
+            spec = StrategySpec(kind="probabilistic", children=children, weights=point)
+            assert score == score_strategy(config, spec).score
+            assert score == self.separate_runs(config, spec)
 
 
 class TestSweeps:

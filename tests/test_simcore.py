@@ -192,7 +192,6 @@ class TestServeSlot:
         assert record.file_size == 100.0
         assert active == {}
         assert state.served == 100.0  # exact, no float residue
-        assert state.departure_slot == 18
 
     def test_idle_slot_still_updates_rate_history(self):
         state = make_flow_state(make_flow(size=100.0), INFINITE)

@@ -173,10 +173,6 @@ class TestComputeIndex:
         with pytest.raises(ParameterError):
             compute_index(spec, make_view())
 
-    def test_throughput_property(self):
-        assert make_view(served=50.0, age=5).throughput == 10.0
-        assert make_view(served=0.0, age=0).throughput == INF
-
     @given(
         kind=st.sampled_from(ATOMIC_KINDS),
         age=st.integers(min_value=0, max_value=10**6),
