@@ -51,7 +51,7 @@ def ranking_block(base_seed):
     scores = {k: per_seed(config, StrategySpec(kind=k)) for k in RANKING_KINDS}
     order = sorted(scores, key=lambda k: statistics.fmean(scores[k]), reverse=True)
     seeds = config.seeds
-    print(f"ranking, seeds {seeds[0]}-{seeds[-1]}, h={config.sim.horizon}:")
+    print(f"ranking, seeds {seeds[0]}-{seeds[-1]}, h={config.sim.workload.horizon}:")
     print("  " + " > ".join(order))
     for k in order:
         v = scores[k]
@@ -75,7 +75,7 @@ def mixture_surface():
     means = {p: statistics.fmean(v) for p, v in scores.items()}
     peak = max(means, key=means.get)
     edge_gap = max(means[peak] - m for p, m in means.items() if p[0] == 0.0)
-    print(f"mixture surface (p_T, p_tas, p_das), h={config.sim.horizon} "
+    print(f"mixture surface (p_T, p_tas, p_das), h={config.sim.workload.horizon} "
           f"x {config.replications} seeds:")
     print(f"  peak {peak} = {means[peak]:.4f}")
     print(f"  p_T = 0 edge: every point within {edge_gap:.4f} of the peak")
@@ -109,7 +109,7 @@ def never_served_alternative():
     as_documented = {k: per_seed(config, StrategySpec(kind=k)) for k in kinds}
     with never_served_first():
         lifted = {k: per_seed(config, StrategySpec(kind=k)) for k in kinds}
-    print(f"never-served flows scored +inf by T and TK, h={config.sim.horizon} "
+    print(f"never-served flows scored +inf by T and TK, h={config.sim.workload.horizon} "
           f"x {config.replications} seeds:")
     for k in kinds:
         before, after = as_documented[k], lifted[k]

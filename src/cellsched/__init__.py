@@ -11,7 +11,6 @@ and a probabilistic-mixture sweep.
 from .channel import (
     ChannelConfig,
     ChannelRateSource,
-    FixedRateSource,
     envelope_factor,
     rate_bounds,
     sample_rate,
@@ -70,7 +69,6 @@ from .workload import (
     FlowSpec,
     ParetoMixture,
     WorkloadConfig,
-    default_size_mixture,
     generate_workload,
     mixture_mean,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "ChannelConfig",
     "ChannelRateSource",
     "ExperimentConfig",
-    "FixedRateSource",
     "FlowRecord",
     "FlowSpec",
     "FlowState",
@@ -109,7 +106,6 @@ __all__ = [
     "compute_index",
     "default_experiment_config",
     "default_sim_config",
-    "default_size_mixture",
     "envelope_factor",
     "expected_file_size",
     "experiment_from_dict",

@@ -109,23 +109,3 @@ class ChannelRateSource:
     def stream_for(self, flow: FlowSpec) -> FlowRateStream:
         return FlowRateStream(self.base_seed, flow, self.config)
 
-
-class FixedRateSource:
-    """Constant-rate source for hand-traced tests: every flow sees ``rate`` each slot."""
-
-    def __init__(self, rate: float = 1.0, per_flow: dict[int, float] | None = None):
-        self.rate = rate
-        self.per_flow = per_flow or {}
-
-    def stream_for(self, flow: FlowSpec) -> "_FixedStream":
-        return _FixedStream(self.per_flow.get(flow.id, self.rate))
-
-
-class _FixedStream:
-    __slots__ = ("_rate",)
-
-    def __init__(self, rate: float):
-        self._rate = rate
-
-    def draw(self, t: float) -> float:
-        return self._rate

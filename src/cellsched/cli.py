@@ -38,7 +38,6 @@ from .experiments import (
     write_workload_csv,
 )
 from .simcore import run_simulation
-from .strategies import StrategySpec
 from .workload import generate_workload
 
 
@@ -46,10 +45,10 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return default_experiment_config()
     with open(path) as handle:
-        data = yaml.safe_load(handle) or {}
-    if not isinstance(data, dict):
+        data = yaml.safe_load(handle)
+    if not isinstance(data, (dict, type(None))):  # an empty file is the reference setup
         raise CellschedError(f"config file {path} must hold a mapping")
-    return experiment_from_dict(data)
+    return experiment_from_dict(data or {})
 
 
 def apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -132,16 +131,14 @@ def cmd_dump_workload(config: ExperimentConfig) -> int:
 
 
 def cmd_trace(config: ExperimentConfig) -> int:
-    strategy = config.strategies[0] if config.strategies else StrategySpec(kind="T")
     workload = replace(config.sim.workload, seed=config.base_seed)
-    sim = replace(config.sim, workload=workload, strategy=strategy)
-    result = run_simulation(sim, collect_trace=True)
+    result = run_simulation(replace(config.sim, workload=workload), collect_trace=True)
     out = output_dir(config)
     data = write_trace_csv(out / "trace.csv", result.trace)
     write_manifest(out, "trace", config, {"trace.csv": git_blob_sha1(data)})
     print(
         f"wrote {out / 'trace.csv'} ({len(result.trace)} slots, "
-        f"{len(result.records)} completions, strategy {strategy.label()})"
+        f"{len(result.records)} completions, strategy {config.sim.strategy.label()})"
     )
     return 0
 

@@ -10,22 +10,18 @@ manifest carrying the config echo, the seeds, and content hashes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from .channel import ChannelConfig
 from .errors import CapabilityError, ParameterError
 from .metrics import AggregateReport, aggregate, summarize
-from .simcore import BufferModel, SimConfig, run_simulation
-from .strategies import StrategySpec
-from .workload import (
-    ParetoMixture,
-    WorkloadConfig,
-    default_size_mixture,
-    generate_workload,
-)
+from .simcore import SimConfig, run_simulation
+from .strategies import OWNED_PARAMS, StrategySpec
+from .workload import WorkloadConfig, generate_workload
 
 TABLE_HEADER = (
     "strategy",
@@ -50,7 +46,7 @@ RANKING_KINDS = ("T", "TK", "round_robin", "tas", "max_ci", "das", "pf")
 class SweepSpec:
     """Grid description for the weight sweep or the mixture sweep."""
 
-    kind: str  # "linear" | "probabilistic"
+    kind: str = "linear"  # "linear" | "probabilistic"
     alpha_max: float = 2.0
     alpha_step: float = 0.1
     simplex_step: float = 0.1
@@ -81,6 +77,9 @@ class ExperimentConfig:
             raise ParameterError(
                 f"replications={self.replications}; need >= 2 for a spread"
             )
+        labels = [spec.label() for spec in self.strategies]
+        if len(set(labels)) != len(labels):
+            raise ParameterError(f"strategy labels must be distinct, got {labels}")
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -94,20 +93,19 @@ class StrategyScore:
     score: AggregateReport
 
 
-def default_sim_config(
-    horizon: int = 100_000,
-    strategy: StrategySpec = StrategySpec(kind="T"),
-) -> SimConfig:
+def default_sim_config(horizon: int = WorkloadConfig.horizon) -> SimConfig:
     """Reference setup: lambda=0.09 arrivals, the four-component size mixture,
-    mean rates uniform on [lambda*mean_size/3, 3*lambda*mean_size]."""
+    mean rates uniform on [lambda*mean_size/3, 3*lambda*mean_size], and T as
+    the strategy placeholder."""
     return SimConfig(
-        workload=WorkloadConfig(arrival_rate=0.09, horizon=horizon),
-        strategy=strategy,
+        workload=WorkloadConfig(horizon=horizon), strategy=StrategySpec(kind="T")
     )
 
 
 def default_experiment_config(
-    base_seed: int = 1, replications: int = 10, horizon: int = 100_000
+    base_seed: int = ExperimentConfig.base_seed,
+    replications: int = ExperimentConfig.replications,
+    horizon: int = WorkloadConfig.horizon,
 ) -> ExperimentConfig:
     """The ranking experiment over the seven reference strategies."""
     return ExperimentConfig(
@@ -166,12 +164,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
     return tuple(rows)
 
 
-def default_alpha_grid(alpha_max: float = 2.0, step: float = 0.1) -> tuple[float, ...]:
+def default_alpha_grid(
+    alpha_max: float = SweepSpec.alpha_max, step: float = SweepSpec.alpha_step
+) -> tuple[float, ...]:
     n = round(alpha_max / step)
     return tuple(round(i * step, 12) for i in range(n + 1))
 
 
-def simplex_grid(step: float = 0.1) -> tuple[tuple[float, float, float], ...]:
+def simplex_grid(
+    step: float = SweepSpec.simplex_step,
+) -> tuple[tuple[float, float, float], ...]:
     """All three-part probability vectors on a regular grid of the given step."""
     n = round(1.0 / step)
     if n < 1 or abs(n * step - 1.0) > 1e-9:
@@ -184,14 +186,17 @@ def simplex_grid(step: float = 0.1) -> tuple[tuple[float, float, float], ...]:
     return tuple(points)
 
 
+def _sweep_of(config: ExperimentConfig, kind: str) -> SweepSpec:
+    """The config's sweep if it is of ``kind``, else the default sweep of that kind."""
+    sweep = config.sweep
+    return sweep if sweep is not None and sweep.kind == kind else SweepSpec(kind=kind)
+
+
 def sweep_linear(config: ExperimentConfig, grid=None):
     """logALPT curve of I_tas + alpha * I_das over the alpha grid."""
     if grid is None:
-        sweep = config.sweep
-        if sweep is not None and sweep.kind == "linear":
-            grid = default_alpha_grid(sweep.alpha_max, sweep.alpha_step)
-        else:
-            grid = default_alpha_grid()
+        sweep = _sweep_of(config, "linear")
+        grid = default_alpha_grid(sweep.alpha_max, sweep.alpha_step)
     grid = tuple(float(a) for a in grid)
     if not grid:
         raise ParameterError("alpha grid is empty")
@@ -212,11 +217,7 @@ def sweep_linear(config: ExperimentConfig, grid=None):
 def sweep_probabilistic(config: ExperimentConfig, grid=None):
     """logALPT surface of the {T, tas, das} mixture over simplex points."""
     if grid is None:
-        sweep = config.sweep
-        if sweep is not None and sweep.kind == "probabilistic":
-            grid = simplex_grid(sweep.simplex_step)
-        else:
-            grid = simplex_grid()
+        grid = simplex_grid(_sweep_of(config, "probabilistic").simplex_step)
     grid = tuple(tuple(float(p) for p in point) for point in grid)
     if not grid:
         raise ParameterError("simplex grid is empty")
@@ -239,218 +240,140 @@ def sweep_probabilistic(config: ExperimentConfig, grid=None):
 
 
 # --- serialization -------------------------------------------------------
+#
+# One codec serves every config class.  A dataclass or NamedTuple encodes to
+# a mapping of its fields and decodes field by field, each value converted by
+# the field's annotation.  A StrategySpec encodes its kind and the parameters
+# the kind owns, and a bare string decodes as its kind.
 
 
-def strategy_to_dict(spec: StrategySpec) -> dict:
-    data = {"kind": spec.kind}
-    if spec.kind == "T":
-        data["c_const"] = spec.c_const
-    if spec.kind == "TK":
-        data["tk_variant"] = spec.tk_variant
-    if spec.kind in ("T", "TK"):
-        data["mean_rate_mode"] = spec.mean_rate_mode
-    if spec.children:
-        data["children"] = [strategy_to_dict(c) for c in spec.children]
-        data["weights"] = list(spec.weights)
-    return data
+def to_dict(obj):
+    """Plain data (mappings, lists and scalars) of a config object."""
+    if isinstance(obj, StrategySpec):
+        names = ("kind", *OWNED_PARAMS.get(obj.kind, ()))
+    elif hasattr(obj, "_fields"):  # a NamedTuple
+        names = obj._fields
+    elif is_dataclass(obj):
+        names = [f.name for f in fields(obj)]
+    elif isinstance(obj, tuple):
+        return [to_dict(item) for item in obj]
+    else:
+        return obj
+    return {name: to_dict(getattr(obj, name)) for name in names}
 
 
-def strategy_from_dict(data) -> StrategySpec:
-    if isinstance(data, str):
-        return StrategySpec(kind=data)
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ParameterError(f"strategy entry needs a 'kind': {data!r}")
-    fields = dict(data)
-    children = tuple(strategy_from_dict(c) for c in fields.pop("children", ()))
-    weights = tuple(float(w) for w in fields.pop("weights", ()))
-    known = {"kind", "c_const", "pareto_alpha", "tk_variant", "mean_rate_mode"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ParameterError(f"unknown strategy fields {sorted(unknown)}")
-    return StrategySpec(children=children, weights=weights, **fields)
+def from_dict(tp, data, where: str = "config"):
+    """Decode ``data`` as type ``tp``; errors are ParameterErrors naming the field."""
+    return _converter(tp)(data, where)
+
+
+@functools.cache
+def _converter(tp):
+    """A function (value, where) -> value of type ``tp``, built once per type."""
+    if tp in (int, float, str, bool):
+        return functools.partial(_scalar, tp)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        return functools.partial(_sequence, _converter(args[0]))
+    if args:  # X | None
+        inner = _converter(args[0])
+        return lambda value, where: None if value is None else inner(value, where)
+    return _Record(tp)
+
+
+def _scalar(tp, value, where):
+    """Strings and bools pass only as themselves; numbers convert, ints exactly."""
+    try:
+        result = tp(value)
+        exact = type(value) is tp if tp in (str, bool) else not isinstance(value, bool)
+        if exact and (tp is not int or result == float(value)):
+            return result
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{where}: {value!r} is not a valid {tp.__name__}")
+
+
+def _sequence(item, value, where):
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{where}: expected a list, got {value!r}")
+    return tuple([item(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+class _Record:
+    """Decoder of one dataclass or NamedTuple; its field table is built on first use.
+
+    A value of exactly a field's type (a float for a float, a tuple for a
+    tuple, a config object for its class) is taken as decoded.
+    """
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.convert = None
+
+    def __call__(self, value, where):
+        if self.cls is StrategySpec and isinstance(value, str):
+            value = {"kind": value}
+        if not isinstance(value, dict):
+            raise ParameterError(f"{where}: expected a mapping, got {value!r}")
+        if self.convert is None:
+            hints = typing.get_type_hints(self.cls)
+            self.types = {k: typing.get_origin(tp) or tp for k, tp in hints.items()}
+            self.convert = {k: _converter(tp) for k, tp in hints.items()}
+        types, convert = self.types, self.convert
+        try:
+            kwargs = {
+                k: v if type(v) is types[k] else convert[k](v, f"{where}.{k}")
+                for k, v in value.items()
+            }
+        except KeyError:
+            unknown = sorted(value.keys() - types.keys(), key=str)
+            raise ParameterError(f"{where}: unknown fields {unknown}") from None
+        try:
+            return self.cls(**kwargs)
+        except (TypeError, ParameterError) as err:  # TypeError: a field is missing
+            raise ParameterError(f"{where}: {err}") from None
+
+
+def _section(data, where: str, hidden) -> dict:
+    """A copy of the mapping ``data``; the ``hidden`` fields are unknown in a file."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{where}: expected a mapping, got {data!r}")
+    if not data.keys().isdisjoint(hidden):
+        raise ParameterError(f"{where}: unknown fields {sorted(data.keys() & hidden)}")
+    return dict(data)
 
 
 def experiment_to_dict(config: ExperimentConfig) -> dict:
-    sim = config.sim
-    wl = sim.workload
-    mix = wl.size_mixture
-    data = {
-        "base_seed": config.base_seed,
-        "replications": config.replications,
-        "horizon": sim.horizon,
-        "drain_after_horizon": sim.drain_after_horizon,
-        "workload": {
-            "arrival_rate": wl.arrival_rate,
-            "rate_lo_mult": wl.rate_lo_mult,
-            "rate_hi_mult": wl.rate_hi_mult,
-            "size_mixture": {
-                "alpha": mix.alpha,
-                "components": [
-                    {"weight": w, "scale_kb": m} for w, m in mix.components
-                ],
-            },
-        },
-        "channel": {
-            "lo_coeff": sim.channel.lo_coeff,
-            "hi_coeff": sim.channel.hi_coeff,
-            "envelope_amplitude": sim.channel.envelope_amplitude,
-            "envelope_freq": sim.channel.envelope_freq,
-            "envelope_phase": sim.channel.envelope_phase,
-            "envelope_mode": sim.channel.envelope_mode,
-        },
-        "buffer": {
-            "mode": sim.buffer.mode,
-            "rtt": sim.buffer.rtt,
-            "initial_window": sim.buffer.initial_window,
-            "max_window": sim.buffer.max_window,
-        },
-        "strategies": [strategy_to_dict(s) for s in config.strategies],
-    }
-    if config.sweep is not None:
-        sweep = {"kind": config.sweep.kind}
-        if config.sweep.kind == "linear":
-            sweep["alpha_max"] = config.sweep.alpha_max
-            sweep["alpha_step"] = config.sweep.alpha_step
-        else:
-            sweep["simplex_step"] = config.sweep.simplex_step
-        data["sweep"] = sweep
-    if config.output is not None:
-        data["output"] = config.output
-    return data
+    """The config file layout of ``config``; experiment_from_dict inverts it."""
+    data = to_dict(config)
+    sim = data.pop("sim")
+    del sim["strategy"]  # the first of the strategies
+    data["horizon"] = sim["workload"].pop("horizon")
+    del sim["workload"]["seed"]  # set per replication
+    return {**data, **sim}
 
 
-def _pick(data: dict, known: set, where: str) -> dict:
-    unknown = set(data) - known
-    if unknown:
-        raise ParameterError(f"unknown {where} fields {sorted(unknown)}")
-    return data
+def experiment_from_dict(data) -> ExperimentConfig:
+    """Build an ExperimentConfig from a parsed config file.
 
-
-def experiment_from_dict(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed config mapping.
-
-    Every section is optional; omitted values fall back to the reference
-    setup of default_experiment_config().
+    The file holds the sim template's sections at its top level, the horizon
+    outside ``workload``, and ``seed`` as an alias of ``base_seed``.  Omitted
+    values take the dataclass defaults, and omitted strategies the ranking
+    lineup; the template's strategy is the first listed one.
     """
-    data = _pick(
-        dict(data),
-        {
-            "base_seed",
-            "seed",
-            "replications",
-            "horizon",
-            "drain_after_horizon",
-            "workload",
-            "channel",
-            "buffer",
-            "strategies",
-            "sweep",
-            "output",
-        },
-        "config",
-    )
-    horizon = int(data.get("horizon", 100_000))
-
-    wl = _pick(
-        dict(data.get("workload", {})),
-        {"arrival_rate", "rate_lo_mult", "rate_hi_mult", "size_mixture"},
-        "workload",
-    )
-    mix_data = wl.get("size_mixture")
-    if mix_data is None:
-        mixture = default_size_mixture()
-    else:
-        mix_data = _pick(dict(mix_data), {"alpha", "components"}, "size_mixture")
-        components = tuple(
-            (float(c["weight"]), float(c["scale_kb"]))
-            for c in mix_data.get("components", ())
-        )
-        if not components:
-            base = default_size_mixture()
-            components = base.components
-        mixture = ParetoMixture(
-            components=components, alpha=float(mix_data.get("alpha", 5.5))
-        )
-    workload = WorkloadConfig(
-        arrival_rate=float(wl.get("arrival_rate", 0.09)),
-        size_mixture=mixture,
-        rate_lo_mult=float(wl.get("rate_lo_mult", 1.0 / 3.0)),
-        rate_hi_mult=float(wl.get("rate_hi_mult", 3.0)),
-        horizon=horizon,
-    )
-
-    ch = _pick(
-        dict(data.get("channel", {})),
-        {
-            "lo_coeff",
-            "hi_coeff",
-            "envelope_amplitude",
-            "envelope_freq",
-            "envelope_phase",
-            "envelope_mode",
-        },
-        "channel",
-    )
-    defaults = ChannelConfig()
-    channel = ChannelConfig(
-        lo_coeff=float(ch.get("lo_coeff", defaults.lo_coeff)),
-        hi_coeff=float(ch.get("hi_coeff", defaults.hi_coeff)),
-        envelope_amplitude=float(
-            ch.get("envelope_amplitude", defaults.envelope_amplitude)
-        ),
-        envelope_freq=float(ch.get("envelope_freq", defaults.envelope_freq)),
-        envelope_phase=float(ch.get("envelope_phase", defaults.envelope_phase)),
-        envelope_mode=str(ch.get("envelope_mode", defaults.envelope_mode)),
-    )
-
-    bf = _pick(
-        dict(data.get("buffer", {})),
-        {"mode", "rtt", "initial_window", "max_window"},
-        "buffer",
-    )
-    buffer = BufferModel(
-        mode=str(bf.get("mode", BufferModel.mode)),
-        rtt=int(bf.get("rtt", BufferModel.rtt)),
-        initial_window=float(bf.get("initial_window", BufferModel.initial_window)),
-        max_window=float(bf.get("max_window", BufferModel.max_window)),
-    )
-
-    if "strategies" in data:
-        strategies = tuple(strategy_from_dict(s) for s in data["strategies"])
-    else:
-        strategies = tuple(StrategySpec(kind=k) for k in RANKING_KINDS)
-
-    sweep = None
-    if "sweep" in data and data["sweep"] is not None:
-        sw = _pick(
-            dict(data["sweep"]),
-            {"kind", "alpha_max", "alpha_step", "simplex_step"},
-            "sweep",
-        )
-        sweep = SweepSpec(
-            kind=str(sw.get("kind", "linear")),
-            alpha_max=float(sw.get("alpha_max", 2.0)),
-            alpha_step=float(sw.get("alpha_step", 0.1)),
-            simplex_step=float(sw.get("simplex_step", 0.1)),
-        )
-
-    strategy0 = strategies[0] if strategies else StrategySpec(kind="T")
-    sim = SimConfig(
-        workload=workload,
-        strategy=strategy0,
-        channel=channel,
-        buffer=buffer,
-        horizon=horizon,
-        drain_after_horizon=bool(data.get("drain_after_horizon", True)),
-    )
-    return ExperimentConfig(
-        sim=sim,
-        strategies=strategies,
-        replications=int(data.get("replications", 10)),
-        base_seed=int(data.get("seed", data.get("base_seed", 1))),
-        sweep=sweep,
-        output=data.get("output"),
-    )
+    top = _section(data, "config", ("sim",))
+    if "seed" in top:
+        top["base_seed"] = top.pop("seed")
+    workload = _section(top.pop("workload", {}), "config.workload", ("horizon", "seed"))
+    if "horizon" in top:
+        workload["horizon"] = _scalar(int, top.pop("horizon"), "config.horizon")
+    sim = {k: top.pop(k) for k in ("drain_after_horizon", "channel", "buffer") if k in top}
+    raw = top.get("strategies", RANKING_KINDS)
+    strategies = from_dict(tuple[StrategySpec, ...], raw, "config.strategies")
+    top["strategies"] = strategies
+    sim["strategy"] = strategies[0] if strategies else StrategySpec(kind="T")
+    top["sim"] = from_dict(SimConfig, {**sim, "workload": workload})
+    return from_dict(ExperimentConfig, top)
 
 
 # --- emission ------------------------------------------------------------

@@ -49,14 +49,6 @@ class MetricsReport:
     completed: int
     unfinished: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "alpt": self.alpt,
-            "log_alpt": self.log_alpt,
-            "completed": self.completed,
-            "unfinished": self.unfinished,
-        }
-
 
 def alpt(records) -> float:
     """Mean perceived throughput (1/N) * sum A_k / (T_k_end - T_k_0)."""
@@ -96,17 +88,6 @@ class AggregateReport:
     replications: int
     completed_total: int
     unfinished_total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "alpt_mean": self.alpt_mean,
-            "alpt_std": self.alpt_std,
-            "log_alpt_mean": self.log_alpt_mean,
-            "log_alpt_std": self.log_alpt_std,
-            "replications": self.replications,
-            "completed_total": self.completed_total,
-            "unfinished_total": self.unfinished_total,
-        }
 
 
 def aggregate(reports) -> AggregateReport:

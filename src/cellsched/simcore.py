@@ -83,27 +83,29 @@ class FlowState:
 class SimConfig:
     """Everything one simulation run needs besides trace plumbing.
 
-    ``horizon`` defaults to the workload's own horizon; arrivals stop there
-    and, with ``drain_after_horizon``, service continues until every
-    admitted flow finishes so each one yields a record.
+    Arrivals stop at the workload's horizon and, with
+    ``drain_after_horizon``, service continues until every admitted flow
+    finishes so each one yields a record.
     """
 
     workload: WorkloadConfig
     strategy: StrategySpec
     channel: ChannelConfig = ChannelConfig()
     buffer: BufferModel = BufferModel()
-    horizon: int | None = None
     drain_after_horizon: bool = True
 
     def __post_init__(self):
-        if self.horizon is None:
-            object.__setattr__(self, "horizon", self.workload.horizon)
-        if not self.horizon > 0:
-            raise ParameterError(f"horizon={self.horizon} must be positive")
+        if not self.workload.horizon > 0:
+            raise ParameterError(f"horizon={self.workload.horizon} must be positive")
         if self.strategy.uses_buffer and self.buffer.mode != BUFFER_TCP_REFILL:
             raise CapabilityError(
                 "sectf reads the station buffer; it needs buffer mode 'tcp-refill'"
             )
+
+    @property
+    def horizon(self) -> int:
+        """The workload's horizon, read-only; ``bench/tracer.py`` reads it here."""
+        return self.workload.horizon
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,9 @@ def run_simulation(
 
     strategy = config.strategy
     anticipating = strategy.anticipating
-    assigned_mean = strategy.mean_rate_mode == "assigned"
     model = config.buffer
     tcp = model.mode == BUFFER_TCP_REFILL
-    horizon = config.horizon
+    horizon = config.workload.horizon
     hard_stop = horizon + _DRAIN_SLACK
 
     active: dict[int, FlowState] = {}
@@ -286,6 +287,7 @@ def run_simulation(
                     0.0,
                     0.0,
                     0.0,
+                    spec.mean_rate,
                     spec.file_size if anticipating else None,
                     None,
                 )
@@ -304,12 +306,9 @@ def run_simulation(
                 view.served = state.served
                 view.buffer = state.buffer
                 view.rate = r
-                if assigned_mean:
-                    view.mean_rate_est = state.spec.mean_rate
-                else:
-                    view.mean_rate_est = (state.rate_history_sum + r) / (
-                        state.rate_history_count + 1
-                    )
+                view.mean_rate_est = (state.rate_history_sum + r) / (
+                    state.rate_history_count + 1
+                )
                 view.last_served = state.last_served
                 views.append(view)
 

@@ -18,7 +18,7 @@ two conventions the source paper meant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CapabilityError, ParameterError
 
@@ -39,6 +39,15 @@ KINDS = ATOMIC_KINDS + COMBINATOR_KINDS
 #: Default time constant of the T index's remaining-time estimate.
 C_DEFAULT = 0.6 / math.log(13.0 / 7.0)
 
+#: The parameters each kind reads.  Every other kind must leave them at their
+#: defaults; labels and the config codec show exactly these parameters.
+OWNED_PARAMS = {
+    "T": ("c_const", "mean_rate_mode"),
+    "TK": ("tk_variant", "mean_rate_mode"),
+    "linear": ("children", "weights"),
+    "probabilistic": ("children", "weights"),
+}
+
 _PROB_TOL = 1e-9
 _INF = math.inf
 
@@ -47,18 +56,18 @@ _INF = math.inf
 class StrategySpec:
     """Declarative description of a scheduling strategy.
 
-    Atomic kinds take no children.  ``linear`` sums child indices with
-    non-negative ``weights``; ``probabilistic`` redraws which child decides
-    each slot, with ``weights`` read as probabilities summing to one.
-    Combinators nest one level deep: children must be atomic.
+    A kind takes only the parameters that ``OWNED_PARAMS`` gives it.
+    ``linear`` sums child indices with non-negative ``weights``;
+    ``probabilistic`` redraws which child decides each slot, with
+    ``weights`` read as probabilities summing to one.  Combinators nest one
+    level deep: children must be atomic.
     """
 
     kind: str
     c_const: float = C_DEFAULT
-    pareto_alpha: float = 5.5
     tk_variant: str = "inst"  # "inst": instantaneous rate; "mean": running mean rate
     mean_rate_mode: str = "empirical"  # "assigned" substitutes the true mean rate
-    children: tuple["StrategySpec", ...] = ()
+    children: tuple[StrategySpec, ...] = ()
     weights: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -72,11 +81,11 @@ class StrategySpec:
             raise ParameterError(f"unknown mean_rate_mode {self.mean_rate_mode!r}")
         if not self.c_const > 0.0:
             raise ParameterError(f"c_const={self.c_const} must be positive")
-        if not self.pareto_alpha > 1.0:
-            raise ParameterError(f"pareto_alpha={self.pareto_alpha} must exceed 1")
+        owned = OWNED_PARAMS.get(self.kind, ())
+        for name, default in _PARAM_DEFAULTS.items():
+            if name not in owned and getattr(self, name) != default:
+                raise ParameterError(f"{self.kind} does not take {name}")
         if self.kind in ATOMIC_KINDS:
-            if self.children or self.weights:
-                raise ParameterError(f"atomic kind {self.kind!r} takes no children")
             return
         if not self.children:
             raise ParameterError(f"{self.kind} needs at least one child")
@@ -109,13 +118,21 @@ class StrategySpec:
         return any(c.uses_buffer for c in self.children)
 
     def label(self) -> str:
+        """The kind, with every owned parameter that differs from its default."""
+        pairs = zip(self.children, self.weights)
         if self.kind == "linear":
-            parts = "+".join(f"{w:g}*{c.kind}" for c, w in zip(self.children, self.weights))
-            return f"linear({parts})"
+            return "linear(" + "+".join(f"{w:g}*{c.label()}" for c, w in pairs) + ")"
         if self.kind == "probabilistic":
-            parts = ",".join(f"{c.kind}:{p:g}" for c, p in zip(self.children, self.weights))
-            return f"prob({parts})"
-        return self.kind
+            return "prob(" + ",".join(f"{c.label()}:{p:g}" for c, p in pairs) + ")"
+        params = [
+            f"{name}={value}" if isinstance(value, str) else f"{name}={value:g}"
+            for name in OWNED_PARAMS.get(self.kind, ())
+            if (value := getattr(self, name)) != _PARAM_DEFAULTS[name]
+        ]
+        return f"{self.kind}({','.join(params)})" if params else self.kind
+
+
+_PARAM_DEFAULTS = {f.name: f.default for f in fields(StrategySpec) if f.name != "kind"}
 
 
 @dataclass(slots=True)
@@ -124,7 +141,8 @@ class FlowView:
 
     ``served`` is the traffic delivered before this slot, ``rate`` the
     channel rate revealed for this slot, ``mean_rate_est`` the running mean
-    of all rates observed so far (including this slot).  ``true_size`` is
+    of all rates observed so far (including this slot), ``mean_rate`` the
+    mean rate the workload assigned to the flow.  ``true_size`` is
     populated only for anticipating strategies.  ``last_served`` feeds the
     tie-breaking rule and is None for flows never served.
 
@@ -139,6 +157,7 @@ class FlowView:
     buffer: float
     rate: float
     mean_rate_est: float
+    mean_rate: float
     true_size: float | None = None
     last_served: int | None = None
 
@@ -212,12 +231,14 @@ def _idx_sectf(spec, view):
 
 
 def _idx_t(spec, view):
-    inner = _div(view.served, spec.c_const * view.mean_rate_est)
-    return _div(view.served, view.age + inner)
+    r = view.mean_rate if spec.mean_rate_mode == "assigned" else view.mean_rate_est
+    return _div(view.served, view.age + _div(view.served, spec.c_const * r))
 
 
 def _idx_tk(spec, view):
-    r = view.rate if spec.tk_variant == "inst" else view.mean_rate_est
+    if spec.tk_variant == "inst":
+        return _div(view.rate * view.served, view.age)
+    r = view.mean_rate if spec.mean_rate_mode == "assigned" else view.mean_rate_est
     return _div(r * view.served, view.age)
 
 
@@ -309,22 +330,3 @@ def select_client(spec: StrategySpec, views, rng=None):
             best_v = v
             best_rec = rec
     return best_id
-
-
-# convenience constructors used by the experiment harness
-
-
-def atomic(kind: str, **kwargs) -> StrategySpec:
-    return StrategySpec(kind=kind, **kwargs)
-
-
-def linear_of(children_weights, **kwargs) -> StrategySpec:
-    children = tuple(c for c, _ in children_weights)
-    weights = tuple(w for _, w in children_weights)
-    return StrategySpec(kind="linear", children=children, weights=weights, **kwargs)
-
-
-def mixture_of(children_probs, **kwargs) -> StrategySpec:
-    children = tuple(c for c, _ in children_probs)
-    probs = tuple(p for _, p in children_probs)
-    return StrategySpec(kind="probabilistic", children=children, weights=probs, **kwargs)

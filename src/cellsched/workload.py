@@ -8,7 +8,8 @@ channel rate drawn uniformly from a band proportional to the offered load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import seeding
 from .errors import ParameterError
@@ -16,19 +17,30 @@ from .errors import ParameterError
 _WEIGHT_TOL = 1e-9
 
 
+class Component(NamedTuple):
+    """One traffic class of a size mixture: its weight and its Pareto scale."""
+
+    weight: float
+    scale_kb: float
+
+
 @dataclass(frozen=True)
 class ParetoMixture:
     """Mixture of Pareto laws sharing one shape parameter.
 
     ``components`` holds ``(weight, scale_kb)`` pairs. Weights must sum to
-    one and ``alpha`` must exceed 1 so the mixture mean is finite.
+    one and ``alpha`` must exceed 1 so the mixture mean is finite.  The
+    defaults are four traffic classes: text page, app payload, audio track
+    and video clip.
     """
 
-    components: tuple[tuple[float, float], ...]
-    alpha: float
+    components: tuple[Component, ...] = (
+        (0.4, 500.0), (0.3, 5000.0), (0.2, 25000.0), (0.1, 62500.0)
+    )
+    alpha: float = 5.5
 
     def __post_init__(self):
-        comps = tuple((float(w), float(m)) for w, m in self.components)
+        comps = tuple(Component(float(w), float(m)) for w, m in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ParameterError("mixture needs at least one component")
@@ -49,14 +61,6 @@ class ParetoMixture:
         return min(m for _, m in self.components)
 
 
-def default_size_mixture() -> ParetoMixture:
-    """Four traffic classes: text page, app payload, audio track, video clip (kB)."""
-    return ParetoMixture(
-        components=((0.4, 500.0), (0.3, 5000.0), (0.2, 25000.0), (0.1, 62500.0)),
-        alpha=5.5,
-    )
-
-
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Parameters of the synthetic arrival stream.
@@ -67,8 +71,8 @@ class WorkloadConfig:
     ``arrival_rate`` times the mean file size.
     """
 
-    arrival_rate: float
-    size_mixture: ParetoMixture = field(default_factory=default_size_mixture)
+    arrival_rate: float = 0.09
+    size_mixture: ParetoMixture = ParetoMixture()
     rate_lo_mult: float = 1.0 / 3.0
     rate_hi_mult: float = 3.0
     horizon: int = 100_000
@@ -147,8 +151,8 @@ def sample_mean_rate(
     rng,
     arrival_rate: float,
     mean_size: float,
-    lo_mult: float = 1.0 / 3.0,
-    hi_mult: float = 3.0,
+    lo_mult: float = WorkloadConfig.rate_lo_mult,
+    hi_mult: float = WorkloadConfig.rate_hi_mult,
 ) -> float:
     """Assign a client its mean channel rate, uniform on the load-proportional band."""
     if not arrival_rate > 0.0 or not mean_size > 0.0:

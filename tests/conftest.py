@@ -1,4 +1,4 @@
-"""Shared builders for the test suite: scripted RNGs and view/flow factories."""
+"""Shared test builders: scripted RNGs, fixed-rate sources, view and flow factories."""
 
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ def make_view(**kwargs) -> FlowView:
         buffer=100.0,
         rate=10.0,
         mean_rate_est=10.0,
+        mean_rate=10.0,
         true_size=None,
         last_served=None,
     )
@@ -53,6 +54,27 @@ def make_view(**kwargs) -> FlowView:
 
 def make_flow(fid=0, arrival=0, size=100.0, mean_rate=10.0) -> FlowSpec:
     return FlowSpec(id=fid, arrival_slot=arrival, file_size=size, mean_rate=mean_rate)
+
+
+class FixedRateSource:
+    """Constant-rate source for hand-traced tests: every flow sees ``rate`` each slot."""
+
+    def __init__(self, rate: float = 1.0, per_flow: dict[int, float] | None = None):
+        self.rate = rate
+        self.per_flow = per_flow or {}
+
+    def stream_for(self, flow: FlowSpec) -> "_FixedStream":
+        return _FixedStream(self.per_flow.get(flow.id, self.rate))
+
+
+class _FixedStream:
+    __slots__ = ("_rate",)
+
+    def __init__(self, rate: float):
+        self._rate = rate
+
+    def draw(self, t: float) -> float:
+        return self._rate
 
 
 @pytest.fixture

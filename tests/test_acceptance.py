@@ -25,7 +25,6 @@ from scipy.integrate import quad
 
 from cellsched import (
     BufferModel,
-    FixedRateSource,
     SimConfig,
     StrategySpec,
     WorkloadConfig,
@@ -41,7 +40,7 @@ from cellsched import (
 )
 from cellsched.strategies import compute_index
 
-from conftest import make_flow, make_view
+from conftest import FixedRateSource, make_flow, make_view
 
 
 def report(n: int, ok: bool, detail: str) -> None:

@@ -10,7 +10,6 @@ import pytest
 from cellsched import (
     ChannelConfig,
     ChannelRateSource,
-    FixedRateSource,
     ParameterError,
     envelope_factor,
     rate_bounds,
@@ -18,7 +17,7 @@ from cellsched import (
 )
 from cellsched.channel import ENVELOPE_LITERAL, ENVELOPE_TIME_VARYING, FlowRateStream
 
-from conftest import StubRng, make_flow
+from conftest import FixedRateSource, StubRng, make_flow
 
 LITERAL_ENVELOPE = 1.5 * (math.sin(0.1005) + 1.0)  # ~1.6505
 

@@ -124,6 +124,16 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_horizon(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "run", extra={"horizon": "abc"})
+        assert code == 2
+        assert "error: config.horizon" in capsys.readouterr().err
+
+    def test_non_boolean_drain_flag(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "run", extra={"drain_after_horizon": "false"})
+        assert code == 2
+        assert "error: config.drain_after_horizon" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2
@@ -134,6 +144,19 @@ class TestErrors:
         path.write_text("- 1\n- 2\n")
         assert main(["run", "--config", str(path)]) == 2
         assert "must hold a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]\n", "false\n", "0\n"])
+    def test_falsy_non_mapping_is_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "falsy.yaml"
+        path.write_text(text)
+        argv = ["dump-workload", "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "must hold a mapping" in capsys.readouterr().err
+
+    def test_empty_file_is_the_reference_setup(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert load_config(str(path)) == default_experiment_config()
 
     def test_malformed_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellsched import (
     AggregateReport,
+    BufferModel,
     CapabilityError,
+    ChannelConfig,
     ExperimentConfig,
     ParameterError,
+    ParetoMixture,
     SimConfig,
     StrategySpec,
     StrategyScore,
@@ -41,11 +47,11 @@ from cellsched.experiments import (
     TRACE_HEADER,
     WORKLOAD_HEADER,
     default_alpha_grid,
+    from_dict,
     git_blob_sha1,
     replication_reports,
     score_strategy,
-    strategy_from_dict,
-    strategy_to_dict,
+    to_dict,
     write_curve_csv,
     write_manifest,
     write_ranking_csv,
@@ -53,6 +59,7 @@ from cellsched.experiments import (
     write_trace_csv,
     write_workload_csv,
 )
+from cellsched.workload import Component
 
 from conftest import make_flow
 
@@ -77,12 +84,20 @@ class TestExperimentConfig:
     def test_defaults_describe_reference_setup(self):
         config = default_experiment_config()
         assert config.replications == 10
-        assert config.sim.horizon == 100_000
+        assert config.sim.workload.horizon == 100_000
         assert config.sim.workload.arrival_rate == 0.09
         assert tuple(s.kind for s in config.strategies) == RANKING_KINDS
 
     def test_default_sim_config_horizon(self):
-        assert default_sim_config(horizon=5000).horizon == 5000
+        assert default_sim_config(horizon=5000).workload.horizon == 5000
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ParameterError, match="tas"):
+            tiny_config(strategies=(StrategySpec(kind="tas"), StrategySpec(kind="tas")))
+        # the same kind with different parameters is a different row
+        tiny_config(
+            strategies=(StrategySpec(kind="T"), StrategySpec(kind="T", c_const=2.0))
+        )
 
 
 class TestSweepGrids:
@@ -249,10 +264,13 @@ class TestSweeps:
 class TestStrategySerialization:
     def test_atomic_round_trip(self):
         spec = StrategySpec(kind="TK", tk_variant="mean")
-        assert strategy_from_dict(strategy_to_dict(spec)) == spec
+        assert to_dict(spec) == {
+            "kind": "TK", "tk_variant": "mean", "mean_rate_mode": "empirical"
+        }
+        assert from_dict(StrategySpec, to_dict(spec)) == spec
 
     def test_string_shorthand(self):
-        assert strategy_from_dict("tas") == StrategySpec(kind="tas")
+        assert from_dict(StrategySpec, "tas") == StrategySpec(kind="tas")
 
     def test_combinator_round_trip(self):
         spec = StrategySpec(
@@ -260,13 +278,110 @@ class TestStrategySerialization:
             children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
             weights=(1.0, 0.5),
         )
-        assert strategy_from_dict(strategy_to_dict(spec)) == spec
+        assert from_dict(StrategySpec, to_dict(spec)) == spec
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ParameterError):
-            strategy_from_dict({"kind": "tas", "discount": 0.9})
-        with pytest.raises(ParameterError):
-            strategy_from_dict({"weights": [1.0]})
+            from_dict(StrategySpec, {"kind": "tas", "discount": 0.9})
+        with pytest.raises(ParameterError, match="missing .*'kind'"):
+            from_dict(StrategySpec, {"weights": [1.0]})
+
+
+def _atomic_specs():
+    plain = [k for k in RANKING_KINDS if k not in ("T", "TK")] + ["srpt"]
+    modes = st.sampled_from(("empirical", "assigned"))
+    return st.one_of(
+        st.sampled_from(plain).map(lambda k: StrategySpec(kind=k)),
+        st.builds(
+            StrategySpec,
+            kind=st.just("T"),
+            c_const=st.floats(0.1, 10.0),
+            mean_rate_mode=modes,
+        ),
+        st.builds(
+            StrategySpec,
+            kind=st.just("TK"),
+            tk_variant=st.sampled_from(("inst", "mean")),
+            mean_rate_mode=modes,
+        ),
+    )
+
+
+@st.composite
+def _strategy_specs(draw):
+    if draw(st.booleans()):
+        return draw(_atomic_specs())
+    children = tuple(draw(st.lists(_atomic_specs(), min_size=1, max_size=3)))
+    n = len(children)
+    raw = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return StrategySpec(kind="linear", children=children, weights=tuple(raw))
+    weights = tuple(w / sum(raw) for w in raw)
+    return StrategySpec(kind="probabilistic", children=children, weights=weights)
+
+
+@st.composite
+def _experiment_configs(draw):
+    """ExperimentConfigs the config file can express, the ones a manifest echoes."""
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    scales = draw(st.lists(st.floats(1.0, 1e5), min_size=len(raw), max_size=len(raw)))
+    mixture = ParetoMixture(
+        components=tuple(Component(w / sum(raw), m) for w, m in zip(raw, scales)),
+        alpha=draw(st.floats(1.1, 10.0)),
+    )
+    workload = WorkloadConfig(
+        arrival_rate=draw(st.floats(0.01, 1.0)),
+        size_mixture=mixture,
+        rate_lo_mult=draw(st.floats(0.1, 0.9)),
+        rate_hi_mult=draw(st.floats(1.0, 5.0)),
+        horizon=draw(st.integers(1, 10**6)),
+    )
+    channel = ChannelConfig(
+        lo_coeff=draw(st.floats(0.1, 0.9)),
+        hi_coeff=draw(st.floats(1.0, 2.0)),
+        envelope_amplitude=draw(st.floats(0.1, 3.0)),
+        envelope_freq=draw(st.floats(0.0, 0.1)),
+        envelope_phase=draw(st.floats(-3.0, 3.0)),
+        envelope_mode=draw(st.sampled_from(("literal", "time_varying"))),
+    )
+    window = draw(st.floats(1.0, 500.0))
+    buffer = draw(
+        st.sampled_from(
+            (
+                BufferModel(),
+                BufferModel(mode="tcp-refill", rtt=3, initial_window=window,
+                            max_window=2.0 * window),
+            )
+        )
+    )
+    strategies = tuple(
+        draw(st.lists(_strategy_specs(), max_size=4, unique_by=lambda s: s.label()))
+    )
+    sim = SimConfig(
+        workload=workload,
+        strategy=strategies[0] if strategies else StrategySpec(kind="T"),
+        channel=channel,
+        buffer=buffer,
+        drain_after_horizon=draw(st.booleans()),
+    )
+    sweep = draw(
+        st.none()
+        | st.builds(
+            SweepSpec,
+            kind=st.sampled_from(("linear", "probabilistic")),
+            alpha_max=st.floats(0.0, 5.0),
+            alpha_step=st.floats(0.01, 1.0),
+            simplex_step=st.sampled_from((0.1, 0.25, 0.5, 1.0)),
+        )
+    )
+    return ExperimentConfig(
+        sim=sim,
+        strategies=strategies,
+        replications=draw(st.integers(2, 50)),
+        base_seed=draw(st.integers(0, 2**31)),
+        sweep=sweep,
+        output=draw(st.none() | st.sampled_from(("results", "out/run 1"))),
+    )
 
 
 class TestExperimentSerialization:
@@ -279,6 +394,12 @@ class TestExperimentSerialization:
         config = experiment_from_dict({"seed": 99, "horizon": 1000})
         assert config.base_seed == 99
 
+    def test_strategy_strings_accepted(self):
+        config = experiment_from_dict(
+            {"horizon": 1000, "strategies": ["tas", {"kind": "TK"}]}
+        )
+        assert tuple(s.kind for s in config.strategies) == ("tas", "TK")
+
     def test_unknown_keys_rejected_per_section(self):
         for payload in (
             {"mystery": 1},
@@ -286,15 +407,50 @@ class TestExperimentSerialization:
             {"channel": {"fading": "rayleigh"}},
             {"buffer": {"drop_policy": "tail"}},
             {"sweep": {"kind": "linear", "resolution": 5}},
+            {"workload": {"horizon": 5}},
+            {"sim": {}},
+            {"strategies": [{"kind": "T", "pareto_alpha": 3.0}]},
         ):
             with pytest.raises(ParameterError):
                 experiment_from_dict(payload)
 
-    def test_strategy_strings_accepted(self):
-        config = experiment_from_dict(
-            {"horizon": 1000, "strategies": ["tas", {"kind": "TK"}]}
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"horizon": "abc"}, "config.horizon"),
+            ({"horizon": 10.5}, "config.horizon"),
+            ({"replications": True}, "config.replications"),
+            ({"workload": {"arrival_rate": "fast"}}, "config.workload.arrival_rate"),
+            ({"drain_after_horizon": "false"}, "config.drain_after_horizon"),
+            ({"buffer": ["tcp-refill"]}, "config.buffer"),
+            ({"strategies": "tas"}, "config.strategies"),
+            ({"strategies": ["tas", {"weights": [1.0]}]}, "config.strategies[1]"),
+            ({"strategies": [{"kind": "tas", "c_const": 2.0}]}, "config.strategies[0]"),
+            (
+                {"workload": {"size_mixture": {"components": [[0.5, 1], [0.5, 2]]}}},
+                "config.workload.size_mixture.components[0]",
+            ),
+        ],
+    )
+    def test_decode_failures_name_the_field(self, payload, where):
+        with pytest.raises(ParameterError, match=re.escape(where)):
+            experiment_from_dict(payload)
+
+    def test_mixture_components_stay_mappings(self):
+        mixture = {"components": [{"weight": 1, "scale_kb": 300}], "alpha": 3}
+        config = experiment_from_dict({"workload": {"size_mixture": mixture}})
+        assert config.sim.workload.size_mixture == ParetoMixture(
+            components=((1.0, 300.0),), alpha=3.0
         )
-        assert tuple(s.kind for s in config.strategies) == ("tas", "TK")
+        echo = experiment_to_dict(config)["workload"]["size_mixture"]
+        assert echo == {
+            "components": [{"weight": 1.0, "scale_kb": 300.0}], "alpha": 3.0
+        }
+
+    @given(config=_experiment_configs())
+    def test_round_trip_property(self, config):
+        echo = json.loads(json.dumps(experiment_to_dict(config)))
+        assert experiment_from_dict(echo) == config
 
 
 class TestCsvEmission:
@@ -369,6 +525,17 @@ class TestCsvEmission:
         # echoed config reloads to the same experiment definition
         rebuilt = experiment_from_dict(manifest["config"])
         assert experiment_to_dict(rebuilt) == experiment_to_dict(config)
+
+    def test_manifest_echo_of_owned_parameters_reloads_equal(self, tmp_path):
+        spec = StrategySpec(kind="T", c_const=2.0)
+        config = tiny_config(strategies=(spec, StrategySpec(kind="T")))
+        config = replace(config, sim=replace(config.sim, strategy=spec))
+        path = write_manifest(tmp_path, "ranking", config, {})
+        echo = json.loads(path.read_text())["config"]
+        assert echo["strategies"][0] == {
+            "kind": "T", "c_const": 2.0, "mean_rate_mode": "empirical"
+        }
+        assert experiment_from_dict(echo) == config
 
 
 class TestWorkloadDump:

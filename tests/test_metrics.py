@@ -20,6 +20,7 @@ from cellsched import (
     log_alpt,
     summarize,
 )
+from cellsched.experiments import to_dict
 
 
 def record(size, arrival, departure) -> FlowRecord:
@@ -112,7 +113,7 @@ class TestSummarize:
 
     def test_to_dict_fields(self):
         report = summarize([record(100.0, 0, 10)])
-        assert set(report.to_dict()) == {"alpt", "log_alpt", "completed", "unfinished"}
+        assert set(to_dict(report)) == {"alpt", "log_alpt", "completed", "unfinished"}
 
 
 class TestAggregate:

@@ -13,7 +13,6 @@ from cellsched import (
     BufferModel,
     CapabilityError,
     ChannelConfig,
-    FixedRateSource,
     ParameterError,
     SchedulingError,
     SimConfig,
@@ -26,7 +25,7 @@ from cellsched import (
 )
 from cellsched.simcore import make_flow_state
 
-from conftest import make_flow
+from conftest import FixedRateSource, make_flow
 
 INFINITE = BufferModel()
 TCP = BufferModel(mode="tcp-refill", rtt=30, initial_window=100.0, max_window=400.0)
@@ -60,7 +59,9 @@ class TestBufferModel:
 class TestSimConfigValidation:
     def test_horizon_defaults_to_workload(self):
         config = sim_config(flows_horizon=777)
-        assert config.horizon == 777
+        assert config.workload.horizon == 777
+        with pytest.raises(TypeError):  # the workload's horizon is the only one
+            replace(config, horizon=5)
 
     def test_rejects_non_positive_horizon(self):
         with pytest.raises(ParameterError):

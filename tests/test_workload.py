@@ -13,7 +13,6 @@ from cellsched import (
     ParameterError,
     ParetoMixture,
     WorkloadConfig,
-    default_size_mixture,
     generate_workload,
     mixture_mean,
 )
@@ -46,7 +45,7 @@ class TestParetoMixture:
             ParetoMixture(components=((1.0, 100.0),), alpha=1.0)
 
     def test_default_mixture_shape(self):
-        mix = default_size_mixture()
+        mix = ParetoMixture()
         assert mix.alpha == 5.5
         assert mix.components == (
             (0.4, 500.0),
@@ -67,7 +66,7 @@ class TestMixtureMean:
         assert mixture_mean(mix) == pytest.approx(1.0, abs=1e-6)
 
     def test_default_mixture_mean(self):
-        assert mixture_mean(default_size_mixture()) == pytest.approx(
+        assert mixture_mean(ParetoMixture()) == pytest.approx(
             REFERENCE_MIXTURE_MEAN, rel=1e-12
         )
 
@@ -101,14 +100,14 @@ class TestSampleFileSize:
 
     def test_empirical_mean_default_mixture(self):
         rng = random.Random(7)
-        mix = default_size_mixture()
+        mix = ParetoMixture()
         n = 10**6
         total = sum(sample_file_size(rng, mix) for _ in range(n))
         assert total / n == pytest.approx(REFERENCE_MIXTURE_MEAN, rel=0.01)
 
     def test_never_below_component_floor(self):
         rng = random.Random(3)
-        mix = default_size_mixture()
+        mix = ParetoMixture()
         assert all(sample_file_size(rng, mix) >= mix.min_scale for _ in range(5000))
 
     def test_single_component_kolmogorov_smirnov(self):
