@@ -47,14 +47,10 @@ from .metrics import (
 )
 from .simcore import (
     BufferModel,
-    FlowState,
     SimConfig,
     SimResult,
     TraceEvent,
-    admit_arrivals,
-    refill_buffers,
     run_simulation,
-    serve_slot,
 )
 from .strategies import (
     FlowView,
@@ -86,7 +82,6 @@ __all__ = [
     "ExperimentConfig",
     "FlowRecord",
     "FlowSpec",
-    "FlowState",
     "FlowView",
     "MetricsReport",
     "ParameterError",
@@ -100,7 +95,6 @@ __all__ = [
     "TraceEvent",
     "UndefinedMetricError",
     "WorkloadConfig",
-    "admit_arrivals",
     "aggregate",
     "alpt",
     "compute_index",
@@ -116,12 +110,10 @@ __all__ = [
     "mixture_mean",
     "pareto_posterior_density",
     "rate_bounds",
-    "refill_buffers",
     "run_experiment",
     "run_simulation",
     "sample_rate",
     "select_client",
-    "serve_slot",
     "simplex_grid",
     "summarize",
     "sweep_linear",

@@ -57,21 +57,18 @@ def alpt(records) -> float:
     return statistics.fmean(r.perceived_throughput for r in records)
 
 
-def log_alpt(records, base: float | None = None) -> float:
-    """Mean log perceived throughput; natural log unless ``base`` is given."""
+def log_alpt(records) -> float:
+    """Mean natural-log perceived throughput."""
     if not records:
         raise UndefinedMetricError("logALPT is undefined over zero completed flows")
-    value = statistics.fmean(math.log(r.perceived_throughput) for r in records)
-    if base is not None:
-        value /= math.log(base)
-    return value
+    return statistics.fmean(math.log(r.perceived_throughput) for r in records)
 
 
-def summarize(records, unfinished: int = 0, base: float | None = None) -> MetricsReport:
+def summarize(records, unfinished: int = 0) -> MetricsReport:
     """Bundle both metrics over one run's completed flows."""
     return MetricsReport(
         alpt=alpt(records),
-        log_alpt=log_alpt(records, base=base),
+        log_alpt=log_alpt(records),
         completed=len(records),
         unfinished=unfinished,
     )

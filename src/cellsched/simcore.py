@@ -2,7 +2,10 @@
 
 Each slot: admit arrivals, run buffer refills, reveal every active flow's
 channel rate, ask the strategy for one client, transfer min(rate, buffer)
-to it.  A flow departs on the slot after the transfer that empties both its
+to it.  Each active flow has one FlowState record, which holds its channel
+stream and its strategy view from admission on; the slot loop visits every
+record once per slot, drawing the rate and adding it to the flow's rate
+sum.  A flow departs on the slot after the transfer that empties both its
 buffer and its unfetched remainder; completed flows yield FlowRecords for
 the metrics layer.
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import seeding
-from .channel import ChannelConfig, ChannelRateSource
+from .channel import ChannelConfig, ChannelRateSource, FlowRateStream
 from .errors import CapabilityError, ParameterError, SchedulingError
 from .metrics import FlowRecord
 from .strategies import FlowView, StrategySpec, select_client
@@ -64,8 +67,11 @@ class FlowState:
     ``buffer`` holds bytes staged for transmission; ``unfetched`` holds
     bytes still at the origin server (always 0 in infinite mode), so
     ``served + buffer + unfetched == file_size`` up to accumulated float
-    rounding in ``served``.  ``rate_history_*`` feed the running mean rate
-    estimate; ``last_served`` feeds tie-breaking.
+    rounding in ``served``.  ``rate_sum`` holds one channel rate per slot
+    since arrival, so the running mean rate estimate at slot t is
+    ``rate_sum / (age + 1)``; ``last_served`` feeds tie-breaking.
+    ``stream`` (the flow's channel rate stream) and ``view`` (what the
+    strategy sees of the flow) are set at admission.
     """
 
     spec: FlowSpec
@@ -74,9 +80,10 @@ class FlowState:
     unfetched: float = 0.0
     refill_due: int | None = None
     congestion_window: float = 0.0
-    rate_history_sum: float = 0.0
-    rate_history_count: int = 0
+    rate_sum: float = 0.0
     last_served: int | None = None
+    stream: FlowRateStream | None = None
+    view: FlowView | None = None
 
 
 @dataclass(frozen=True)
@@ -161,16 +168,15 @@ def admit_arrivals(active, t, pending, model, start=0) -> int:
 def refill_buffers(active, t, model: BufferModel):
     """Schedule refills for newly emptied buffers and deliver the ones due at t.
 
-    Scheduling runs before delivery, so with rtt = 0 a refill lands in the
-    same slot it was requested.  A delivery adds min(window, unfetched) and
-    doubles the window up to the cap.
+    One pass: each flow is scheduled before its own delivery check, so with
+    rtt = 0 a refill lands in the same slot it was requested.  A delivery
+    adds min(window, unfetched) and doubles the window up to the cap.
     """
     if model.mode != BUFFER_TCP_REFILL:
         return active
     for state in active.values():
         if state.buffer == 0.0 and state.unfetched > 0.0 and state.refill_due is None:
             state.refill_due = t + model.rtt
-    for state in active.values():
         if state.refill_due == t:
             delta = min(state.congestion_window, state.unfetched)
             state.buffer += delta
@@ -185,15 +191,11 @@ def refill_buffers(active, t, model: BufferModel):
 def serve_slot(active, t, rates, chosen):
     """Serve ``chosen`` for one slot; returns (record-or-None, transfer).
 
-    Every active flow's rate history absorbs its rate for this slot whether
-    or not it was served.  The chosen flow receives min(rate, buffer); if
-    that empties both buffer and unfetched remainder the flow departs at
-    t + 1 and is removed from ``active``.
+    Only the chosen flow is read or written; ``rates`` maps each active
+    flow to its rate for this slot.  The chosen flow receives
+    min(rate, buffer); if that empties both buffer and unfetched remainder
+    the flow departs at t + 1 and is removed from ``active``.
     """
-    for fid, state in active.items():
-        r = rates[fid]
-        state.rate_history_sum += r
-        state.rate_history_count += 1
     if chosen is None:
         return None, 0.0
     state = active.get(chosen)
@@ -225,7 +227,6 @@ def run_simulation(
     flows=None,
     rate_source=None,
     collect_trace=False,
-    trace_sink=None,
 ) -> SimResult:
     """Run one seeded simulation; deterministic given the config.
 
@@ -256,10 +257,6 @@ def run_simulation(
     hard_stop = horizon + _DRAIN_SLACK
 
     active: dict[int, FlowState] = {}
-    streams = {}
-    # one view per active flow, created at admission and refreshed in place
-    # on each slot the flow is eligible
-    flow_views: dict[int, FlowView] = {}
     records = []
     trace = [] if collect_trace else None
 
@@ -277,9 +274,11 @@ def run_simulation(
         elif next_pending < pending_count and flows[next_pending].arrival_slot <= t:
             before = next_pending
             next_pending = admit_arrivals(active, t, flows, model, next_pending)
+            # the view is refreshed in place on each slot the flow is eligible
             for spec in flows[before:next_pending]:
-                streams[spec.id] = source.stream_for(spec)
-                flow_views[spec.id] = FlowView(
+                state = active[spec.id]
+                state.stream = source.stream_for(spec)
+                state.view = FlowView(
                     spec.id,
                     t,
                     0,
@@ -297,18 +296,19 @@ def run_simulation(
         rates = {}
         views = []
         for fid, state in active.items():
-            r = streams[fid].draw(t)
+            r = state.stream.draw(t)
             rates[fid] = r
+            state.rate_sum += r
             if state.buffer > 0.0:
-                view = flow_views[fid]
+                view = state.view
+                age = t - state.spec.arrival_slot
                 view.t = t
-                view.age = t - state.spec.arrival_slot
+                view.age = age
                 view.served = state.served
                 view.buffer = state.buffer
                 view.rate = r
-                view.mean_rate_est = (state.rate_history_sum + r) / (
-                    state.rate_history_count + 1
-                )
+                # one draw per slot since arrival: age + 1 rates so far
+                view.mean_rate_est = state.rate_sum / (age + 1)
                 view.last_served = state.last_served
                 views.append(view)
 
@@ -317,14 +317,8 @@ def run_simulation(
         record, transfer = serve_slot(active, t, rates, chosen)
         if record is not None:
             records.append(record)
-            del streams[chosen]
-            del flow_views[chosen]
-        if trace is not None or trace_sink is not None:
-            event = TraceEvent(t, chosen, transfer, active_count)
-            if trace is not None:
-                trace.append(event)
-            if trace_sink is not None:
-                trace_sink(event)
+        if trace is not None:
+            trace.append(TraceEvent(t, chosen, transfer, active_count))
         t += 1
 
     return SimResult(

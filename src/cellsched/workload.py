@@ -56,10 +56,6 @@ class ParetoMixture:
         if not self.alpha > 1.0:
             raise ParameterError(f"shape alpha={self.alpha} must exceed 1")
 
-    @property
-    def min_scale(self) -> float:
-        return min(m for _, m in self.components)
-
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -163,16 +159,15 @@ def sample_mean_rate(
     return lo + (hi - lo) * rng.random()
 
 
-def generate_workload(config: WorkloadConfig, rng=None) -> list[FlowSpec]:
+def generate_workload(config: WorkloadConfig) -> list[FlowSpec]:
     """Generate the full arrival list for one run.
 
     Continuous arrival times are the cumulative sums of exponential gaps;
     each is placed in slot ``ceil(time)`` (several flows may share a slot).
     Generation stops at the first arrival that lands at or past the horizon.
-    Deterministic given ``config.seed`` when ``rng`` is not supplied.
+    Deterministic given ``config.seed``.
     """
-    if rng is None:
-        rng = seeding.stream(config.seed, seeding.WORKLOAD_STREAM)
+    rng = seeding.stream(config.seed, seeding.WORKLOAD_STREAM)
     a_bar = mixture_mean(config.size_mixture)
     flows: list[FlowSpec] = []
     clock = 0.0

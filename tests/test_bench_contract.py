@@ -1,0 +1,55 @@
+"""The package names the host-speed benchmark patches from outside.
+
+``bench/tracer.py`` wraps module globals and class attributes of the
+unmodified package (``serve_slot`` counts slots, ``SimConfig.horizon`` marks
+drain slots).  A refactor that inlines or renames one of them makes every
+traced benchmark run fail or silently read 0; this test runs the
+benchmark's instruments on a tiny library run and a tiny CLI run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+from cellsched import BufferModel, SimConfig, StrategySpec, WorkloadConfig, cli, simcore
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from tracer import TARGETS, RunTimer, SlotCounter, Tracer  # noqa: E402
+
+# the CLI's ``run`` command never reaches the probabilistic sweep
+OFF_PATH = {"experiments.sweep_probabilistic"}
+
+
+def test_instruments_see_every_patched_name(tmp_path):
+    tracer, counter, timer = Tracer(), SlotCounter(), RunTimer()
+    config = SimConfig(
+        workload=WorkloadConfig(arrival_rate=0.3, horizon=40, seed=5),
+        strategy=StrategySpec(kind="pf"),
+        buffer=BufferModel(mode="tcp-refill", rtt=2, initial_window=50.0),
+    )
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(
+        json.dumps({"horizon": 200, "replications": 2, "strategies": ["tas", "T"]})
+    )
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "out")]
+
+    with contextlib.ExitStack() as stack:
+        for instrument in (tracer, counter, timer):
+            stack.enter_context(instrument.installed())
+        result = simcore.run_simulation(config, collect_trace=True)
+        slots = len(result.trace)
+        assert counter.slots == slots
+        assert tracer.layer_metrics()["simcore.slots"] == (slots, "count")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+
+    calls = Counter(tracer.names[k] for k in tracer.name)
+    assert not [name for name in TARGETS if name not in OFF_PATH and not calls[name]]
+    assert len(timer.latencies) == calls["simcore.run_simulation"]
+    assert tracer.layer_metrics()["simcore.slots"] == (counter.slots, "count")

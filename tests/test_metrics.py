@@ -83,11 +83,6 @@ class TestLogAlpt:
         records = [record(10.0, 0, 1), record(0.1, 0, 1)]
         assert log_alpt(records) == pytest.approx(0.0, abs=1e-12)
 
-    def test_explicit_base(self):
-        records = [record(100.0, 0, 10)]
-        assert log_alpt(records, base=10.0) == pytest.approx(1.0)
-        assert log_alpt(records, base=math.e) == pytest.approx(math.log(10.0))
-
     def test_empty_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
             log_alpt([])

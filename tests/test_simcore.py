@@ -18,12 +18,10 @@ from cellsched import (
     SimConfig,
     StrategySpec,
     WorkloadConfig,
-    admit_arrivals,
-    refill_buffers,
     run_simulation,
-    serve_slot,
 )
-from cellsched.simcore import make_flow_state
+from cellsched import simcore
+from cellsched.simcore import admit_arrivals, make_flow_state, refill_buffers, serve_slot
 
 from conftest import FixedRateSource, make_flow
 
@@ -194,19 +192,6 @@ class TestServeSlot:
         assert active == {}
         assert state.served == 100.0  # exact, no float residue
 
-    def test_idle_slot_still_updates_rate_history(self):
-        state = make_flow_state(make_flow(size=100.0), INFINITE)
-        record, transfer = serve_slot({0: state}, 0, {0: 7.0}, None)
-        assert record is None and transfer == 0.0
-        assert state.rate_history_sum == 7.0
-        assert state.rate_history_count == 1
-
-    def test_unserved_flows_accumulate_rate_history(self):
-        a = make_flow_state(make_flow(fid=0, size=100.0), INFINITE)
-        b = make_flow_state(make_flow(fid=1, size=100.0), INFINITE)
-        serve_slot({0: a, 1: b}, 0, {0: 5.0, 1: 9.0}, 0)
-        assert b.rate_history_sum == 9.0 and b.rate_history_count == 1
-
     def test_invalid_chosen_is_contract_violation(self):
         state = make_flow_state(make_flow(size=100.0), INFINITE)
         with pytest.raises(SchedulingError):
@@ -316,6 +301,64 @@ class TestRunSimulation:
         result = run_simulation(config, flows=flows, rate_source=FixedRateSource(40.0))
         assert len(result.records) == 4
         assert result.unfinished == 0
+
+    def test_mean_rate_estimate_averages_every_draw_since_arrival(self, monkeypatch):
+        # every draw differs, so a skipped or doubled rate changes the mean
+        drawn = {}
+
+        class VaryingStream:
+            def __init__(self, fid):
+                self.fid = fid
+                drawn[fid] = []
+
+            def draw(self, t):
+                r = 2.0 + self.fid + (len(drawn[self.fid]) * 0.618) % 3.0
+                drawn[self.fid].append((t, r))
+                return r
+
+        class VaryingSource:
+            def stream_for(self, flow):
+                return VaryingStream(flow.id)
+
+        seen = []  # (t, flow id, mean_rate_est, expected mean, chosen)
+        select = simcore.select_client
+
+        def spy(spec, views, rng=None):
+            chosen = select(spec, views, rng)
+            for view in views:
+                rates = [r for _, r in drawn[view.id]]
+                seen.append(
+                    (view.t, view.id, view.mean_rate_est, sum(rates) / len(rates), chosen)
+                )
+            return chosen
+
+        monkeypatch.setattr(simcore, "select_client", spy)
+        model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=20.0)
+        flows = [
+            make_flow(fid=0, arrival=0, size=60.0),
+            make_flow(fid=1, arrival=1, size=45.0),
+            make_flow(fid=2, arrival=5, size=30.0),
+        ]
+        result = run_simulation(
+            sim_config(flows_horizon=40, strategy="max_ci", buffer=model),
+            flows=flows,
+            rate_source=VaryingSource(),
+        )
+        assert result.unfinished == 0
+        for flow, record in zip(flows, sorted(result.records, key=lambda r: r.arrival)):
+            # one draw per slot from arrival through the departing slot
+            slots = [t for t, _ in drawn[flow.id]]
+            assert slots == list(range(flow.arrival_slot, record.departure))
+        for t, fid, estimate, expected, _ in seen:
+            assert estimate == expected, (t, fid)
+        # the run covers views of unserved flows and tcp-refill waits
+        assert any(fid != chosen for _, fid, _, _, chosen in seen)
+        eligible = {(t, fid) for t, fid, *_ in seen}
+        assert any(
+            (t, fid) not in eligible and (t + 1, fid) in eligible
+            for fid, draws in drawn.items()
+            for t, _ in draws
+        )
 
     def test_probabilistic_strategy_runs_deterministically(self):
         spec = StrategySpec(
