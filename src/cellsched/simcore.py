@@ -18,6 +18,7 @@ is set to the exact file size on departure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import seeding
 from .channel import ChannelConfig, ChannelRateSource, FlowRateStream
@@ -115,9 +116,12 @@ class SimConfig:
         return self.workload.horizon
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One slot of the service trace: who was served and how much moved."""
+class TraceEvent(NamedTuple):
+    """One slot of the service trace: who was served and how much moved.
+
+    A named tuple rather than a frozen dataclass: one is built per slot of a
+    traced run, and a tuple is about twice as cheap to build.
+    """
 
     t: int
     chosen_id: int | None

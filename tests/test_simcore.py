@@ -38,6 +38,38 @@ def sim_config(flows_horizon=100, strategy="round_robin", **kwargs) -> SimConfig
     return SimConfig(workload=workload, strategy=strategy, **kwargs)
 
 
+class _SquareRateSource:
+    """Flow ``fid`` sees ``base[fid] + t * t`` at slot t: every draw differs."""
+
+    def __init__(self, base: dict[int, float]):
+        self.base = base
+
+    def stream_for(self, flow):
+        return _SquareStream(self.base[flow.id])
+
+
+class _SquareStream:
+    def __init__(self, base: float):
+        self.base = base
+
+    def draw(self, t):
+        return self.base + t * t
+
+
+def _spy_views(monkeypatch) -> dict[int, dict[int, float]]:
+    """Record {t: {flow id: mean_rate_est}} of the views handed to select_client."""
+    seen: dict[int, dict[int, float]] = {}
+    select = simcore.select_client
+
+    def spy(spec, views, rng=None):
+        for view in views:
+            seen.setdefault(view.t, {})[view.id] = view.mean_rate_est
+        return select(spec, views, rng)
+
+    monkeypatch.setattr(simcore, "select_client", spy)
+    return seen
+
+
 class TestBufferModel:
     def test_defaults(self):
         assert INFINITE.mode == "infinite"
@@ -191,6 +223,41 @@ class TestServeSlot:
         assert record.file_size == 100.0
         assert active == {}
         assert state.served == 100.0  # exact, no float residue
+
+    # The rate history grows in the draw loop of run_simulation, for every
+    # active flow whether or not serve_slot serves it; these two tests watch
+    # the slot loop around serve_slot through the views the strategy sees.
+
+    def test_idle_slot_still_updates_rate_history(self, monkeypatch):
+        # t=0 empties the first window; slots 1-3 wait out the rtt with no
+        # eligible flow, so nobody is served; the refill lands at t=4
+        model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=10.0)
+        views = _spy_views(monkeypatch)
+        result = run_simulation(
+            sim_config(flows_horizon=10, strategy="max_ci", buffer=model),
+            flows=[make_flow(fid=0, arrival=0, size=20.0)],
+            rate_source=_SquareRateSource({0: 10.0}),
+            collect_trace=True,
+        )
+        assert [e.chosen_id for e in result.trace[:5]] == [0, None, None, None, 0]
+        # rates 10, 11, 14, 19, 26: the idle slots' draws are in the mean
+        assert views[4] == {0: 16.0}
+
+    def test_unserved_flows_accumulate_rate_history(self, monkeypatch):
+        views = _spy_views(monkeypatch)
+        result = run_simulation(
+            sim_config(flows_horizon=10, strategy="max_ci"),
+            flows=[
+                make_flow(fid=0, arrival=0, size=1000.0),
+                make_flow(fid=1, arrival=0, size=1000.0),
+            ],
+            rate_source=_SquareRateSource({0: 100.0, 1: 1.0}),
+            collect_trace=True,
+        )
+        assert [e.chosen_id for e in result.trace[:3]] == [0, 0, 0]
+        # flow 1 draws 1, 2, 5 while unserved
+        assert views[1][1] == 1.5
+        assert views[2][1] == 8.0 / 3.0
 
     def test_invalid_chosen_is_contract_violation(self):
         state = make_flow_state(make_flow(size=100.0), INFINITE)
