@@ -13,7 +13,6 @@ from .channel import (
     ChannelRateSource,
     envelope_factor,
     rate_bounds,
-    sample_rate,
 )
 from .errors import (
     AggregationError,
@@ -53,7 +52,6 @@ from .simcore import (
     run_simulation,
 )
 from .strategies import (
-    FlowView,
     StrategySpec,
     compute_index,
     expected_file_size,
@@ -82,7 +80,6 @@ __all__ = [
     "ExperimentConfig",
     "FlowRecord",
     "FlowSpec",
-    "FlowView",
     "MetricsReport",
     "ParameterError",
     "ParetoMixture",
@@ -112,7 +109,6 @@ __all__ = [
     "rate_bounds",
     "run_experiment",
     "run_simulation",
-    "sample_rate",
     "select_client",
     "simplex_grid",
     "summarize",

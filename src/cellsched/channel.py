@@ -61,20 +61,13 @@ def rate_bounds(mean_rate: float, t: float, config: ChannelConfig) -> tuple[floa
     return config.lo_coeff * e * mean_rate, config.hi_coeff * e * mean_rate
 
 
-def sample_rate(rng, flow: FlowSpec, t: float, config: ChannelConfig) -> float:
-    """Draw r_k(t), uniform between the envelope-scaled bounds (0 when E(t) = 0)."""
-    if not flow.mean_rate > 0.0:
-        raise ParameterError("flow.mean_rate must be positive")
-    lo, hi = rate_bounds(flow.mean_rate, t, config)
-    return lo + (hi - lo) * rng.random()
-
-
 class FlowRateStream:
     """The rate sequence of one flow, keyed by (base seed, flow id).
 
     The j-th draw is the flow's rate in the j-th slot after its arrival, so
     the value of r_k(t) never depends on which flows were served earlier.
-    Draw arithmetic matches :func:`sample_rate` exactly.
+    A draw is ``lo + (hi - lo) * u`` with [lo, hi] from :func:`rate_bounds`
+    and u the stream's next uniform; it is 0 where E(t) = 0.
     """
 
     __slots__ = ("_rng", "_config", "_mean_rate", "_lo", "_span")

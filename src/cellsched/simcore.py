@@ -3,11 +3,12 @@
 Each slot: admit arrivals, run buffer refills, reveal every active flow's
 channel rate, ask the strategy for one client, transfer min(rate, buffer)
 to it.  Each active flow has one FlowState record, which holds its channel
-stream and its strategy view from admission on; the slot loop visits every
-record once per slot, drawing the rate and adding it to the flow's rate
-sum.  A flow departs on the slot after the transfer that empties both its
-buffer and its unfetched remainder; completed flows yield FlowRecords for
-the metrics layer.
+stream from admission on and is what the strategy reads.  The slot loop
+visits every record once per slot and writes three fields: the slot's
+``rate``, the running ``rate_sum`` and the ``age``; the flows with buffered
+bytes go to the strategy as they are.  A flow departs on the slot after the
+transfer that empties both its buffer and its unfetched remainder;
+completed flows yield FlowRecords for the metrics layer.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
@@ -24,7 +25,7 @@ from . import seeding
 from .channel import ChannelConfig, ChannelRateSource, FlowRateStream
 from .errors import CapabilityError, ParameterError, SchedulingError
 from .metrics import FlowRecord
-from .strategies import FlowView, StrategySpec, select_client
+from .strategies import StrategySpec, select_client
 from .workload import FlowSpec, WorkloadConfig, generate_workload
 
 BUFFER_INFINITE = "infinite"
@@ -63,16 +64,16 @@ class BufferModel:
 
 @dataclass(slots=True)
 class FlowState:
-    """Mutable per-flow bookkeeping while the flow is active.
+    """The one record of an active flow: bookkeeping and what strategies read.
 
     ``buffer`` holds bytes staged for transmission; ``unfetched`` holds
     bytes still at the origin server (always 0 in infinite mode), so
     ``served + buffer + unfetched == file_size`` up to accumulated float
-    rounding in ``served``.  ``rate_sum`` holds one channel rate per slot
-    since arrival, so the running mean rate estimate at slot t is
-    ``rate_sum / (age + 1)``; ``last_served`` feeds tie-breaking.
-    ``stream`` (the flow's channel rate stream) and ``view`` (what the
-    strategy sees of the flow) are set at admission.
+    rounding in ``served``.  Each slot the loop writes ``rate`` (this
+    slot's draw), adds it to ``rate_sum`` and sets ``age`` to the slots
+    since arrival, so ``rate_sum / (age + 1)`` is the running mean rate;
+    ``last_served`` feeds tie-breaking.  ``stream``, the flow's channel
+    rate stream, is set at admission.
     """
 
     spec: FlowSpec
@@ -81,10 +82,11 @@ class FlowState:
     unfetched: float = 0.0
     refill_due: int | None = None
     congestion_window: float = 0.0
+    rate: float = 0.0
     rate_sum: float = 0.0
+    age: int = 0
     last_served: int | None = None
     stream: FlowRateStream | None = None
-    view: FlowView | None = None
 
 
 @dataclass(frozen=True)
@@ -192,13 +194,13 @@ def refill_buffers(active, t, model: BufferModel):
     return active
 
 
-def serve_slot(active, t, rates, chosen):
+def serve_slot(active, t, rate, chosen):
     """Serve ``chosen`` for one slot; returns (record-or-None, transfer).
 
-    Only the chosen flow is read or written; ``rates`` maps each active
-    flow to its rate for this slot.  The chosen flow receives
-    min(rate, buffer); if that empties both buffer and unfetched remainder
-    the flow departs at t + 1 and is removed from ``active``.
+    Only the chosen flow is read or written; ``rate`` is its channel rate
+    for this slot.  The chosen flow receives min(rate, buffer); if that
+    empties both buffer and unfetched remainder the flow departs at t + 1
+    and is removed from ``active``.
     """
     if chosen is None:
         return None, 0.0
@@ -207,21 +209,15 @@ def serve_slot(active, t, rates, chosen):
         raise SchedulingError(f"chosen flow {chosen} is not active at slot {t}")
     if not state.buffer > 0.0:
         raise SchedulingError(f"chosen flow {chosen} has an empty buffer at slot {t}")
-    transfer = min(rates[chosen], state.buffer)
+    transfer = min(rate, state.buffer)
     state.buffer -= transfer
     state.served += transfer
     state.last_served = t
     if state.buffer == 0.0 and state.unfetched == 0.0:
-        state.served = state.spec.file_size
+        spec = state.spec
+        state.served = spec.file_size
         del active[chosen]
-        return (
-            FlowRecord(
-                file_size=state.spec.file_size,
-                arrival=state.spec.arrival_slot,
-                departure=t + 1,
-            ),
-            transfer,
-        )
+        return FlowRecord(spec.file_size, spec.arrival_slot, t + 1), transfer
     return None, transfer
 
 
@@ -239,22 +235,18 @@ def run_simulation(
     scheduling decisions), and a dedicated stream for probabilistic
     strategy choices, which consumes exactly one draw per slot.
 
-    ``flows`` (sorted by arrival_slot) replaces the generated workload, so
-    runs on one seed can share its flows; ``rate_source`` replaces the
-    seeded channel source.  Both also serve crafted scenarios with known
-    arithmetic.
+    ``flows`` (sorted by arrival_slot, each arriving before the horizon)
+    replaces the generated workload, so runs on one seed can share its
+    flows; ``rate_source`` replaces the seeded channel source.  Both also
+    serve crafted scenarios with known arithmetic.
     """
     if flows is None:
         flows = generate_workload(config.workload)
-    source = (
-        ChannelRateSource(config.workload.seed, config.channel)
-        if rate_source is None
-        else rate_source
-    )
+    if rate_source is None:
+        rate_source = ChannelRateSource(config.workload.seed, config.channel)
     choice_rng = seeding.stream(config.workload.seed, seeding.CHOICE_STREAM)
 
     strategy = config.strategy
-    anticipating = strategy.anticipating
     model = config.buffer
     tcp = model.mode == BUFFER_TCP_REFILL
     horizon = config.workload.horizon
@@ -278,53 +270,35 @@ def run_simulation(
         elif next_pending < pending_count and flows[next_pending].arrival_slot <= t:
             before = next_pending
             next_pending = admit_arrivals(active, t, flows, model, next_pending)
-            # the view is refreshed in place on each slot the flow is eligible
             for spec in flows[before:next_pending]:
-                state = active[spec.id]
-                state.stream = source.stream_for(spec)
-                state.view = FlowView(
-                    spec.id,
-                    t,
-                    0,
-                    0.0,
-                    0.0,
-                    0.0,
-                    0.0,
-                    spec.mean_rate,
-                    spec.file_size if anticipating else None,
-                    None,
-                )
+                active[spec.id].stream = rate_source.stream_for(spec)
         if tcp:
             refill_buffers(active, t, model)
 
-        rates = {}
-        views = []
-        for fid, state in active.items():
-            r = state.stream.draw(t)
-            rates[fid] = r
+        eligible = []
+        for state in active.values():
+            state.rate = r = state.stream.draw(t)
             state.rate_sum += r
+            state.age = t - state.spec.arrival_slot
             if state.buffer > 0.0:
-                view = state.view
-                age = t - state.spec.arrival_slot
-                view.t = t
-                view.age = age
-                view.served = state.served
-                view.buffer = state.buffer
-                view.rate = r
-                # one draw per slot since arrival: age + 1 rates so far
-                view.mean_rate_est = state.rate_sum / (age + 1)
-                view.last_served = state.last_served
-                views.append(view)
+                eligible.append(state)
 
-        chosen = select_client(strategy, views, choice_rng)
+        chosen = select_client(strategy, eligible, choice_rng)
         active_count = len(active)
-        record, transfer = serve_slot(active, t, rates, chosen)
+        rate = active[chosen].rate if chosen in active else 0.0
+        record, transfer = serve_slot(active, t, rate, chosen)
         if record is not None:
             records.append(record)
         if trace is not None:
             trace.append(TraceEvent(t, chosen, transfer, active_count))
         t += 1
 
+    if next_pending < pending_count:
+        spec = flows[next_pending]
+        raise SchedulingError(
+            f"flow {spec.id} arrives at slot {spec.arrival_slot}, "
+            f"not before the horizon {horizon}"
+        )
     return SimResult(
         records=tuple(records),
         unfinished=len(active),

@@ -6,13 +6,22 @@ rules (round robin, max-rate, age- and service-normalized variants, oracle
 SRPT, buffer-draining) plus the two completion-time-estimate indices ``T``
 and ``TK``; ``linear`` and ``probabilistic`` combine atomic kinds.
 
+An index reads the simulator's per-flow record (``simcore.FlowState``) as
+it stands in the slot: ``rate`` (this slot's channel rate), ``age`` (slots
+since arrival), ``served`` (bytes delivered before this slot), ``buffer``,
+``rate_sum`` (every rate since arrival, this slot's included, so the
+running mean rate is ``rate_sum / (age + 1)``), ``last_served`` (None
+before the first service) and ``spec`` (``id``, ``file_size``,
+``mean_rate``).  Only ``srpt`` reads the true ``file_size``.
+
 Conventions: a zero denominator maps to +inf, indices never evaluate to
-NaN, and argmax ties are broken toward the flow served least recently, then
-toward the smallest id.  The +inf rule puts a flow in its arrival slot
-first under the indices that divide by age, and a never-served flow first
-under das and pf; by their formulas, T and TK score a never-served flow of
-positive age as 0.  The repository's documents do not settle which of the
-two conventions the source paper meant.
+NaN, and argmax ties are broken toward the flow served least recently (a
+never-served flow counts as least recent), then toward the smallest id.
+The +inf rule puts a flow in its arrival slot first under the indices that
+divide by age, and a never-served flow first under das and pf; by their
+formulas, T and TK score a never-served flow of positive age as 0.  The
+repository's documents do not settle which of the two conventions the
+source paper meant.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import CapabilityError, ParameterError
+from .errors import ParameterError
 
 ATOMIC_KINDS = (
     "round_robin",
@@ -105,13 +114,6 @@ class StrategySpec:
                 raise ParameterError(f"mixture probabilities sum to {total}, expected 1")
 
     @property
-    def anticipating(self) -> bool:
-        """True when the strategy uses the true file size before completion."""
-        if self.kind == "srpt":
-            return True
-        return any(c.anticipating for c in self.children)
-
-    @property
     def uses_buffer(self) -> bool:
         if self.kind == "sectf":
             return True
@@ -133,33 +135,6 @@ class StrategySpec:
 
 
 _PARAM_DEFAULTS = {f.name: f.default for f in fields(StrategySpec) if f.name != "kind"}
-
-
-@dataclass(slots=True)
-class FlowView:
-    """What the scheduler observes about one eligible flow at slot t.
-
-    ``served`` is the traffic delivered before this slot, ``rate`` the
-    channel rate revealed for this slot, ``mean_rate_est`` the running mean
-    of all rates observed so far (including this slot), ``mean_rate`` the
-    mean rate the workload assigned to the flow.  ``true_size`` is
-    populated only for anticipating strategies.  ``last_served`` feeds the
-    tie-breaking rule and is None for flows never served.
-
-    The simulator keeps one view per active flow and overwrites its fields
-    each slot, so a view is valid only during the slot it was passed in.
-    """
-
-    id: int
-    t: int
-    age: int
-    served: float
-    buffer: float
-    rate: float
-    mean_rate_est: float
-    mean_rate: float
-    true_size: float | None = None
-    last_served: int | None = None
 
 
 def _div(num: float, den: float) -> float:
@@ -200,51 +175,55 @@ def pareto_posterior_density(size: float, served: float, alpha: float) -> float:
     return alpha * served**alpha / size ** (alpha + 1.0)
 
 
-def _idx_round_robin(spec, view):
-    return _div(1.0, view.age)
+def _idx_round_robin(spec, flow):
+    return _div(1.0, flow.age)
 
 
-def _idx_max_ci(spec, view):
-    return view.rate
+def _idx_max_ci(spec, flow):
+    return flow.rate
 
 
-def _idx_tas(spec, view):
-    return _div(view.rate, view.age)
+def _idx_tas(spec, flow):
+    return _div(flow.rate, flow.age)
 
 
-def _idx_das(spec, view):
-    return _div(view.rate, view.served)
+def _idx_das(spec, flow):
+    return _div(flow.rate, flow.served)
 
 
-def _idx_pf(spec, view):
-    return _div(view.rate * view.age, view.served)
+def _idx_pf(spec, flow):
+    return _div(flow.rate * flow.age, flow.served)
 
 
-def _idx_srpt(spec, view):
-    if view.true_size is None:
-        raise CapabilityError("srpt needs the true file size (anticipating mode)")
-    return _div(view.rate, view.true_size - view.served)
+def _idx_srpt(spec, flow):
+    return _div(flow.rate, flow.spec.file_size - flow.served)
 
 
-def _idx_sectf(spec, view):
-    return _div(view.rate, view.buffer)
+def _idx_sectf(spec, flow):
+    return _div(flow.rate, flow.buffer)
 
 
-def _idx_t(spec, view):
-    r = view.mean_rate if spec.mean_rate_mode == "assigned" else view.mean_rate_est
-    return _div(view.served, view.age + _div(view.served, spec.c_const * r))
+def _idx_t(spec, flow):
+    if spec.mean_rate_mode == "assigned":
+        r = flow.spec.mean_rate
+    else:  # one draw per slot since arrival: age + 1 rates so far
+        r = flow.rate_sum / (flow.age + 1)
+    return _div(flow.served, flow.age + _div(flow.served, spec.c_const * r))
 
 
-def _idx_tk(spec, view):
+def _idx_tk(spec, flow):
     if spec.tk_variant == "inst":
-        return _div(view.rate * view.served, view.age)
-    r = view.mean_rate if spec.mean_rate_mode == "assigned" else view.mean_rate_est
-    return _div(r * view.served, view.age)
+        r = flow.rate
+    elif spec.mean_rate_mode == "assigned":
+        r = flow.spec.mean_rate
+    else:
+        r = flow.rate_sum / (flow.age + 1)
+    return _div(r * flow.served, flow.age)
 
 
-def _idx_linear(spec, view):
+def _idx_linear(spec, flow):
     return linear_combine(
-        spec.weights, [compute_index(c, view) for c in spec.children]
+        spec.weights, [compute_index(c, flow) for c in spec.children]
     )
 
 
@@ -262,15 +241,15 @@ _INDEX_FUNCS = {
 }
 
 
-def compute_index(spec: StrategySpec, view: FlowView) -> float:
-    """Index value of one flow under ``spec``; +inf on zero denominators, never NaN."""
+def compute_index(spec: StrategySpec, flow) -> float:
+    """Index of one flow record under ``spec``; +inf on zero denominators, never NaN."""
     try:
         fn = _INDEX_FUNCS[spec.kind]
     except KeyError:
         raise ParameterError(
             f"{spec.kind!r} has no per-flow index; use select_client"
         ) from None
-    return fn(spec, view)
+    return fn(spec, flow)
 
 
 def linear_combine(weights, values) -> float:
@@ -298,35 +277,37 @@ def _draw_child(spec: StrategySpec, rng) -> StrategySpec:
     return spec.children[-1]
 
 
-def select_client(spec: StrategySpec, views, rng=None):
+def select_client(spec: StrategySpec, flows, rng=None):
     """Pick the flow id to serve this slot, or None when no flow is eligible.
 
-    A probabilistic spec first draws which child decides (consuming exactly
-    one uniform from ``rng``), then the chosen rule's argmax applies.  Ties
-    go to the flow served least recently, then to the smallest id.
+    ``flows`` are the records of the eligible flows.  A probabilistic spec
+    first draws which child decides (consuming exactly one uniform from
+    ``rng``), then the chosen rule's argmax applies.  Ties go to the flow
+    served least recently, a never-served flow first, then to the smallest id.
     """
     if spec.kind == "probabilistic":
         spec = _draw_child(spec, rng)
-    if not views:
+    if not flows:
         return None
-    if len(views) == 1:
-        return views[0].id
+    if len(flows) == 1:
+        return flows[0].spec.id
     index_fn = _INDEX_FUNCS[spec.kind]
     best_id = None
     best_v = -_INF
-    best_rec = -_INF
-    for view in views:
-        v = index_fn(spec, view)
+    best_last = _INF
+    for flow in flows:
+        v = index_fn(spec, flow)
         if best_id is not None and v < best_v:
             continue
-        rec = _INF if view.last_served is None else view.t - view.last_served
+        last = -_INF if flow.last_served is None else flow.last_served
+        fid = flow.spec.id
         if (
             best_id is None
             or v > best_v
-            or rec > best_rec
-            or (rec == best_rec and view.id < best_id)
+            or last < best_last
+            or (last == best_last and fid < best_id)
         ):
-            best_id = view.id
+            best_id = fid
             best_v = v
-            best_rec = rec
+            best_last = last
     return best_id

@@ -1,4 +1,4 @@
-"""Shared test builders: scripted RNGs, fixed-rate sources, view and flow factories."""
+"""Shared test builders: scripted RNGs, fixed-rate sources, flow record factories."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from cellsched import FlowSpec, FlowView
+from cellsched import FlowSpec
+from cellsched.simcore import FlowState
 
 
 class StubRng:
@@ -34,8 +35,14 @@ class CountingRng:
         return self._rng.random()
 
 
-def make_view(**kwargs) -> FlowView:
-    """FlowView with benign defaults, overridable per test."""
+def make_view(**kwargs) -> FlowState:
+    """An active flow's record as a strategy reads it, with benign defaults.
+
+    The record holds no current slot: ``t`` becomes the arrival slot and only
+    ``age`` enters an index.  ``mean_rate_est`` is stored as the rate sum of
+    ``age + 1`` slots, and ``true_size`` (default: served + buffer) as the
+    file size.
+    """
     defaults = dict(
         id=0,
         t=10,
@@ -49,7 +56,19 @@ def make_view(**kwargs) -> FlowView:
         last_served=None,
     )
     defaults.update(kwargs)
-    return FlowView(**defaults)
+    d = defaults
+    size = d["served"] + d["buffer"] if d["true_size"] is None else d["true_size"]
+    return FlowState(
+        spec=FlowSpec(
+            id=d["id"], arrival_slot=d["t"], file_size=size, mean_rate=d["mean_rate"]
+        ),
+        served=d["served"],
+        buffer=d["buffer"],
+        rate=d["rate"],
+        rate_sum=d["mean_rate_est"] * (d["age"] + 1),
+        age=d["age"],
+        last_served=d["last_served"],
+    )
 
 
 def make_flow(fid=0, arrival=0, size=100.0, mean_rate=10.0) -> FlowSpec:

@@ -1,7 +1,7 @@
 """Independent reference of the documented slot model, for checking the simulator.
 
 Written from the README's description of the slot loop and its strategy
-table, and from the ``FlowView`` docstring; it shares no code with
+table, and from the ``strategies`` module docstring; it shares no code with
 ``cellsched.simcore`` or ``cellsched.strategies``.  It covers the infinite
 buffer, the literal channel envelope and the seven ranking indices.  Per
 slot t:

@@ -245,9 +245,9 @@ def _argmax_with_tiebreak(views, values, t):
     def key(pair):
         view, value = pair
         recency = math.inf if view.last_served is None else t - view.last_served
-        return (value, recency, -view.id)
+        return (value, recency, -view.spec.id)
 
-    return max(zip(views, values), key=key)[0].id
+    return max(zip(views, values), key=key)[0].spec.id
 
 
 def test_criterion_07_argmax_scale_invariance():

@@ -13,13 +13,19 @@ from cellsched import (
     ParameterError,
     envelope_factor,
     rate_bounds,
-    sample_rate,
 )
 from cellsched.channel import ENVELOPE_LITERAL, ENVELOPE_TIME_VARYING, FlowRateStream
 
 from conftest import FixedRateSource, StubRng, make_flow
 
 LITERAL_ENVELOPE = 1.5 * (math.sin(0.1005) + 1.0)  # ~1.6505
+
+
+def stream_on(rng, flow, config) -> FlowRateStream:
+    """The flow's rate stream drawing its uniforms from ``rng``."""
+    stream = FlowRateStream(0, flow, config)
+    stream._rng = rng
+    return stream
 
 
 class TestConfigValidation:
@@ -67,8 +73,8 @@ class TestSampleRate:
     def test_literal_band_edges(self):
         flow = make_flow(mean_rate=100.0)
         config = ChannelConfig()
-        lo = sample_rate(StubRng([0.0]), flow, 0, config)
-        hi = sample_rate(StubRng([1.0]), flow, 0, config)
+        lo = stream_on(StubRng([0.0]), flow, config).draw(0)
+        hi = stream_on(StubRng([1.0]), flow, config).draw(0)
         assert lo == pytest.approx(115.53, abs=0.01)
         assert hi == pytest.approx(214.56, abs=0.01)
 
@@ -78,7 +84,7 @@ class TestSampleRate:
         )
         flow = make_flow(mean_rate=12_345.0)
         t = 3.0 * math.pi / 2.0
-        assert sample_rate(random.Random(0), flow, t, config) == pytest.approx(
+        assert stream_on(random.Random(0), flow, config).draw(t) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -86,16 +92,16 @@ class TestSampleRate:
         flow = make_flow(mean_rate=250.0)
         config = ChannelConfig()
         lo, hi = rate_bounds(flow.mean_rate, 0, config)
-        rng = random.Random(17)
+        stream = stream_on(random.Random(17), flow, config)
         for _ in range(2000):
-            assert lo <= sample_rate(rng, flow, 0, config) <= hi
+            assert lo <= stream.draw(0) <= hi
 
     def test_empirical_mean_matches_band_midpoint(self):
         flow = make_flow(mean_rate=100.0)
         config = ChannelConfig()
-        rng = random.Random(23)
+        stream = stream_on(random.Random(23), flow, config)
         n = 10**5
-        mean = sum(sample_rate(rng, flow, 0, config) for _ in range(n)) / n
+        mean = sum(stream.draw(0) for _ in range(n)) / n
         assert mean == pytest.approx(
             (0.7 + 1.3) / 2.0 * LITERAL_ENVELOPE * 100.0, rel=0.01
         )
@@ -137,7 +143,10 @@ class TestFlowRateStream:
         import cellsched.seeding as seeding
 
         rng = seeding.stream(31, seeding.CHANNEL_STREAM, flow.id)
-        expected = [sample_rate(rng, flow, t, config) for t in range(25)]
+        expected = []
+        for t in range(25):
+            lo, hi = rate_bounds(flow.mean_rate, t, config)
+            expected.append(lo + (hi - lo) * rng.random())
         assert [stream.draw(t) for t in range(25)] == expected
 
     def test_time_varying_stream_tracks_envelope(self):

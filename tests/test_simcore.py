@@ -56,14 +56,20 @@ class _SquareStream:
         return self.base + t * t
 
 
+def _mean_rate_est(state) -> float:
+    """The running mean rate a strategy reads from a flow record."""
+    return state.rate_sum / (state.age + 1)
+
+
 def _spy_views(monkeypatch) -> dict[int, dict[int, float]]:
-    """Record {t: {flow id: mean_rate_est}} of the views handed to select_client."""
+    """Record {t: {flow id: mean rate estimate}} of the flows select_client gets."""
     seen: dict[int, dict[int, float]] = {}
     select = simcore.select_client
 
     def spy(spec, views, rng=None):
         for view in views:
-            seen.setdefault(view.t, {})[view.id] = view.mean_rate_est
+            t = view.spec.arrival_slot + view.age
+            seen.setdefault(t, {})[view.spec.id] = _mean_rate_est(view)
         return select(spec, views, rng)
 
     monkeypatch.setattr(simcore, "select_client", spy)
@@ -200,14 +206,14 @@ class TestRefillBuffers:
 class TestServeSlot:
     def test_rate_limited_transfer(self):
         state = make_flow_state(make_flow(size=250.0), INFINITE)
-        record, transfer = serve_slot({0: state}, 0, {0: 100.0}, 0)
+        record, transfer = serve_slot({0: state}, 0, 100.0, 0)
         assert record is None and transfer == 100.0
         assert state.served == 100.0 and state.buffer == 150.0
 
     def test_buffer_limited_transfer(self):
         state = make_flow_state(make_flow(size=500.0), TCP)
         state.buffer = 40.0
-        record, transfer = serve_slot({0: state}, 0, {0: 100.0}, 0)
+        record, transfer = serve_slot({0: state}, 0, 100.0, 0)
         assert record is None and transfer == 40.0
         assert state.buffer == 0.0
 
@@ -216,7 +222,7 @@ class TestServeSlot:
         state.served = 90.0
         state.buffer = 10.0
         active = {0: state}
-        record, transfer = serve_slot(active, 17, {0: 50.0}, 0)
+        record, transfer = serve_slot(active, 17, 50.0, 0)
         assert transfer == 10.0
         assert record is not None
         assert record.departure == 18
@@ -226,7 +232,7 @@ class TestServeSlot:
 
     # The rate history grows in the draw loop of run_simulation, for every
     # active flow whether or not serve_slot serves it; these two tests watch
-    # the slot loop around serve_slot through the views the strategy sees.
+    # the slot loop around serve_slot through the records the strategy reads.
 
     def test_idle_slot_still_updates_rate_history(self, monkeypatch):
         # t=0 empties the first window; slots 1-3 wait out the rtt with no
@@ -262,16 +268,28 @@ class TestServeSlot:
     def test_invalid_chosen_is_contract_violation(self):
         state = make_flow_state(make_flow(size=100.0), INFINITE)
         with pytest.raises(SchedulingError):
-            serve_slot({0: state}, 0, {0: 5.0}, 3)
+            serve_slot({0: state}, 0, 5.0, 3)
         state.buffer = 0.0
         with pytest.raises(SchedulingError):
-            serve_slot({0: state}, 0, {0: 5.0}, 0)
+            serve_slot({0: state}, 0, 5.0, 0)
 
 
 class TestRunSimulation:
     def test_zero_flows_yield_no_records(self):
         result = run_simulation(sim_config(), flows=[], rate_source=FixedRateSource())
         assert result.records == () and result.unfinished == 0
+
+    def test_arrival_at_or_after_horizon_is_rejected(self):
+        flows = [make_flow(fid=0, arrival=3), make_flow(fid=1, arrival=12)]
+        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 12.*10"):
+            run_simulation(
+                sim_config(flows_horizon=10), flows=flows, rate_source=FixedRateSource()
+            )
+        flows = [make_flow(fid=0, arrival=3), make_flow(fid=1, arrival=10)]
+        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 10"):
+            run_simulation(
+                sim_config(flows_horizon=10), flows=flows, rate_source=FixedRateSource()
+            )
 
     def test_single_flow_hand_trace(self):
         config = sim_config(strategy="max_ci")
@@ -393,9 +411,11 @@ class TestRunSimulation:
         def spy(spec, views, rng=None):
             chosen = select(spec, views, rng)
             for view in views:
-                rates = [r for _, r in drawn[view.id]]
+                fid = view.spec.id
+                rates = [r for _, r in drawn[fid]]
+                t = view.spec.arrival_slot + view.age
                 seen.append(
-                    (view.t, view.id, view.mean_rate_est, sum(rates) / len(rates), chosen)
+                    (t, fid, _mean_rate_est(view), sum(rates) / len(rates), chosen)
                 )
             return chosen
 
