@@ -27,14 +27,12 @@ import math
 import statistics
 
 from cellsched import StrategySpec, default_experiment_config, simplex_grid, strategies
-from cellsched.experiments import RANKING_KINDS, replication_reports
+from cellsched.experiments import RANKING_KINDS, replicate
 
 
 def per_seed(config, spec):
     """logALPT of each replication of ``spec``, in seed order."""
-    reports = replication_reports(
-        config.sim, spec, config.base_seed, config.replications
-    )
+    reports = replicate(config.sim, (spec,), config.base_seed, config.replications)[0]
     return [r.log_alpt for r in reports]
 
 

@@ -70,6 +70,7 @@ def _pm(mean: float, std: float) -> str:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
+    """strategy ranking table (logALPT/ALPT mean +/- std per strategy)"""
     scores = run_experiment(config)
     width = max((len(s.label) for s in scores), default=8)
     print(f"{'strategy':<{width}}  {'logALPT':>16}  {'ALPT':>16}")
@@ -87,6 +88,7 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_sweep_linear(config: ExperimentConfig) -> int:
+    """logALPT curve of the linear index I_tas + alpha * I_das"""
     curve = sweep_linear(config)
     best_alpha, best = max(curve, key=lambda row: row[1].log_alpt_mean)
     for alpha, agg in curve:
@@ -102,6 +104,7 @@ def cmd_sweep_linear(config: ExperimentConfig) -> int:
 
 
 def cmd_sweep_prob(config: ExperimentConfig) -> int:
+    """logALPT surface of the probabilistic {T, tas, das} mixture"""
     surface = sweep_probabilistic(config)
     best_p, best = max(surface, key=lambda row: row[1].log_alpt_mean)
     for point, agg in surface:
@@ -121,6 +124,7 @@ def cmd_sweep_prob(config: ExperimentConfig) -> int:
 
 
 def cmd_dump_workload(config: ExperimentConfig) -> int:
+    """CSV of the generated arrival stream for the base seed"""
     workload = replace(config.sim.workload, seed=config.base_seed)
     flows = generate_workload(workload)
     out = output_dir(config)
@@ -131,6 +135,7 @@ def cmd_dump_workload(config: ExperimentConfig) -> int:
 
 
 def cmd_trace(config: ExperimentConfig) -> int:
+    """per-slot service trace of one run of the first strategy"""
     workload = replace(config.sim.workload, seed=config.base_seed)
     result = run_simulation(replace(config.sim, workload=workload), collect_trace=True)
     out = output_dir(config)

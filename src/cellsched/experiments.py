@@ -93,24 +93,21 @@ class StrategyScore:
     score: AggregateReport
 
 
-def default_sim_config(horizon: int = WorkloadConfig.horizon) -> SimConfig:
-    """Reference setup: lambda=0.09 arrivals, the four-component size mixture,
-    mean rates uniform on [lambda*mean_size/3, 3*lambda*mean_size], and T as
-    the strategy placeholder."""
-    return SimConfig(
-        workload=WorkloadConfig(horizon=horizon), strategy=StrategySpec(kind="T")
-    )
-
-
 def default_experiment_config(
     base_seed: int = ExperimentConfig.base_seed,
     replications: int = ExperimentConfig.replications,
     horizon: int = WorkloadConfig.horizon,
 ) -> ExperimentConfig:
-    """The ranking experiment over the seven reference strategies."""
+    """The ranking experiment over the seven reference strategies.
+
+    Reference setup: lambda=0.09 arrivals, the four-component size mixture,
+    mean rates uniform on [lambda*mean_size/3, 3*lambda*mean_size]; the sim
+    template runs the first strategy, T.
+    """
+    strategies = tuple(StrategySpec(kind=k) for k in RANKING_KINDS)
     return ExperimentConfig(
-        sim=default_sim_config(horizon=horizon),
-        strategies=tuple(StrategySpec(kind=k) for k in RANKING_KINDS),
+        sim=SimConfig(workload=WorkloadConfig(horizon=horizon), strategy=strategies[0]),
+        strategies=strategies,
         replications=replications,
         base_seed=base_seed,
     )
@@ -140,26 +137,14 @@ def replicate(sim_template, specs, base_seed, replications):
     return reports
 
 
-def replication_reports(sim_template, strategy, base_seed, replications):
-    """Metric reports of `replications` seeded runs of one strategy."""
-    return replicate(sim_template, (strategy,), base_seed, replications)[0]
-
-
-def _scores(config: ExperimentConfig, specs) -> list[StrategyScore]:
+def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
+    """Score every strategy on shared seeds; rows sorted by logALPT descending."""
+    specs = config.strategies
     reports = replicate(config.sim, specs, config.base_seed, config.replications)
-    return [
+    rows = [
         StrategyScore(label=spec.label(), spec=spec, score=aggregate(spec_reports))
         for spec, spec_reports in zip(specs, reports)
     ]
-
-
-def score_strategy(config: ExperimentConfig, spec: StrategySpec) -> StrategyScore:
-    return _scores(config, (spec,))[0]
-
-
-def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
-    """Score every strategy on shared seeds; rows sorted by logALPT descending."""
-    rows = _scores(config, config.strategies)
     rows.sort(key=lambda row: row.score.log_alpt_mean, reverse=True)
     return tuple(rows)
 
@@ -192,18 +177,10 @@ def _sweep_of(config: ExperimentConfig, kind: str) -> SweepSpec:
     return sweep if sweep is not None and sweep.kind == kind else SweepSpec(kind=kind)
 
 
-def sweep_linear(config: ExperimentConfig, grid=None):
-    """logALPT curve of I_tas + alpha * I_das over the alpha grid."""
-    if grid is None:
-        sweep = _sweep_of(config, "linear")
-        grid = default_alpha_grid(sweep.alpha_max, sweep.alpha_step)
-    grid = tuple(float(a) for a in grid)
-    if not grid:
-        raise ParameterError("alpha grid is empty")
-    if any(a < 0.0 for a in grid):
-        raise ParameterError("alpha grid must be non-negative")
-    if list(grid) != sorted(grid):
-        raise ParameterError("alpha grid must be sorted ascending")
+def sweep_linear(config: ExperimentConfig):
+    """logALPT curve of I_tas + alpha * I_das over the config's alpha grid."""
+    sweep = _sweep_of(config, "linear")
+    grid = default_alpha_grid(sweep.alpha_max, sweep.alpha_step)
     tas = StrategySpec(kind="tas")
     das = StrategySpec(kind="das")
     specs = [
@@ -214,18 +191,9 @@ def sweep_linear(config: ExperimentConfig, grid=None):
     return tuple((alpha, aggregate(r)) for alpha, r in zip(grid, reports))
 
 
-def sweep_probabilistic(config: ExperimentConfig, grid=None):
-    """logALPT surface of the {T, tas, das} mixture over simplex points."""
-    if grid is None:
-        grid = simplex_grid(_sweep_of(config, "probabilistic").simplex_step)
-    grid = tuple(tuple(float(p) for p in point) for point in grid)
-    if not grid:
-        raise ParameterError("simplex grid is empty")
-    for point in grid:
-        if len(point) != 3 or any(p < 0.0 for p in point):
-            raise ParameterError(f"bad simplex point {point}")
-        if abs(sum(point) - 1.0) > 1e-9:
-            raise ParameterError(f"simplex point {point} does not sum to 1")
+def sweep_probabilistic(config: ExperimentConfig):
+    """logALPT surface of the {T, tas, das} mixture over the config's simplex grid."""
+    grid = simplex_grid(_sweep_of(config, "probabilistic").simplex_step)
     children = (
         StrategySpec(kind="T"),
         StrategySpec(kind="tas"),
@@ -359,7 +327,8 @@ def experiment_from_dict(data) -> ExperimentConfig:
     The file holds the sim template's sections at its top level, the horizon
     outside ``workload``, and ``seed`` as an alias of ``base_seed``.  Omitted
     values take the dataclass defaults, and omitted strategies the ranking
-    lineup; the template's strategy is the first listed one.
+    lineup; an empty list is rejected.  The template's strategy is the first
+    listed one.
     """
     top = _section(data, "config", ("sim",))
     if "seed" in top:
@@ -370,8 +339,10 @@ def experiment_from_dict(data) -> ExperimentConfig:
     sim = {k: top.pop(k) for k in ("drain_after_horizon", "channel", "buffer") if k in top}
     raw = top.get("strategies", RANKING_KINDS)
     strategies = from_dict(tuple[StrategySpec, ...], raw, "config.strategies")
+    if not strategies:
+        raise ParameterError("config.strategies: the list is empty")
     top["strategies"] = strategies
-    sim["strategy"] = strategies[0] if strategies else StrategySpec(kind="T")
+    sim["strategy"] = strategies[0]
     top["sim"] = from_dict(SimConfig, {**sim, "workload": workload})
     return from_dict(ExperimentConfig, top)
 

@@ -144,37 +144,6 @@ def _div(num: float, den: float) -> float:
     return num / den
 
 
-def expected_file_size(served: float, alpha: float) -> float:
-    """Posterior mean of a Pareto-distributed size given ``served`` already delivered.
-
-    Conditioning a Pareto(shape ``alpha``) size on exceeding ``served``
-    gives mean ``alpha/(alpha-1) * served``; with nothing observed yet the
-    estimate is 0.
-    """
-    if not alpha > 1.0:
-        raise ParameterError(f"alpha={alpha} must exceed 1 for a finite mean")
-    if served < 0.0:
-        raise ParameterError(f"served={served} must be non-negative")
-    if served == 0.0:
-        return 0.0
-    return alpha / (alpha - 1.0) * served
-
-
-def pareto_posterior_density(size: float, served: float, alpha: float) -> float:
-    """Density of a Pareto(``alpha``) file size conditioned on exceeding ``served``.
-
-    p(size) = alpha * served**alpha / size**(alpha+1) for size >= served > 0;
-    its mean is ``expected_file_size(served, alpha)``.
-    """
-    if not alpha > 1.0:
-        raise ParameterError(f"alpha={alpha} must exceed 1")
-    if not served > 0.0:
-        raise ParameterError(f"served={served} must be positive to condition on")
-    if size < served:
-        return 0.0
-    return alpha * served**alpha / size ** (alpha + 1.0)
-
-
 def _idx_round_robin(spec, flow):
     return _div(1.0, flow.age)
 
@@ -222,9 +191,16 @@ def _idx_tk(spec, flow):
 
 
 def _idx_linear(spec, flow):
-    return linear_combine(
-        spec.weights, [compute_index(c, flow) for c in spec.children]
-    )
+    # a zero weight masks its child entirely, even a +inf index
+    total = 0.0
+    for child, w in zip(spec.children, spec.weights):
+        if w == 0.0:
+            continue
+        v = compute_index(child, flow)
+        if v == _INF:
+            return _INF
+        total += w * v
+    return total
 
 
 _INDEX_FUNCS = {
@@ -250,20 +226,6 @@ def compute_index(spec: StrategySpec, flow) -> float:
             f"{spec.kind!r} has no per-flow index; use select_client"
         ) from None
     return fn(spec, flow)
-
-
-def linear_combine(weights, values) -> float:
-    """Weighted sum of index values; zero weights mask their value entirely."""
-    if len(weights) != len(values):
-        raise ParameterError("weights and values must have equal length")
-    total = 0.0
-    for w, v in zip(weights, values):
-        if w == 0.0:
-            continue
-        if v == _INF:
-            return _INF
-        total += w * v
-    return total
 
 
 def _draw_child(spec: StrategySpec, rng) -> StrategySpec:

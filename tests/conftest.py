@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from cellsched import FlowSpec
 from cellsched.simcore import FlowState
+from cellsched.workload import FlowSpec
 
 
 class StubRng:

@@ -1,10 +1,10 @@
 """Acceptance suite: ten end-to-end criteria, one printed PASS/FAIL line each.
 
 Criteria 1-3 run the headline experiments (strategy ranking, linear
-sweep, probabilistic sweep); 4-5 validate the Pareto posterior analytics
-against quadrature; 6 checks SRPT against a brute-force optimal oracle;
-7-9 are exactness/determinism property suites; 10 replays hand-traced
-golden runs slot for slot.
+sweep, probabilistic sweep); 4-5 validate the Pareto posterior helpers of
+pareto_posterior.py, which no strategy uses, against quadrature; 6 checks
+SRPT against a brute-force optimal oracle; 7-9 are exactness/determinism
+property suites; 10 replays hand-traced golden runs slot for slot.
 
 The paper reports T as the best strategy.  The documented slot model, which
 test_reference_model.py checks against an independent reference, does not
@@ -29,18 +29,16 @@ from cellsched import (
     StrategySpec,
     WorkloadConfig,
     default_experiment_config,
-    expected_file_size,
     generate_workload,
-    pareto_posterior_density,
     run_experiment,
     run_simulation,
-    select_client,
     sweep_linear,
     sweep_probabilistic,
 )
-from cellsched.strategies import compute_index
+from cellsched.strategies import compute_index, select_client
 
 from conftest import FixedRateSource, make_flow, make_view
+from pareto_posterior import expected_file_size, pareto_posterior_density
 
 
 def report(n: int, ok: bool, detail: str) -> None:

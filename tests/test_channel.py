@@ -7,14 +7,14 @@ import random
 
 import pytest
 
-from cellsched import (
-    ChannelConfig,
+from cellsched import ChannelConfig, ParameterError
+from cellsched.channel import (
+    ENVELOPE_TIME_VARYING,
     ChannelRateSource,
-    ParameterError,
+    FlowRateStream,
     envelope_factor,
     rate_bounds,
 )
-from cellsched.channel import ENVELOPE_LITERAL, ENVELOPE_TIME_VARYING, FlowRateStream
 
 from conftest import FixedRateSource, StubRng, make_flow
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from cellsched import default_experiment_config, generate_workload
+from cellsched import cli, default_experiment_config, generate_workload
 from cellsched.cli import load_config, main
 
 
@@ -139,6 +139,13 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_empty_strategy_list(self, tmp_path, capsys, command):
+        code, out = run_cli(tmp_path, command, extra={"strategies": []})
+        assert code == 2
+        assert "error: config.strategies" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_must_be_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
@@ -167,6 +174,19 @@ class TestErrors:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestHelp:
+    def test_every_subcommand_is_described(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+        lines = [" ".join(line.split()) for line in listed.splitlines()]
+        assert [line.split()[0] for line in lines] == list(cli._COMMANDS)
+        for line in lines:
+            assert line in text
 
 
 class TestDefaults:

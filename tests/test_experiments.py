@@ -12,33 +12,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellsched import (
-    AggregateReport,
     BufferModel,
-    CapabilityError,
     ChannelConfig,
     ExperimentConfig,
     ParameterError,
     ParetoMixture,
     SimConfig,
     StrategySpec,
-    StrategyScore,
     SweepSpec,
-    TraceEvent,
     WorkloadConfig,
-    aggregate,
     default_experiment_config,
-    default_sim_config,
     experiment_from_dict,
     experiment_to_dict,
     generate_workload,
     run_experiment,
     run_simulation,
     simplex_grid,
-    summarize,
     sweep_linear,
     sweep_probabilistic,
 )
 from cellsched import experiments
+from cellsched.errors import CapabilityError
 from cellsched.experiments import (
     CURVE_HEADER,
     RANKING_KINDS,
@@ -46,11 +40,11 @@ from cellsched.experiments import (
     TABLE_HEADER,
     TRACE_HEADER,
     WORKLOAD_HEADER,
+    StrategyScore,
     default_alpha_grid,
     from_dict,
     git_blob_sha1,
-    replication_reports,
-    score_strategy,
+    replicate,
     to_dict,
     write_curve_csv,
     write_manifest,
@@ -59,6 +53,8 @@ from cellsched.experiments import (
     write_trace_csv,
     write_workload_csv,
 )
+from cellsched.metrics import AggregateReport, aggregate, summarize
+from cellsched.simcore import TraceEvent
 from cellsched.workload import Component
 
 from conftest import make_flow
@@ -70,6 +66,9 @@ def tiny_config(horizon=400, replications=2, **kwargs) -> ExperimentConfig:
         strategy=StrategySpec(kind="tas"),
     )
     return ExperimentConfig(sim=sim, replications=replications, base_seed=1, **kwargs)
+
+
+LINEAR_SWEEP = SweepSpec(kind="linear", alpha_max=1.0, alpha_step=0.5)
 
 
 class TestExperimentConfig:
@@ -89,7 +88,9 @@ class TestExperimentConfig:
         assert tuple(s.kind for s in config.strategies) == RANKING_KINDS
 
     def test_default_sim_config_horizon(self):
-        assert default_sim_config(horizon=5000).workload.horizon == 5000
+        config = default_experiment_config(horizon=5000)
+        assert config.sim.workload.horizon == 5000
+        assert config.sim.strategy == config.strategies[0]
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ParameterError, match="tas"):
@@ -126,24 +127,30 @@ class TestSweepGrids:
             SweepSpec(kind="probabilistic", simplex_step=0.0)
 
 
+def score_of(config: ExperimentConfig, spec: StrategySpec):
+    """The aggregate score of ``spec`` alone on the config's seeds."""
+    (row,) = run_experiment(replace(config, strategies=(spec,)))
+    return row.score
+
+
 class TestScoring:
     def test_replication_reports_deterministic(self):
         config = tiny_config()
-        spec = StrategySpec(kind="tas")
-        a = replication_reports(config.sim, spec, config.base_seed, 2)
-        b = replication_reports(config.sim, spec, config.base_seed, 2)
+        specs = (StrategySpec(kind="tas"),)
+        a = replicate(config.sim, specs, config.base_seed, 2)
+        b = replicate(config.sim, specs, config.base_seed, 2)
         assert a == b
 
     def test_score_strategy_pairs_replications(self):
-        config = tiny_config(replications=3)
-        score = score_strategy(config, StrategySpec(kind="das"))
-        assert score.label == "das"
-        assert score.score.replications == 3
+        config = tiny_config(replications=3, strategies=(StrategySpec(kind="das"),))
+        (row,) = run_experiment(config)
+        assert row.label == "das"
+        assert row.score.replications == 3
 
     def test_capability_error_carries_label(self):
-        config = tiny_config()
+        config = tiny_config(strategies=(StrategySpec(kind="sectf"),))
         with pytest.raises(CapabilityError, match="sectf"):
-            score_strategy(config, StrategySpec(kind="sectf"))
+            run_experiment(config)
 
     def test_run_experiment_sorts_descending(self):
         config = tiny_config(
@@ -192,67 +199,59 @@ class TestOneWorkloadPerSeed:
         assert generated_seeds == [1, 2, 3]
         by_label = {row.label: row.score for row in rows}
         for spec in specs:
-            score = score_strategy(config, spec).score
+            score = score_of(config, spec)
             assert by_label[spec.label()] == score
             assert score == self.separate_runs(config, spec)
 
     def test_sweep_linear(self, generated_seeds):
-        config = tiny_config(replications=3)
-        curve = sweep_linear(config, grid=(0.0, 0.5, 1.0))
+        config = tiny_config(replications=3, sweep=LINEAR_SWEEP)
+        curve = sweep_linear(config)
         assert generated_seeds == [1, 2, 3]
+        assert [alpha for alpha, _ in curve] == [0.0, 0.5, 1.0]
         for alpha, score in curve:
             spec = StrategySpec(
                 kind="linear",
                 children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
                 weights=(1.0, alpha),
             )
-            assert score == score_strategy(config, spec).score
+            assert score == score_of(config, spec)
 
     def test_sweep_probabilistic(self, generated_seeds):
-        config = tiny_config(replications=3)
-        grid = ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.2, 0.3, 0.5))
-        surface = sweep_probabilistic(config, grid=grid)
+        config = tiny_config(
+            replications=3, sweep=SweepSpec(kind="probabilistic", simplex_step=0.5)
+        )
+        surface = sweep_probabilistic(config)
         assert generated_seeds == [1, 2, 3]
+        assert len(surface) == 6
         children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
         for point, score in surface:
             spec = StrategySpec(kind="probabilistic", children=children, weights=point)
-            assert score == score_strategy(config, spec).score
+            assert score == score_of(config, spec)
             assert score == self.separate_runs(config, spec)
 
 
 class TestSweeps:
     def test_linear_sweep_rows_follow_grid(self):
-        config = tiny_config()
-        curve = sweep_linear(config, grid=(0.0, 0.5, 1.0))
+        curve = sweep_linear(tiny_config(sweep=LINEAR_SWEEP))
         assert [alpha for alpha, _ in curve] == [0.0, 0.5, 1.0]
 
     def test_linear_alpha_zero_equals_plain_tas(self):
-        config = tiny_config()
-        curve = sweep_linear(config, grid=(0.0,))
-        tas_score = score_strategy(config, StrategySpec(kind="tas"))
-        assert curve[0][1] == tas_score.score  # exact: identical selections
-
-    def test_linear_grid_validation(self):
-        config = tiny_config()
-        with pytest.raises(ParameterError):
-            sweep_linear(config, grid=())
-        with pytest.raises(ParameterError):
-            sweep_linear(config, grid=(-0.1, 0.0))
-        with pytest.raises(ParameterError):
-            sweep_linear(config, grid=(1.0, 0.5))
+        config = tiny_config(sweep=LINEAR_SWEEP)
+        curve = sweep_linear(config)
+        assert curve[0][0] == 0.0
+        tas_score = score_of(config, StrategySpec(kind="tas"))
+        assert curve[0][1] == tas_score  # exact: identical selections
 
     def test_probabilistic_vertex_equals_plain_child(self):
-        config = tiny_config()
-        surface = sweep_probabilistic(config, grid=((1.0, 0.0, 0.0),))
-        t_score = score_strategy(config, StrategySpec(kind="T"))
-        assert surface[0][1] == t_score.score  # exact: degenerate mixture
-
-    def test_probabilistic_grid_validation(self):
-        config = tiny_config()
-        with pytest.raises(ParameterError):
-            sweep_probabilistic(config, grid=((0.5, 0.5),))
-        with pytest.raises(ParameterError):
-            sweep_probabilistic(config, grid=((0.5, 0.4, 0.2),))
+        config = tiny_config(sweep=SweepSpec(kind="probabilistic", simplex_step=1.0))
+        surface = sweep_probabilistic(config)
+        assert [point for point, _ in surface] == [
+            (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)
+        ]
+        for point, score in surface:
+            child = ("T", "tas", "das")[point.index(1.0)]
+            # exact: a degenerate mixture plays its one child
+            assert score == score_of(config, StrategySpec(kind=child))
 
     def test_sweep_uses_config_grid(self):
         config = tiny_config(sweep=SweepSpec(kind="linear", alpha_max=0.2,
@@ -355,11 +354,15 @@ def _experiment_configs(draw):
         )
     )
     strategies = tuple(
-        draw(st.lists(_strategy_specs(), max_size=4, unique_by=lambda s: s.label()))
+        draw(
+            st.lists(
+                _strategy_specs(), min_size=1, max_size=4, unique_by=lambda s: s.label()
+            )
+        )
     )
     sim = SimConfig(
         workload=workload,
-        strategy=strategies[0] if strategies else StrategySpec(kind="T"),
+        strategy=strategies[0],
         channel=channel,
         buffer=buffer,
         drain_after_horizon=draw(st.booleans()),
@@ -514,7 +517,7 @@ class TestCsvEmission:
         assert git_blob_sha1(b"test\n") == "9daeafb9864cf43055ae93beb0afd6c7d144bfa4"
 
     def test_manifest_echoes_config_and_hashes(self, tmp_path):
-        config = tiny_config()
+        config = tiny_config(strategies=(StrategySpec(kind="tas"),))
         path = write_manifest(
             tmp_path, "ranking", config, {"ranking.csv": "abc123"}
         )

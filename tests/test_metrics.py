@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellsched import (
-    AggregationError,
+from cellsched import ParameterError
+from cellsched.errors import AggregationError, UndefinedMetricError
+from cellsched.experiments import to_dict
+from cellsched.metrics import (
     FlowRecord,
     MetricsReport,
-    ParameterError,
-    UndefinedMetricError,
     aggregate,
     alpt,
     log_alpt,
     summarize,
 )
-from cellsched.experiments import to_dict
 
 
 def record(size, arrival, departure) -> FlowRecord:

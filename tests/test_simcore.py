@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 
 from cellsched import (
     BufferModel,
-    CapabilityError,
-    ChannelConfig,
     ParameterError,
-    SchedulingError,
     SimConfig,
     StrategySpec,
     WorkloadConfig,
     run_simulation,
 )
 from cellsched import simcore
+from cellsched.errors import CapabilityError, SchedulingError
 from cellsched.simcore import admit_arrivals, make_flow_state, refill_buffers, serve_slot
 
 from conftest import FixedRateSource, make_flow

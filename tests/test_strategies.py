@@ -15,16 +15,12 @@ from cellsched import (
     SimConfig,
     StrategySpec,
     WorkloadConfig,
-    compute_index,
-    expected_file_size,
-    linear_combine,
-    pareto_posterior_density,
     run_simulation,
-    select_client,
 )
-from cellsched.strategies import ATOMIC_KINDS, C_DEFAULT
+from cellsched.strategies import ATOMIC_KINDS, C_DEFAULT, compute_index, select_client
 
 from conftest import CountingRng, StubRng, make_view
+from pareto_posterior import expected_file_size, pareto_posterior_density
 
 INF = math.inf
 
@@ -328,20 +324,30 @@ class TestParetoPosteriorDensity:
             pareto_posterior_density(10.0, 5.0, 1.0)
 
 
+def linear_spec(kinds, weights) -> StrategySpec:
+    children = tuple(StrategySpec(kind=k) for k in kinds)
+    return StrategySpec(kind="linear", children=children, weights=weights)
+
+
 class TestLinearCombine:
     def test_zero_weight_masks_value(self):
-        assert linear_combine((1.0, 0.0), (3.0, 99.0)) == 3.0
-        assert linear_combine((1.0, 0.0), (3.0, INF)) == 3.0
+        # pf = 99 * 1 / 33 = 3, max_ci = 99
+        view = make_view(rate=99.0, age=1, served=33.0)
+        assert compute_index(linear_spec(("pf", "max_ci"), (1.0, 0.0)), view) == 3.0
+        # max_ci = 3, round_robin = 1 / 0 = +inf
+        view = make_view(rate=3.0, age=0)
+        spec = linear_spec(("max_ci", "round_robin"), (1.0, 0.0))
+        assert compute_index(spec, view) == 3.0
 
     def test_weighted_sum(self):
-        assert linear_combine((1.0, 2.0), (3.0, 4.0)) == 11.0
+        # pf = 12 * 3 / 12 = 3, tas = 12 / 3 = 4
+        view = make_view(rate=12.0, age=3, served=12.0)
+        assert compute_index(linear_spec(("pf", "tas"), (1.0, 2.0)), view) == 11.0
 
     def test_infinity_propagates_through_positive_weight(self):
-        assert linear_combine((1.0, 1.0), (INF, 5.0)) == INF
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            linear_combine((1.0,), (1.0, 2.0))
+        # das = 5 / 0 = +inf, max_ci = 5
+        view = make_view(rate=5.0, served=0.0)
+        assert compute_index(linear_spec(("das", "max_ci"), (1.0, 1.0)), view) == INF
 
 
 class TestSelectClient:

@@ -8,15 +8,14 @@ import random
 import pytest
 from scipy import stats
 
-from cellsched import (
+from cellsched import ParameterError, ParetoMixture, WorkloadConfig, generate_workload
+from cellsched.workload import (
     FlowSpec,
-    ParameterError,
-    ParetoMixture,
-    WorkloadConfig,
-    generate_workload,
     mixture_mean,
+    sample_file_size,
+    sample_interarrival,
+    sample_mean_rate,
 )
-from cellsched.workload import sample_file_size, sample_interarrival, sample_mean_rate
 
 from conftest import StubRng
 
