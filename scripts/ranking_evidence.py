@@ -15,7 +15,7 @@ their separate spreads.  Three studies are printed:
 3. T and TK with a never-served flow scored +inf instead of the README
    formula's 0, next to tas (3*10^4 slots, 5 seeds).
 
-Run from the repository root (about 1.5 minutes on two cores):
+Run from the repository root (20-50 s on two cores):
 
     PYTHONPATH=src python3 scripts/ranking_evidence.py
 """
@@ -30,10 +30,14 @@ from cellsched import StrategySpec, default_experiment_config, simplex_grid, str
 from cellsched.experiments import RANKING_KINDS, replicate
 
 
-def per_seed(config, spec):
-    """logALPT of each replication of ``spec``, in seed order."""
-    reports = replicate(config.sim, (spec,), config.base_seed, config.replications)[0]
-    return [r.log_alpt for r in reports]
+def per_seed(config, specs):
+    """logALPT of each replication of each of ``specs``, in seed order.
+
+    One ``replicate`` call, so all of ``specs`` share each seed's workload
+    and channel rates.
+    """
+    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    return [[r.log_alpt for r in spec_reports] for spec_reports in reports]
 
 
 def print_pair(name, a, b):
@@ -46,7 +50,8 @@ def print_pair(name, a, b):
 
 def ranking_block(base_seed):
     config = default_experiment_config(base_seed=base_seed)
-    scores = {k: per_seed(config, StrategySpec(kind=k)) for k in RANKING_KINDS}
+    specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
+    scores = dict(zip(RANKING_KINDS, per_seed(config, specs)))
     order = sorted(scores, key=lambda k: statistics.fmean(scores[k]), reverse=True)
     seeds = config.seeds
     print(f"ranking, seeds {seeds[0]}-{seeds[-1]}, h={config.sim.workload.horizon}:")
@@ -63,13 +68,11 @@ def ranking_block(base_seed):
 def mixture_surface():
     config = default_experiment_config(horizon=10_000, replications=5)
     children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
-    scores = {
-        p: per_seed(
-            config,
-            StrategySpec(kind="probabilistic", children=children, weights=p),
-        )
-        for p in simplex_grid(0.1)
-    }
+    grid = simplex_grid(0.1)
+    specs = [
+        StrategySpec(kind="probabilistic", children=children, weights=p) for p in grid
+    ]
+    scores = dict(zip(grid, per_seed(config, specs)))
     means = {p: statistics.fmean(v) for p, v in scores.items()}
     peak = max(means, key=means.get)
     edge_gap = max(means[peak] - m for p, m in means.items() if p[0] == 0.0)
@@ -104,9 +107,10 @@ def never_served_first():
 def never_served_alternative():
     config = default_experiment_config(horizon=30_000, replications=5)
     kinds = ("T", "TK", "tas")
-    as_documented = {k: per_seed(config, StrategySpec(kind=k)) for k in kinds}
+    specs = [StrategySpec(kind=k) for k in kinds]
+    as_documented = dict(zip(kinds, per_seed(config, specs)))
     with never_served_first():
-        lifted = {k: per_seed(config, StrategySpec(kind=k)) for k in kinds}
+        lifted = dict(zip(kinds, per_seed(config, specs)))
     print(f"never-served flows scored +inf by T and TK, h={config.sim.workload.horizon} "
           f"x {config.replications} seeds:")
     for k in kinds:

@@ -9,6 +9,7 @@ amplitude is 30% of the band mean.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from . import seeding
@@ -91,6 +92,14 @@ class FlowRateStream:
         lo, hi = rate_bounds(self._mean_rate, t, self._config)
         return lo + (hi - lo) * u
 
+    def skip(self, n: int) -> None:
+        """Pass over the next ``n`` draws without computing them.
+
+        ``random()`` consumes two 32-bit Mersenne Twister outputs and
+        ``getrandbits(64 * n)`` consumes 2n, so both leave the same state.
+        """
+        self._rng.getrandbits(64 * n)
+
 
 class ChannelRateSource:
     """Factory handing each flow its own deterministic rate stream."""
@@ -102,3 +111,60 @@ class ChannelRateSource:
     def stream_for(self, flow: FlowSpec) -> FlowRateStream:
         return FlowRateStream(self.base_seed, flow, self.config)
 
+
+class SharedRateSource:
+    """One seed's channel rates, drawn once and replayed to every run on the seed.
+
+    Each flow's rates are recorded on first use, 8 bytes a slot in an
+    ``array``, and ``stream_for`` hands every run a :class:`RateReplay`
+    over the record.  The j-th draw is the rate at slot ``arrival + j`` in
+    both envelope modes, so a replayed run sees exactly the rates its own
+    :class:`ChannelRateSource` would give.  A record belongs to one
+    FlowSpec object: a different flow under a known id starts a fresh
+    record.
+    """
+
+    def __init__(self, base_seed: int, config: ChannelConfig):
+        self._source = ChannelRateSource(base_seed, config)
+        self._records: dict[int, tuple[FlowSpec, array]] = {}
+
+    def stream_for(self, flow: FlowSpec) -> RateReplay:
+        record = self._records.get(flow.id)
+        if record is None or record[0] is not flow:
+            record = self._records[flow.id] = (flow, array("d"))
+        return RateReplay(self._source, flow, record[1])
+
+
+class RateReplay:
+    """One run's reader of a flow's recorded rates.
+
+    Past the end of the record it draws from the flow's
+    :class:`FlowRateStream` and appends.  The stream lives only as long as
+    this reader: a later reader that outlives the record reseeds the flow's
+    stream and skips the recorded draws, which costs less memory than
+    keeping every stream for the whole seed.
+    """
+
+    __slots__ = ("_source", "_flow", "_rates", "_j", "_stream", "_stream_at")
+
+    def __init__(self, source: ChannelRateSource, flow: FlowSpec, rates: array):
+        self._source = source
+        self._flow = flow
+        self._rates = rates
+        self._j = 0
+        self._stream = None
+        self._stream_at = 0  # the index of the stream's next draw
+
+    def draw(self, t: float) -> float:
+        j = self._j
+        self._j = j + 1
+        rates = self._rates
+        if j < len(rates):
+            return rates[j]
+        if self._stream is None or self._stream_at != j:
+            self._stream = self._source.stream_for(self._flow)
+            self._stream.skip(j)
+        self._stream_at = j + 1
+        rate = self._stream.draw(t)
+        rates.append(rate)
+        return rate

@@ -2,7 +2,8 @@
 
 Every strategy is evaluated on the same replication seeds (base_seed + i),
 so each one sees identical arrival streams and identical per-flow channel
-draws — score differences are paired, reflecting only the scheduling rule.
+draws (made once per seed and replayed to every strategy) — score
+differences are paired, reflecting only the scheduling rule.
 Results aggregate to mean +/- sample std and serialize to CSV plus a JSON
 manifest carrying the config echo, the seeds, and content hashes.
 """
@@ -17,6 +18,7 @@ import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
+from .channel import SharedRateSource
 from .errors import CapabilityError, ParameterError
 from .metrics import AggregateReport, aggregate, summarize
 from .simcore import SimConfig, run_simulation
@@ -89,7 +91,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class StrategyScore:
     label: str
-    spec: StrategySpec
     score: AggregateReport
 
 
@@ -117,8 +118,9 @@ def replicate(sim_template, specs, base_seed, replications):
     """Metric reports of every strategy in ``specs`` on each replication seed.
 
     Returns one list per strategy, in seed order.  Seeds form the outer
-    loop: each seed's workload is generated once and every strategy runs on
-    those same flows, so only one seed's flows are alive at a time.
+    loop: each seed's workload is generated once, its channel rates are
+    drawn once into a SharedRateSource, and every strategy runs on those
+    same flows and rates, so only one seed's flows are alive at a time.
     """
     templates = []
     for spec in specs:
@@ -130,9 +132,10 @@ def replicate(sim_template, specs, base_seed, replications):
     for i in range(replications):
         workload = replace(sim_template.workload, seed=base_seed + i)
         flows = generate_workload(workload)
+        rates = SharedRateSource(workload.seed, sim_template.channel)
         for template, spec_reports in zip(templates, reports):
             config = replace(template, workload=workload)
-            result = run_simulation(config, flows=flows)
+            result = run_simulation(config, flows=flows, rate_source=rates)
             spec_reports.append(summarize(result.records, result.unfinished))
     return reports
 
@@ -142,7 +145,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
     specs = config.strategies
     reports = replicate(config.sim, specs, config.base_seed, config.replications)
     rows = [
-        StrategyScore(label=spec.label(), spec=spec, score=aggregate(spec_reports))
+        StrategyScore(label=spec.label(), score=aggregate(spec_reports))
         for spec, spec_reports in zip(specs, reports)
     ]
     rows.sort(key=lambda row: row.score.log_alpt_mean, reverse=True)

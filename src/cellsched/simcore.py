@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import seeding
-from .channel import ChannelConfig, ChannelRateSource, FlowRateStream
+from .channel import ChannelConfig, ChannelRateSource, FlowRateStream, RateReplay
 from .errors import CapabilityError, ParameterError, SchedulingError
 from .metrics import FlowRecord
 from .strategies import StrategySpec, select_client
@@ -73,7 +73,7 @@ class FlowState:
     slot's draw), adds it to ``rate_sum`` and sets ``age`` to the slots
     since arrival, so ``rate_sum / (age + 1)`` is the running mean rate;
     ``last_served`` feeds tie-breaking.  ``stream``, the flow's channel
-    rate stream, is set at admission.
+    rate stream or a replay of its recorded rates, is set at admission.
     """
 
     spec: FlowSpec
@@ -86,7 +86,7 @@ class FlowState:
     rate_sum: float = 0.0
     age: int = 0
     last_served: int | None = None
-    stream: FlowRateStream | None = None
+    stream: FlowRateStream | RateReplay | None = None
 
 
 @dataclass(frozen=True)

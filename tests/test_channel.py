@@ -12,6 +12,7 @@ from cellsched.channel import (
     ENVELOPE_TIME_VARYING,
     ChannelRateSource,
     FlowRateStream,
+    SharedRateSource,
     envelope_factor,
     rate_bounds,
 )
@@ -156,6 +157,68 @@ class TestFlowRateStream:
         for t in (0, 100, 2000):
             lo, hi = rate_bounds(flow.mean_rate, t, config)
             assert lo <= stream.draw(t) <= hi
+
+
+class TestSharedRateSource:
+    @staticmethod
+    def fresh(flow, config, n):
+        """The first ``n`` rates of the flow's own stream, at slots arrival + j."""
+        stream = FlowRateStream(5, flow, config)
+        return [stream.draw(flow.arrival_slot + j) for j in range(n)]
+
+    @staticmethod
+    def read(reader, flow, start, n):
+        return [reader.draw(flow.arrival_slot + j) for j in range(start, start + n)]
+
+    @pytest.mark.parametrize("mode", ["literal", "time_varying"])
+    def test_replays_and_extends_the_flow_stream(self, mode):
+        config = ChannelConfig(envelope_mode=mode)
+        flow = make_flow(fid=4, arrival=300, mean_rate=100.0)
+        source = SharedRateSource(5, config)
+        expected = self.fresh(flow, config, 30)
+        assert self.read(source.stream_for(flow), flow, 0, 10) == expected[:10]
+        # replays the record, then reseeds and skips the ten recorded draws
+        assert self.read(source.stream_for(flow), flow, 0, 20) == expected[:20]
+        # two readers interleaved: each extension follows the other's
+        a, b = source.stream_for(flow), source.stream_for(flow)
+        got_a = self.read(a, flow, 0, 22)
+        got_b = self.read(b, flow, 0, 26)
+        got_a += self.read(a, flow, 22, 8)
+        assert got_a == expected and got_b == expected[:26]
+
+    def test_new_flow_object_under_known_id_starts_fresh_record(self, monkeypatch):
+        seeded = []
+        real = ChannelRateSource.stream_for
+        monkeypatch.setattr(
+            ChannelRateSource,
+            "stream_for",
+            lambda source, flow: seeded.append(flow) or real(source, flow),
+        )
+        config = ChannelConfig()
+        source = SharedRateSource(5, config)
+        first = make_flow(fid=1, mean_rate=100.0)
+        self.read(source.stream_for(first), first, 0, 10)
+        second = make_flow(fid=1, mean_rate=300.0)
+        assert self.read(source.stream_for(second), second, 0, 10) == self.fresh(
+            second, config, 10
+        )
+        self.read(source.stream_for(second), second, 0, 10)  # a replay seeds nothing
+        assert seeded == [first, second]
+        # an equal but distinct spec is a different flow too
+        third = make_flow(fid=1, mean_rate=300.0)
+        self.read(source.stream_for(third), third, 0, 10)
+        assert seeded == [first, second, third] and seeded[2] is third
+
+    def test_skip_leaves_the_stream_where_draws_would(self):
+        flow = make_flow(fid=2, mean_rate=50.0)
+        config = ChannelConfig()
+        for n in (0, 1, 2, 37):
+            drawn = FlowRateStream(8, flow, config)
+            skipped = FlowRateStream(8, flow, config)
+            for _ in range(n):
+                drawn.draw(0)
+            skipped.skip(n)
+            assert skipped.draw(0) == drawn.draw(0)
 
 
 class TestFixedRateSource:

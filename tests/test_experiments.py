@@ -31,7 +31,7 @@ from cellsched import (
     sweep_linear,
     sweep_probabilistic,
 )
-from cellsched import experiments
+from cellsched import channel, experiments
 from cellsched.errors import CapabilityError
 from cellsched.experiments import (
     CURVE_HEADER,
@@ -228,6 +228,39 @@ class TestOneWorkloadPerSeed:
             spec = StrategySpec(kind="probabilistic", children=children, weights=point)
             assert score == score_of(config, spec)
             assert score == self.separate_runs(config, spec)
+
+
+class TestSharedRates:
+    """``replicate`` replays each seed's recorded rates; the reports do not change."""
+
+    @pytest.mark.parametrize("buffer_mode", ["infinite", "tcp-refill"])
+    @pytest.mark.parametrize("envelope_mode", ["literal", "time_varying"])
+    def test_reports_equal_independent_runs(
+        self, monkeypatch, envelope_mode, buffer_mode
+    ):
+        skipped = []
+        real_skip = channel.FlowRateStream.skip
+
+        def counting_skip(stream, n):
+            skipped.append(n)
+            real_skip(stream, n)
+
+        monkeypatch.setattr(channel.FlowRateStream, "skip", counting_skip)
+        sim = SimConfig(
+            workload=WorkloadConfig(arrival_rate=0.09, horizon=600),
+            strategy=StrategySpec(kind="T"),
+            channel=ChannelConfig(envelope_mode=envelope_mode),
+            buffer=BufferModel(mode=buffer_mode),
+        )
+        specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
+        reports = replicate(sim, specs, 4, 2)
+        # some later strategy kept a flow active past the record and reseeded
+        assert any(n > 0 for n in skipped)
+        for spec, spec_reports in zip(specs, reports):
+            for i, report in enumerate(spec_reports):
+                workload = replace(sim.workload, seed=4 + i)
+                result = run_simulation(replace(sim, workload=workload, strategy=spec))
+                assert report == summarize(result.records, result.unfinished)
 
 
 class TestSweeps:
@@ -465,9 +498,7 @@ class TestCsvEmission:
         )
 
     def test_ranking_csv_layout(self, tmp_path):
-        score = StrategyScore(
-            label="tas", spec=StrategySpec(kind="tas"), score=self._aggregate(4.0)
-        )
+        score = StrategyScore(label="tas", score=self._aggregate(4.0))
         data = write_ranking_csv(tmp_path / "ranking.csv", [score])
         lines = data.decode().splitlines()
         assert lines[0] == ",".join(TABLE_HEADER)
