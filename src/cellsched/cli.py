@@ -52,17 +52,19 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    if args.replications is not None:
-        config = replace(config, replications=args.replications)
-    if args.out is not None:
-        config = replace(config, output=args.out)
-    return config
+    given = dict(base_seed=args.seed, replications=args.replications, output=args.out)
+    return replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
-def output_dir(config: ExperimentConfig) -> Path:
-    return Path(config.output if config.output is not None else "results")
+def _emit(config: ExperimentConfig, name: str, filename: str, write, rows) -> Path:
+    """Write ``rows`` to <out>/``filename`` with ``write``, then the manifest beside it.
+
+    <out> is the config's output directory (default ``results``); returns the CSV path.
+    """
+    out = Path(config.output if config.output is not None else "results")
+    data = write(out / filename, rows)
+    write_manifest(out, name, config, {filename: git_blob_sha1(data)})
+    return out / filename
 
 
 def _pm(mean: float, std: float) -> str:
@@ -80,10 +82,7 @@ def cmd_run(config: ExperimentConfig) -> int:
             f"{_pm(s.score.log_alpt_mean, s.score.log_alpt_std)}  "
             f"{_pm(s.score.alpt_mean, s.score.alpt_std)}"
         )
-    out = output_dir(config)
-    data = write_ranking_csv(out / "ranking.csv", scores)
-    write_manifest(out, "ranking", config, {"ranking.csv": git_blob_sha1(data)})
-    print(f"wrote {out / 'ranking.csv'}")
+    print(f"wrote {_emit(config, 'ranking', 'ranking.csv', write_ranking_csv, scores)}")
     return 0
 
 
@@ -94,12 +93,8 @@ def cmd_sweep_linear(config: ExperimentConfig) -> int:
     for alpha, agg in curve:
         print(f"alpha={alpha:<5g} logALPT {_pm(agg.log_alpt_mean, agg.log_alpt_std)}")
     print(f"best alpha: {best_alpha:g} (logALPT {best.log_alpt_mean:.3f})")
-    out = output_dir(config)
-    data = write_curve_csv(out / "linear_sweep.csv", curve)
-    write_manifest(
-        out, "sweep-linear", config, {"linear_sweep.csv": git_blob_sha1(data)}
-    )
-    print(f"wrote {out / 'linear_sweep.csv'}")
+    path = _emit(config, "sweep-linear", "linear_sweep.csv", write_curve_csv, curve)
+    print(f"wrote {path}")
     return 0
 
 
@@ -116,10 +111,8 @@ def cmd_sweep_prob(config: ExperimentConfig) -> int:
         f"best mixture: (p_t,p_tas,p_das)=({best_p[0]:g},{best_p[1]:g},{best_p[2]:g})"
         f" (logALPT {best.log_alpt_mean:.3f})"
     )
-    out = output_dir(config)
-    data = write_surface_csv(out / "prob_sweep.csv", surface)
-    write_manifest(out, "sweep-prob", config, {"prob_sweep.csv": git_blob_sha1(data)})
-    print(f"wrote {out / 'prob_sweep.csv'}")
+    path = _emit(config, "sweep-prob", "prob_sweep.csv", write_surface_csv, surface)
+    print(f"wrote {path}")
     return 0
 
 
@@ -127,10 +120,8 @@ def cmd_dump_workload(config: ExperimentConfig) -> int:
     """CSV of the generated arrival stream for the base seed"""
     workload = replace(config.sim.workload, seed=config.base_seed)
     flows = generate_workload(workload)
-    out = output_dir(config)
-    data = write_workload_csv(out / "workload.csv", flows)
-    write_manifest(out, "dump-workload", config, {"workload.csv": git_blob_sha1(data)})
-    print(f"wrote {out / 'workload.csv'} ({len(flows)} flows)")
+    path = _emit(config, "dump-workload", "workload.csv", write_workload_csv, flows)
+    print(f"wrote {path} ({len(flows)} flows)")
     return 0
 
 
@@ -138,11 +129,9 @@ def cmd_trace(config: ExperimentConfig) -> int:
     """per-slot service trace of one run of the first strategy"""
     workload = replace(config.sim.workload, seed=config.base_seed)
     result = run_simulation(replace(config.sim, workload=workload), collect_trace=True)
-    out = output_dir(config)
-    data = write_trace_csv(out / "trace.csv", result.trace)
-    write_manifest(out, "trace", config, {"trace.csv": git_blob_sha1(data)})
+    path = _emit(config, "trace", "trace.csv", write_trace_csv, result.trace)
     print(
-        f"wrote {out / 'trace.csv'} ({len(result.trace)} slots, "
+        f"wrote {path} ({len(result.trace)} slots, "
         f"{len(result.records)} completions, strategy {config.sim.strategy.label()})"
     )
     return 0

@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
+import math
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -46,9 +48,9 @@ RANKING_KINDS = ("T", "TK", "round_robin", "tas", "max_ci", "das", "pf")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for the weight sweep or the mixture sweep."""
+    """Grids of both sweeps: each sweep reads its own fields, whatever ``kind`` says."""
 
-    kind: str = "linear"  # "linear" | "probabilistic"
+    kind: str = "linear"  # "linear" | "probabilistic"; echoed, selects nothing
     alpha_max: float = 2.0
     alpha_step: float = 0.1
     simplex_step: float = 0.1
@@ -56,8 +58,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "probabilistic"):
             raise ParameterError(f"unknown sweep kind {self.kind!r}")
-        if self.alpha_max < 0.0 or not self.alpha_step > 0.0:
-            raise ParameterError("need alpha_max >= 0 and alpha_step > 0")
+        if not 0.0 <= self.alpha_max < math.inf or not self.alpha_step > 0.0:
+            raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
         if not 0.0 < self.simplex_step <= 1.0:
             raise ParameterError(f"simplex_step={self.simplex_step} not in (0, 1]")
 
@@ -99,18 +101,9 @@ def default_experiment_config(
     replications: int = ExperimentConfig.replications,
     horizon: int = WorkloadConfig.horizon,
 ) -> ExperimentConfig:
-    """The ranking experiment over the seven reference strategies.
-
-    Reference setup: lambda=0.09 arrivals, the four-component size mixture,
-    mean rates uniform on [lambda*mean_size/3, 3*lambda*mean_size]; the sim
-    template runs the first strategy, T.
-    """
-    strategies = tuple(StrategySpec(kind=k) for k in RANKING_KINDS)
-    return ExperimentConfig(
-        sim=SimConfig(workload=WorkloadConfig(horizon=horizon), strategy=strategies[0]),
-        strategies=strategies,
-        replications=replications,
-        base_seed=base_seed,
+    """The reference setup: a config file holding only these three values."""
+    return experiment_from_dict(
+        {"base_seed": base_seed, "replications": replications, "horizon": horizon}
     )
 
 
@@ -140,13 +133,18 @@ def replicate(sim_template, specs, base_seed, replications):
     return reports
 
 
+def _scores(config: ExperimentConfig, specs) -> list[AggregateReport]:
+    """The aggregate score of each of ``specs`` on the config's seeds."""
+    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    return [aggregate(spec_reports) for spec_reports in reports]
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
     """Score every strategy on shared seeds; rows sorted by logALPT descending."""
     specs = config.strategies
-    reports = replicate(config.sim, specs, config.base_seed, config.replications)
     rows = [
-        StrategyScore(label=spec.label(), score=aggregate(spec_reports))
-        for spec, spec_reports in zip(specs, reports)
+        StrategyScore(label=spec.label(), score=score)
+        for spec, score in zip(specs, _scores(config, specs))
     ]
     rows.sort(key=lambda row: row.score.log_alpt_mean, reverse=True)
     return tuple(rows)
@@ -155,7 +153,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
 def default_alpha_grid(
     alpha_max: float = SweepSpec.alpha_max, step: float = SweepSpec.alpha_step
 ) -> tuple[float, ...]:
-    n = round(alpha_max / step)
+    """Multiples of ``step`` from 0 up to the last one not above ``alpha_max``."""
+    n = math.floor((alpha_max + 1e-9) / step)
     return tuple(round(i * step, 12) for i in range(n + 1))
 
 
@@ -174,40 +173,27 @@ def simplex_grid(
     return tuple(points)
 
 
-def _sweep_of(config: ExperimentConfig, kind: str) -> SweepSpec:
-    """The config's sweep if it is of ``kind``, else the default sweep of that kind."""
-    sweep = config.sweep
-    return sweep if sweep is not None and sweep.kind == kind else SweepSpec(kind=kind)
-
-
 def sweep_linear(config: ExperimentConfig):
     """logALPT curve of I_tas + alpha * I_das over the config's alpha grid."""
-    sweep = _sweep_of(config, "linear")
+    sweep = config.sweep or SweepSpec()
     grid = default_alpha_grid(sweep.alpha_max, sweep.alpha_step)
-    tas = StrategySpec(kind="tas")
-    das = StrategySpec(kind="das")
+    tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
     specs = [
         StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
         for alpha in grid
     ]
-    reports = replicate(config.sim, specs, config.base_seed, config.replications)
-    return tuple((alpha, aggregate(r)) for alpha, r in zip(grid, reports))
+    return tuple(zip(grid, _scores(config, specs)))
 
 
 def sweep_probabilistic(config: ExperimentConfig):
     """logALPT surface of the {T, tas, das} mixture over the config's simplex grid."""
-    grid = simplex_grid(_sweep_of(config, "probabilistic").simplex_step)
-    children = (
-        StrategySpec(kind="T"),
-        StrategySpec(kind="tas"),
-        StrategySpec(kind="das"),
-    )
+    grid = simplex_grid((config.sweep or SweepSpec()).simplex_step)
+    children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
     specs = [
         StrategySpec(kind="probabilistic", children=children, weights=point)
         for point in grid
     ]
-    reports = replicate(config.sim, specs, config.base_seed, config.replications)
-    return tuple((point, aggregate(r)) for point, r in zip(grid, reports))
+    return tuple(zip(grid, _scores(config, specs)))
 
 
 # --- serialization -------------------------------------------------------
@@ -354,12 +340,15 @@ def experiment_from_dict(data) -> ExperimentConfig:
 
 
 def _write_csv(path: Path, header, rows) -> bytes:
+    """Write the CSV in one go and return the bytes written."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = text.getvalue().encode()
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path.read_bytes()
+    path.write_bytes(data)
+    return data
 
 
 def write_ranking_csv(path, scores) -> bytes:

@@ -10,7 +10,12 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from cellsched import cli, default_experiment_config, generate_workload
+from cellsched import (
+    cli,
+    default_experiment_config,
+    experiment_from_dict,
+    generate_workload,
+)
 from cellsched.cli import load_config, main
 
 
@@ -95,6 +100,33 @@ class TestSweeps:
         assert len(lines) == 1 + 6
 
 
+class TestSweepGridsFollowTheConfig:
+    """Each sweep runs the grid fields of ``sweep``; ``kind`` selects nothing."""
+
+    def rerun_echo(self, tmp_path, command, out, filename):
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        path = tmp_path / "echo.yaml"
+        path.write_text(yaml.safe_dump(echo))
+        again = tmp_path / "again"
+        assert main([command, "--config", str(path), "--out", str(again)]) == 0
+        assert (again / filename).read_bytes() == (out / filename).read_bytes()
+
+    def test_sweep_prob_without_kind(self, tmp_path, capsys):
+        sweep = {"simplex_step": 0.5}  # kind takes its default, "linear"
+        code, out = run_cli(tmp_path, "sweep-prob", extra={"sweep": sweep})
+        assert code == 0
+        assert len((out / "prob_sweep.csv").read_text().splitlines()) == 1 + 6
+        self.rerun_echo(tmp_path, "sweep-prob", out, "prob_sweep.csv")
+
+    def test_sweep_linear_with_the_other_kind(self, tmp_path, capsys):
+        sweep = {"kind": "probabilistic", "alpha_max": 0.2, "alpha_step": 0.1}
+        code, out = run_cli(tmp_path, "sweep-linear", extra={"sweep": sweep})
+        assert code == 0
+        lines = (out / "linear_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.1", "0.2"]
+        self.rerun_echo(tmp_path, "sweep-linear", out, "linear_sweep.csv")
+
+
 class TestDataDumps:
     def test_dump_workload_matches_generator(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "dump-workload", args=["--seed", "9"])
@@ -133,6 +165,14 @@ class TestErrors:
         code, _ = run_cli(tmp_path, "run", extra={"drain_after_horizon": "false"})
         assert code == 2
         assert "error: config.drain_after_horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_alpha_max_must_be_finite(self, tmp_path, capsys, value):
+        # no alpha grid can be built from it, so the loader rejects it
+        path = tmp_path / "sweep.yaml"
+        path.write_text(f"sweep: {{alpha_max: {value}}}\n")
+        assert main(["sweep-linear", "--config", str(path)]) == 2
+        assert "error: config.sweep" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])
@@ -192,6 +232,9 @@ class TestHelp:
 class TestDefaults:
     def test_no_config_loads_reference_setup(self):
         assert load_config(None) == default_experiment_config()
+
+    def test_no_config_is_an_empty_config_file(self):
+        assert load_config(None) == experiment_from_dict({})
 
 
 class TestConsoleScript:

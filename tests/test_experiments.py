@@ -92,6 +92,12 @@ class TestExperimentConfig:
         assert config.sim.workload.horizon == 5000
         assert config.sim.strategy == config.strategies[0]
 
+    def test_defaults_are_the_decoded_config_file(self):
+        config = default_experiment_config(7, 3, 5000)
+        data = {"base_seed": 7, "replications": 3, "horizon": 5000}
+        assert config == experiment_from_dict(data)
+        assert default_experiment_config() == experiment_from_dict({})
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ParameterError, match="tas"):
             tiny_config(strategies=(StrategySpec(kind="tas"), StrategySpec(kind="tas")))
@@ -107,6 +113,24 @@ class TestSweepGrids:
         assert len(grid) == 21
         assert grid[0] == 0.0 and grid[-1] == 2.0
         assert grid[3] == 0.3  # exact decimals, no float drift
+
+    def test_alpha_grid_stops_at_alpha_max(self):
+        # 2.0 / 0.3 = 6.67 steps: the grid ends at 1.8, not at a rounded 2.1
+        assert default_alpha_grid(2.0, 0.3) == (0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
+        assert default_alpha_grid(0.25, 0.1) == (0.0, 0.1, 0.2)
+        assert default_alpha_grid(0.05, 0.1) == (0.0,)
+
+    def test_alpha_grid_keeps_steps_that_divide_evenly(self):
+        # 0.7 / 0.1 and 0.3 / 0.1 fall just short of a whole number in floats
+        assert default_alpha_grid(0.7, 0.1) == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+        assert default_alpha_grid(0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
+        assert default_alpha_grid(1.0, 0.5) == (0.0, 0.5, 1.0)
+
+    @given(st.floats(0.0, 5.0), st.floats(0.01, 1.0))
+    def test_alpha_grid_is_the_multiples_up_to_alpha_max(self, alpha_max, step):
+        grid = default_alpha_grid(alpha_max, step)
+        assert grid[0] == 0.0
+        assert grid[-1] <= alpha_max + 1e-9 < grid[-1] + step + 1e-9
 
     def test_simplex_grid_covers_all_compositions(self):
         grid = simplex_grid(0.1)
@@ -285,6 +309,13 @@ class TestSweeps:
             child = ("T", "tas", "das")[point.index(1.0)]
             # exact: a degenerate mixture plays its one child
             assert score == score_of(config, StrategySpec(kind=child))
+
+    @pytest.mark.parametrize("kind", ["linear", "probabilistic"])
+    def test_each_sweep_reads_its_own_fields_whatever_the_kind(self, kind):
+        sweep = SweepSpec(kind=kind, alpha_max=0.2, alpha_step=0.1, simplex_step=0.5)
+        config = tiny_config(sweep=sweep)
+        assert [alpha for alpha, _ in sweep_linear(config)] == [0.0, 0.1, 0.2]
+        assert len(sweep_probabilistic(config)) == 6
 
     def test_sweep_uses_config_grid(self):
         config = tiny_config(sweep=SweepSpec(kind="linear", alpha_max=0.2,
@@ -542,6 +573,12 @@ class TestCsvEmission:
         first = write_workload_csv(tmp_path / "w.csv", flows)
         second = write_workload_csv(tmp_path / "w.csv", flows)
         assert first == second
+
+    def test_returns_the_bytes_it_wrote(self, tmp_path):
+        path = tmp_path / "sub" / "w.csv"  # the directory is made on the way
+        flows = [make_flow(fid=i, arrival=i, size=600.0 + i) for i in range(3)]
+        assert write_workload_csv(path, flows) == path.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == 4  # csv's own line endings
 
     def test_git_blob_sha1_known_value(self):
         # matches `git hash-object` on the same bytes
