@@ -3,7 +3,7 @@
 Every strategy runs on the same seeds, so all of them see the same arrivals
 and the same channel draws (common random numbers).  The evidence is
 therefore the per-seed difference between two strategies, not the overlap of
-their separate spreads.  Three studies are printed:
+their separate spreads.  Four studies are printed:
 
 1. the seven reference strategies at the reference setup (10^5 slots) on two
    disjoint blocks of ten seeds: each one's mean logALPT, and the mean,
@@ -13,9 +13,12 @@ their separate spreads.  Three studies are printed:
    5 seeds, simplex step 0.1): its peak, how far the p_T = 0 edge lies below
    the peak, and the paired gap of the pure-T vertex;
 3. T and TK with a never-served flow scored +inf instead of the README
-   formula's 0, next to tas (3*10^4 slots, 5 seeds).
+   formula's 0, next to tas (3*10^4 slots, 5 seeds);
+4. the linear combination I_tas + alpha * I_das of acceptance criterion 2
+   at alpha = 0, 0.5, 1 and 2 (2*10^4 slots, seeds 1-20): the paired gain
+   of each alpha > 0 over alpha = 0, and the paired gaps among them.
 
-Run from the repository root (20-50 s on two cores):
+Run from the repository root (30-60 s on two cores):
 
     PYTHONPATH=src python3 scripts/ranking_evidence.py
 """
@@ -121,8 +124,29 @@ def never_served_alternative():
     print_pair("TK(+inf) - tas", lifted["TK"], lifted["tas"])
 
 
+def linear_alphas():
+    config = default_experiment_config(horizon=20_000, replications=20)
+    alphas = (0.0, 0.5, 1.0, 2.0)
+    tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
+    specs = [
+        StrategySpec(kind="linear", children=(tas, das), weights=(1.0, a))
+        for a in alphas
+    ]
+    scores = dict(zip(alphas, per_seed(config, specs)))
+    seeds = config.seeds
+    print(f"linear I_tas + alpha*I_das, h={config.sim.workload.horizon}, "
+          f"seeds {seeds[0]}-{seeds[-1]}:")
+    for a in alphas:
+        print(f"  alpha={a:<4g} {statistics.fmean(scores[a]):.4f}")
+    for a in alphas[1:]:
+        print_pair(f"alpha={a:g} - alpha=0", scores[a], scores[0.0])
+    for a, b in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0)):
+        print_pair(f"alpha={a:g} - alpha={b:g}", scores[a], scores[b])
+
+
 if __name__ == "__main__":
     ranking_block(base_seed=1)
     ranking_block(base_seed=11)
     mixture_surface()
     never_served_alternative()
+    linear_alphas()

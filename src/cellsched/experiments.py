@@ -60,8 +60,15 @@ class SweepSpec:
             raise ParameterError(f"unknown sweep kind {self.kind!r}")
         if not 0.0 <= self.alpha_max < math.inf or not self.alpha_step > 0.0:
             raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
-        if not 0.0 < self.simplex_step <= 1.0:
-            raise ParameterError(f"simplex_step={self.simplex_step} not in (0, 1]")
+        _simplex_divisions(self.simplex_step)
+
+
+def _simplex_divisions(step: float) -> int:
+    """How many steps of ``step`` make 1; an error unless ``step`` divides 1."""
+    n = round(1.0 / step) if 0.0 < step <= 1.0 else 0
+    if n < 1 or abs(n * step - 1.0) > 1e-9:
+        raise ParameterError(f"simplex_step={step} must lie in (0, 1] and divide 1")
+    return n
 
 
 @dataclass(frozen=True)
@@ -162,9 +169,7 @@ def simplex_grid(
     step: float = SweepSpec.simplex_step,
 ) -> tuple[tuple[float, float, float], ...]:
     """All three-part probability vectors on a regular grid of the given step."""
-    n = round(1.0 / step)
-    if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise ParameterError(f"simplex step {step} must divide 1 evenly")
+    n = _simplex_divisions(step)
     points = []
     for i in range(n + 1):
         for j in range(n + 1 - i):

@@ -138,24 +138,26 @@ class SimResult:
     trace: tuple[TraceEvent, ...] | None = None
 
 
-def make_flow_state(spec: FlowSpec, model: BufferModel) -> FlowState:
+def make_flow_state(spec: FlowSpec, model: BufferModel, stream=None) -> FlowState:
     """Fresh FlowState with the buffer initialized per the buffer model."""
     if model.mode == BUFFER_INFINITE:
-        return FlowState(spec=spec, buffer=spec.file_size, unfetched=0.0)
+        return FlowState(spec=spec, buffer=spec.file_size, stream=stream)
     staged = min(model.initial_window, spec.file_size)
     return FlowState(
         spec=spec,
         buffer=staged,
         unfetched=spec.file_size - staged,
         congestion_window=model.initial_window,
+        stream=stream,
     )
 
 
-def admit_arrivals(active, t, pending, model, start=0) -> int:
+def admit_arrivals(active, t, pending, model, start, rate_source) -> int:
     """Admit every pending FlowSpec arriving at slot t; returns the next index.
 
     ``pending`` must be sorted by arrival_slot and ``start`` must point at
-    the first spec not yet admitted.
+    the first spec not yet admitted.  Each record is made with the channel
+    stream ``rate_source`` gives its flow.
     """
     i = start
     while i < len(pending) and pending[i].arrival_slot <= t:
@@ -166,20 +168,19 @@ def admit_arrivals(active, t, pending, model, start=0) -> int:
             )
         if spec.id in active:
             raise SchedulingError(f"duplicate flow id {spec.id} at slot {t}")
-        active[spec.id] = make_flow_state(spec, model)
+        active[spec.id] = make_flow_state(spec, model, rate_source.stream_for(spec))
         i += 1
     return i
 
 
-def refill_buffers(active, t, model: BufferModel):
+def refill_buffers(active, t, model: BufferModel) -> None:
     """Schedule refills for newly emptied buffers and deliver the ones due at t.
 
     One pass: each flow is scheduled before its own delivery check, so with
     rtt = 0 a refill lands in the same slot it was requested.  A delivery
-    adds min(window, unfetched) and doubles the window up to the cap.
+    adds min(window, unfetched) and doubles the window up to the cap.  A
+    record of an infinite buffer never has unfetched bytes, so nothing fires.
     """
-    if model.mode != BUFFER_TCP_REFILL:
-        return active
     for state in active.values():
         if state.buffer == 0.0 and state.unfetched > 0.0 and state.refill_due is None:
             state.refill_due = t + model.rtt
@@ -191,7 +192,6 @@ def refill_buffers(active, t, model: BufferModel):
                 2.0 * state.congestion_window, model.max_window
             )
             state.refill_due = None
-    return active
 
 
 def serve_slot(active, t, rate, chosen):
@@ -268,10 +268,9 @@ def run_simulation(
                     f"drain phase still busy after {t} slots; invariant broken"
                 )
         elif next_pending < pending_count and flows[next_pending].arrival_slot <= t:
-            before = next_pending
-            next_pending = admit_arrivals(active, t, flows, model, next_pending)
-            for spec in flows[before:next_pending]:
-                active[spec.id].stream = rate_source.stream_for(spec)
+            next_pending = admit_arrivals(
+                active, t, flows, model, next_pending, rate_source
+            )
         if tcp:
             refill_buffers(active, t, model)
 

@@ -94,6 +94,9 @@ class StrategySpec:
         for name, default in _PARAM_DEFAULTS.items():
             if name not in owned and getattr(self, name) != default:
                 raise ParameterError(f"{self.kind} does not take {name}")
+        tk_inst = self.kind == "TK" and self.tk_variant == "inst"
+        if tk_inst and self.mean_rate_mode != "empirical":
+            raise ParameterError("TK(tk_variant=inst) does not take mean_rate_mode")
         if self.kind in ATOMIC_KINDS:
             return
         if not self.children:
@@ -172,21 +175,20 @@ def _idx_sectf(spec, flow):
     return _div(flow.rate, flow.buffer)
 
 
-def _idx_t(spec, flow):
+def _mean_rate(spec, flow):
+    """The flow's mean rate as ``spec.mean_rate_mode`` reads it."""
     if spec.mean_rate_mode == "assigned":
-        r = flow.spec.mean_rate
-    else:  # one draw per slot since arrival: age + 1 rates so far
-        r = flow.rate_sum / (flow.age + 1)
+        return flow.spec.mean_rate
+    return flow.rate_sum / (flow.age + 1)  # one draw per slot: age + 1 so far
+
+
+def _idx_t(spec, flow):
+    r = _mean_rate(spec, flow)
     return _div(flow.served, flow.age + _div(flow.served, spec.c_const * r))
 
 
 def _idx_tk(spec, flow):
-    if spec.tk_variant == "inst":
-        r = flow.rate
-    elif spec.mean_rate_mode == "assigned":
-        r = flow.spec.mean_rate
-    else:
-        r = flow.rate_sum / (flow.age + 1)
+    r = flow.rate if spec.tk_variant == "inst" else _mean_rate(spec, flow)
     return _div(r * flow.served, flow.age)
 
 
@@ -254,22 +256,15 @@ def select_client(spec: StrategySpec, flows, rng=None):
     if len(flows) == 1:
         return flows[0].spec.id
     index_fn = _INDEX_FUNCS[spec.kind]
-    best_id = None
-    best_v = -_INF
-    best_last = _INF
-    for flow in flows:
+    best = flows[0]
+    best_v = index_fn(spec, best)
+    for flow in flows[1:]:
         v = index_fn(spec, flow)
-        if best_id is not None and v < best_v:
-            continue
-        last = -_INF if flow.last_served is None else flow.last_served
-        fid = flow.spec.id
-        if (
-            best_id is None
-            or v > best_v
-            or last < best_last
-            or (last == best_last and fid < best_id)
-        ):
-            best_id = fid
-            best_v = v
-            best_last = last
-    return best_id
+        if v > best_v or (v == best_v and _tie_key(flow) < _tie_key(best)):
+            best, best_v = flow, v
+    return best.spec.id
+
+
+def _tie_key(flow):
+    """The tie rule, smallest first: never served, then least recently, then by id."""
+    return (flow.last_served is not None, flow.last_served or 0, flow.spec.id)

@@ -174,6 +174,14 @@ class TestErrors:
         assert main(["sweep-linear", "--config", str(path)]) == 2
         assert "error: config.sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_simplex_step_must_divide_one(self, tmp_path, capsys, command):
+        # the loader checks the sweep section whichever subcommand reads it
+        code, out = run_cli(tmp_path, command, extra={"sweep": {"simplex_step": 0.3}})
+        assert code == 2
+        assert "error: config.sweep: simplex_step=0.3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2

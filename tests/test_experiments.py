@@ -361,10 +361,11 @@ def _atomic_specs():
             c_const=st.floats(0.1, 10.0),
             mean_rate_mode=modes,
         ),
+        st.just(StrategySpec(kind="TK")),  # tk_variant inst reads no mean rate
         st.builds(
             StrategySpec,
             kind=st.just("TK"),
-            tk_variant=st.sampled_from(("inst", "mean")),
+            tk_variant=st.just("mean"),
             mean_rate_mode=modes,
         ),
     )

@@ -129,24 +129,29 @@ class TestMakeFlowState:
 class TestAdmitArrivals:
     def test_no_arrivals_leaves_state_untouched(self):
         active = {}
-        nxt = admit_arrivals(active, 5, [make_flow(arrival=9)], INFINITE, 0)
+        source = FixedRateSource()
+        nxt = admit_arrivals(active, 5, [make_flow(arrival=9)], INFINITE, 0, source)
         assert active == {} and nxt == 0
 
     def test_admits_exactly_at_slot(self):
         active = {}
         pending = [make_flow(fid=0, arrival=3), make_flow(fid=1, arrival=3),
                    make_flow(fid=2, arrival=4)]
-        nxt = admit_arrivals(active, 3, pending, INFINITE, 0)
+        source = FixedRateSource(per_flow={0: 3.0, 1: 4.0})
+        nxt = admit_arrivals(active, 3, pending, INFINITE, 0, source)
         assert sorted(active) == [0, 1] and nxt == 2
+        # each record is admitted whole, holding the stream its source gave
+        assert [active[fid].stream.draw(3) for fid in (0, 1)] == [3.0, 4.0]
 
     def test_missed_arrival_is_contract_violation(self):
         with pytest.raises(SchedulingError):
-            admit_arrivals({}, 10, [make_flow(arrival=4)], INFINITE, 0)
+            admit_arrivals({}, 10, [make_flow(arrival=4)], INFINITE, 0, FixedRateSource())
 
     def test_duplicate_id_rejected(self):
         active = {0: make_flow_state(make_flow(fid=0), INFINITE)}
+        pending = [make_flow(fid=0, arrival=0)]
         with pytest.raises(SchedulingError):
-            admit_arrivals(active, 0, [make_flow(fid=0, arrival=0)], INFINITE, 0)
+            admit_arrivals(active, 0, pending, INFINITE, 0, FixedRateSource())
 
 
 class TestRefillBuffers:

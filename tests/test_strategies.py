@@ -135,6 +135,11 @@ class TestOwnedParameters:
                 mean_rate_mode="assigned",
             )
 
+    def test_tk_reads_mean_rate_mode_only_with_the_mean_variant(self):
+        with pytest.raises(ParameterError, match="does not take mean_rate_mode"):
+            StrategySpec(kind="TK", mean_rate_mode="assigned")
+        StrategySpec(kind="TK", tk_variant="mean", mean_rate_mode="assigned")
+
     def test_labels_show_non_default_owned_parameters(self):
         assigned = StrategySpec(kind="T", mean_rate_mode="assigned")
         specs = [
@@ -429,17 +434,21 @@ class TestSelectClient:
         ids=st.lists(
             st.integers(min_value=0, max_value=50), min_size=5, max_size=5, unique=True
         ),
+        rates=st.lists(st.sampled_from((5.0, 10.0)), min_size=5, max_size=5),
     )
-    def test_tie_winner_independent_of_order(self, kind, age, served, lasts, ids):
-        # identical records but for id and last_served: every index ties
+    def test_tie_winner_independent_of_order(self, kind, age, served, lasts, ids, rates):
+        # records that differ in id, last_served and a rate from a two-value set:
+        # indices that read the rate tie within each rate, the others tie throughout
         flows = [
-            make_view(id=fid, age=age, served=served, last_served=last)
-            for fid, last in zip(ids, lasts)
+            make_view(id=fid, age=age, served=served, last_served=last, rate=rate)
+            for fid, last, rate in zip(ids, lasts, rates)
         ]
-        never_first = min(
-            flows,
-            key=lambda f: (f.last_served is not None, f.last_served or 0, f.spec.id),
-        )
         spec = StrategySpec(kind=kind)
+
+        def rank(f):  # larger first: index, least recently served, smallest id
+            never = f.last_served is None
+            return (compute_index(spec, f), never, -(f.last_served or 0), -f.spec.id)
+
+        expected = max(flows, key=rank).spec.id
         for order in itertools.permutations(flows):
-            assert select_client(spec, list(order)) == never_first.spec.id
+            assert select_client(spec, list(order)) == expected
