@@ -27,41 +27,39 @@ from __future__ import annotations
 
 import contextlib
 import math
-import statistics
 
 from cellsched import StrategySpec, default_experiment_config, simplex_grid, strategies
 from cellsched.experiments import RANKING_KINDS, replicate
+from cellsched.metrics import aggregate, paired
 
 
 def per_seed(config, specs):
-    """logALPT of each replication of each of ``specs``, in seed order.
+    """The reports of each replication of each of ``specs``, in seed order.
 
     One ``replicate`` call, so all of ``specs`` share each seed's workload
     and channel rates.
     """
-    reports = replicate(config.sim, specs, config.base_seed, config.replications)
-    return [[r.log_alpt for r in spec_reports] for spec_reports in reports]
+    return replicate(config.sim, specs, config.base_seed, config.replications)
 
 
-def print_pair(name, a, b):
+def print_pair(name, a, b, digits=4):
     """Print the mean, sample sd and t statistic of the per-seed differences a - b."""
-    d = [x - y for x, y in zip(a, b)]
-    mean, sd = statistics.fmean(d), statistics.stdev(d)
-    t = mean / (sd / math.sqrt(len(d)))
-    print(f"  {name:<24} {mean:+.4f}  sd {sd:.4f}  t {t:6.1f}")
+    p = paired(a, b)
+    print(f"  {name:<24} {p.log_alpt_mean:+.{digits}f}  "
+          f"sd {p.log_alpt_std:.{digits}f}  t {p.t:6.1f}")
 
 
 def ranking_block(base_seed):
     config = default_experiment_config(base_seed=base_seed)
     specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
     scores = dict(zip(RANKING_KINDS, per_seed(config, specs)))
-    order = sorted(scores, key=lambda k: statistics.fmean(scores[k]), reverse=True)
+    aggs = {k: aggregate(v) for k, v in scores.items()}
+    order = sorted(aggs, key=lambda k: aggs[k].log_alpt_mean, reverse=True)
     seeds = config.seeds
     print(f"ranking, seeds {seeds[0]}-{seeds[-1]}, h={config.sim.workload.horizon}:")
     print("  " + " > ".join(order))
     for k in order:
-        v = scores[k]
-        print(f"  {k:<12} {statistics.fmean(v):.4f} ± {statistics.stdev(v):.4f}")
+        print(f"  {k:<12} {aggs[k].log_alpt_mean:.4f} ± {aggs[k].log_alpt_std:.4f}")
     print("  paired differences (mean, sd, t):")
     for hi, lo in zip(order, order[1:]):
         print_pair(f"{hi} - {lo}", scores[hi], scores[lo])
@@ -76,7 +74,7 @@ def mixture_surface():
         StrategySpec(kind="probabilistic", children=children, weights=p) for p in grid
     ]
     scores = dict(zip(grid, per_seed(config, specs)))
-    means = {p: statistics.fmean(v) for p, v in scores.items()}
+    means = {p: aggregate(v).log_alpt_mean for p, v in scores.items()}
     peak = max(means, key=means.get)
     edge_gap = max(means[peak] - m for p, m in means.items() if p[0] == 0.0)
     print(f"mixture surface (p_T, p_tas, p_das), h={config.sim.workload.horizon} "
@@ -117,9 +115,9 @@ def never_served_alternative():
     print(f"never-served flows scored +inf by T and TK, h={config.sim.workload.horizon} "
           f"x {config.replications} seeds:")
     for k in kinds:
-        before, after = as_documented[k], lifted[k]
-        print(f"  {k:<4} {statistics.fmean(before):.4f} -> "
-              f"{statistics.fmean(after):.4f} ± {statistics.stdev(after):.4f}")
+        before, after = aggregate(as_documented[k]), aggregate(lifted[k])
+        print(f"  {k:<4} {before.log_alpt_mean:.4f} -> "
+              f"{after.log_alpt_mean:.4f} ± {after.log_alpt_std:.4f}")
     print_pair("T(+inf) - tas", lifted["T"], lifted["tas"])
     print_pair("TK(+inf) - tas", lifted["TK"], lifted["tas"])
 
@@ -137,11 +135,11 @@ def linear_alphas():
     print(f"linear I_tas + alpha*I_das, h={config.sim.workload.horizon}, "
           f"seeds {seeds[0]}-{seeds[-1]}:")
     for a in alphas:
-        print(f"  alpha={a:<4g} {statistics.fmean(scores[a]):.4f}")
+        print(f"  alpha={a:<4g} {aggregate(scores[a]).log_alpt_mean:.4f}")
     for a in alphas[1:]:
-        print_pair(f"alpha={a:g} - alpha=0", scores[a], scores[0.0])
+        print_pair(f"alpha={a:g} - alpha=0", scores[a], scores[0.0], digits=5)
     for a, b in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0)):
-        print_pair(f"alpha={a:g} - alpha={b:g}", scores[a], scores[b])
+        print_pair(f"alpha={a:g} - alpha={b:g}", scores[a], scores[b], digits=5)
 
 
 if __name__ == "__main__":

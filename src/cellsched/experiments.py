@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .channel import SharedRateSource
-from .errors import CapabilityError, ParameterError
+from .errors import ParameterError
 from .metrics import AggregateReport, aggregate, summarize
 from .simcore import SimConfig, run_simulation
 from .strategies import OWNED_PARAMS, StrategySpec
@@ -45,6 +45,8 @@ TRACE_HEADER = ("t", "chosen_id", "transfer_kb", "active_count")
 #: Strategy lineup of the ranking experiment, in the paper's reported order.
 RANKING_KINDS = ("T", "TK", "round_robin", "tas", "max_ci", "das", "pf")
 
+MAX_GRID_POINTS = 10_000  # of either sweep grid; the defaults have 21 and 66
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -58,14 +60,26 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "probabilistic"):
             raise ParameterError(f"unknown sweep kind {self.kind!r}")
-        if not 0.0 <= self.alpha_max < math.inf or not self.alpha_step > 0.0:
-            raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
+        _alpha_points(self.alpha_max, self.alpha_step)
         _simplex_divisions(self.simplex_step)
+
+
+def _alpha_points(alpha_max: float, step: float) -> int:
+    """How many multiples of ``step`` lie in [0, alpha_max]; at most MAX_GRID_POINTS."""
+    if not 0.0 <= alpha_max < math.inf or not step > 0.0:
+        raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
+    last = (alpha_max + 1e-9) / step
+    if not last < MAX_GRID_POINTS:
+        raise ParameterError(f"alpha_step={step} makes over {MAX_GRID_POINTS} grid points")
+    return math.floor(last) + 1
 
 
 def _simplex_divisions(step: float) -> int:
     """How many steps of ``step`` make 1; an error unless ``step`` divides 1."""
-    n = round(1.0 / step) if 0.0 < step <= 1.0 else 0
+    n = 1.0 / step if 0.0 < step <= 1.0 else 0.0
+    if (n + 1) * (n + 2) / 2 > MAX_GRID_POINTS:  # the grid's point count
+        raise ParameterError(f"simplex_step={step} makes over {MAX_GRID_POINTS} grid points")
+    n = round(n)
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ParameterError(f"simplex_step={step} must lie in (0, 1] and divide 1")
     return n
@@ -91,6 +105,9 @@ class ExperimentConfig:
         labels = [spec.label() for spec in self.strategies]
         if len(set(labels)) != len(labels):
             raise ParameterError(f"strategy labels must be distinct, got {labels}")
+        for spec in self.strategies:  # SimConfig checks what each strategy needs
+            if spec is not self.sim.strategy:  # checked when self.sim was made
+                replace(self.sim, strategy=spec)
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -122,12 +139,7 @@ def replicate(sim_template, specs, base_seed, replications):
     drawn once into a SharedRateSource, and every strategy runs on those
     same flows and rates, so only one seed's flows are alive at a time.
     """
-    templates = []
-    for spec in specs:
-        try:
-            templates.append(replace(sim_template, strategy=spec))
-        except CapabilityError as err:
-            raise CapabilityError(f"strategy {spec.label()}: {err}") from err
+    templates = [replace(sim_template, strategy=spec) for spec in specs]
     reports = [[] for _ in templates]
     for i in range(replications):
         workload = replace(sim_template.workload, seed=base_seed + i)
@@ -161,8 +173,7 @@ def default_alpha_grid(
     alpha_max: float = SweepSpec.alpha_max, step: float = SweepSpec.alpha_step
 ) -> tuple[float, ...]:
     """Multiples of ``step`` from 0 up to the last one not above ``alpha_max``."""
-    n = math.floor((alpha_max + 1e-9) / step)
-    return tuple(round(i * step, 12) for i in range(n + 1))
+    return tuple(round(i * step, 12) for i in range(_alpha_points(alpha_max, step)))
 
 
 def simplex_grid(
@@ -318,15 +329,12 @@ def experiment_to_dict(config: ExperimentConfig) -> dict:
 def experiment_from_dict(data) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config file.
 
-    The file holds the sim template's sections at its top level, the horizon
-    outside ``workload``, and ``seed`` as an alias of ``base_seed``.  Omitted
-    values take the dataclass defaults, and omitted strategies the ranking
-    lineup; an empty list is rejected.  The template's strategy is the first
-    listed one.
+    The file holds the sim template's sections at its top level and the
+    horizon outside ``workload``.  Omitted values take the dataclass
+    defaults, and omitted strategies the ranking lineup; an empty list is
+    rejected.  The template's strategy is the first listed one.
     """
     top = _section(data, "config", ("sim",))
-    if "seed" in top:
-        top["base_seed"] = top.pop("seed")
     workload = _section(top.pop("workload", {}), "config.workload", ("horizon", "seed"))
     if "horizon" in top:
         workload["horizon"] = _scalar(int, top.pop("horizon"), "config.horizon")

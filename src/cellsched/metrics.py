@@ -105,3 +105,23 @@ def aggregate(reports) -> AggregateReport:
         completed_total=sum(r.completed for r in reports),
         unfinished_total=sum(r.unfinished for r in reports),
     )
+
+
+@dataclass(frozen=True)
+class PairedReport:
+    """Mean, sample std and t statistic of the per-seed logALPT differences a - b."""
+
+    log_alpt_mean: float
+    log_alpt_std: float
+    t: float
+    replications: int
+
+
+def paired(a, b) -> PairedReport:
+    """Compare two strategies' reports seed by seed; with std 0, t is +/-inf or 0.0."""
+    if len(a) != len(b) or len(a) < 2:
+        raise AggregationError(f"need 2+ paired replications, got {len(a)} and {len(b)}")
+    d = [x.log_alpt - y.log_alpt for x, y in zip(a, b)]
+    mean, std = statistics.fmean(d), statistics.stdev(d)
+    t = mean / (std / math.sqrt(len(d))) if std else (mean * math.inf if mean else 0.0)
+    return PairedReport(mean, std, t, len(d))

@@ -109,7 +109,7 @@ class SimConfig:
             raise ParameterError(f"horizon={self.workload.horizon} must be positive")
         if self.strategy.uses_buffer and self.buffer.mode != BUFFER_TCP_REFILL:
             raise CapabilityError(
-                "sectf reads the station buffer; it needs buffer mode 'tcp-refill'"
+                f"strategy {self.strategy.label()} needs buffer mode 'tcp-refill'"
             )
 
     @property
@@ -242,6 +242,13 @@ def run_simulation(
     """
     if flows is None:
         flows = generate_workload(config.workload)
+    horizon = config.workload.horizon
+    late = next((spec for spec in flows if spec.arrival_slot >= horizon), None)
+    if late is not None:
+        raise SchedulingError(
+            f"flow {late.id} arrives at slot {late.arrival_slot}, "
+            f"not before the horizon {horizon}"
+        )
     if rate_source is None:
         rate_source = ChannelRateSource(config.workload.seed, config.channel)
     choice_rng = seeding.stream(config.workload.seed, seeding.CHOICE_STREAM)
@@ -249,7 +256,6 @@ def run_simulation(
     strategy = config.strategy
     model = config.buffer
     tcp = model.mode == BUFFER_TCP_REFILL
-    horizon = config.workload.horizon
     hard_stop = horizon + _DRAIN_SLACK
 
     active: dict[int, FlowState] = {}
@@ -292,12 +298,6 @@ def run_simulation(
             trace.append(TraceEvent(t, chosen, transfer, active_count))
         t += 1
 
-    if next_pending < pending_count:
-        spec = flows[next_pending]
-        raise SchedulingError(
-            f"flow {spec.id} arrives at slot {spec.arrival_slot}, "
-            f"not before the horizon {horizon}"
-        )
     return SimResult(
         records=tuple(records),
         unfinished=len(active),

@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 import random
-import statistics
 import time
 
 from scipy.integrate import quad
@@ -38,6 +37,7 @@ from cellsched import (
     sweep_probabilistic,
 )
 from cellsched.experiments import replicate
+from cellsched.metrics import paired
 from cellsched.strategies import compute_index, select_client
 
 from conftest import FixedRateSource, make_flow, make_view
@@ -114,28 +114,22 @@ def test_criterion_02_linear_sweep_boundary():
         for alpha in ALPHAS
     ]
     reports = replicate(config.sim, specs, config.base_seed, config.replications)
-    scores = dict(zip(ALPHAS, ([r.log_alpt for r in rs] for rs in reports)))
-
-    def diffs(a, b):
-        return [x - y for x, y in zip(scores[a], scores[b])]
-
-    def mean_and_t(d):
-        mean = statistics.fmean(d)
-        return mean, mean / (statistics.stdev(d) / math.sqrt(len(d)))
-
-    gains = {alpha: mean_and_t(diffs(alpha, 0.0)) for alpha in ALPHAS[1:]}
-    beats_zero = all(t >= 3.0 for _, t in gains.values())
+    scores = dict(zip(ALPHAS, reports))
+    gains = {alpha: paired(scores[alpha], scores[0.0]) for alpha in ALPHAS[1:]}
+    beats_zero = all(gain.t >= 3.0 for gain in gains.values())
     # flat: no two alpha > 0 differ by a tenth of the smallest gain over alpha = 0
     spread = max(
-        abs(statistics.fmean(diffs(a, b)))
+        abs(paired(scores[a], scores[b]).log_alpt_mean)
         for a, b in itertools.combinations(ALPHAS[1:], 2)
     )
-    bound = 0.1 * min(mean for mean, _ in gains.values())
+    bound = 0.1 * min(gain.log_alpt_mean for gain in gains.values())
     report(
         2,
         beats_zero and spread <= bound,
         "paired gain over alpha=0 on seeds 1-20 (mean, t): "
-        + ", ".join(f"alpha={a:g} {m:+.4f} t={t:.1f}" for a, (m, t) in gains.items())
+        + ", ".join(
+            f"alpha={a:g} {g.log_alpt_mean:+.4f} t={g.t:.1f}" for a, g in gains.items()
+        )
         + f" (required t >= 3); spread among alpha>0 {spread:.5f} vs bound "
         f"{bound:.5f}; former claim (optimum at alpha=0) refuted",
     )

@@ -182,6 +182,30 @@ class TestErrors:
         assert "error: config.sweep: simplex_step=0.3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize(
+        "sweep, field",
+        [({"alpha_step": 1e-12}, "alpha_step=1e-12"),
+         ({"simplex_step": 1e-6}, "simplex_step=1e-06"),
+         ({"simplex_step": 5e-324}, "simplex_step=5e-324")],
+    )
+    def test_sweep_grids_are_bounded(self, tmp_path, capsys, command, sweep, field):
+        # the loader counts either grid, without building it, whichever subcommand runs
+        code, out = run_cli(tmp_path, command, extra={"sweep": sweep})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: config.sweep: {field} makes over 10000 grid points" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_strategy_is_checked_on_load(self, tmp_path, capsys, command):
+        # sectf reads the station buffer, which the default infinite buffer lacks
+        code, out = run_cli(tmp_path, command, extra={"strategies": ["tas", "sectf"]})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: strategy sectf needs buffer mode 'tcp-refill'" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2

@@ -172,8 +172,8 @@ class TestScoring:
         assert row.score.replications == 3
 
     def test_capability_error_carries_label(self):
-        config = tiny_config(strategies=(StrategySpec(kind="sectf"),))
         with pytest.raises(CapabilityError, match="sectf"):
+            config = tiny_config(strategies=(StrategySpec(kind="sectf"),))
             run_experiment(config)
 
     def test_run_experiment_sorts_descending(self):
@@ -458,10 +458,6 @@ class TestExperimentSerialization:
         rebuilt = experiment_from_dict(experiment_to_dict(config))
         assert rebuilt == config
 
-    def test_seed_alias(self):
-        config = experiment_from_dict({"seed": 99, "horizon": 1000})
-        assert config.base_seed == 99
-
     def test_strategy_strings_accepted(self):
         config = experiment_from_dict(
             {"horizon": 1000, "strategies": ["tas", {"kind": "TK"}]}
@@ -471,6 +467,7 @@ class TestExperimentSerialization:
     def test_unknown_keys_rejected_per_section(self):
         for payload in (
             {"mystery": 1},
+            {"seed": 99},
             {"workload": {"burst": 2}},
             {"channel": {"fading": "rayleigh"}},
             {"buffer": {"drop_policy": "tail"}},

@@ -18,6 +18,7 @@ from cellsched.metrics import (
     aggregate,
     alpt,
     log_alpt,
+    paired,
     summarize,
 )
 
@@ -147,3 +148,38 @@ class TestAggregate:
     def test_fewer_than_two_reports_rejected(self):
         with pytest.raises(AggregationError):
             aggregate([self._report(1.0)])
+
+
+class TestPaired:
+    @staticmethod
+    def _reports(*values) -> list[MetricsReport]:
+        return [MetricsReport(alpt=1.0, log_alpt=v, completed=1) for v in values]
+
+    def test_hand_case(self):
+        # differences 0.5, 1, 1: mean 5/6, std sqrt(1/12), t = mean / (std / sqrt 3) = 5
+        report = paired(self._reports(2.5, 3.0, 4.0), self._reports(2.0, 2.0, 3.0))
+        assert report.log_alpt_mean == pytest.approx(5 / 6)
+        assert report.log_alpt_std == pytest.approx(math.sqrt(1 / 12))
+        assert report.t == pytest.approx(5.0)
+        assert report.replications == 3
+
+    def test_no_spread(self):
+        a = self._reports(1.0, 2.0, 3.0)
+        assert paired(a, a).t == 0.0
+        shifted = self._reports(1.5, 2.5, 3.5)
+        assert paired(shifted, a).log_alpt_std == 0.0
+        assert paired(shifted, a).t == math.inf
+        assert paired(a, shifted).t == -math.inf
+
+    def test_swap_negates(self):
+        a, b = self._reports(1.0, 4.0, 2.0), self._reports(0.5, 3.0, 2.5)
+        ab, ba = paired(a, b), paired(b, a)
+        assert ba.log_alpt_mean == -ab.log_alpt_mean
+        assert ba.t == -ab.t
+        assert ba.log_alpt_std == ab.log_alpt_std
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (0, 0), (2, 3), (3, 2)])
+    def test_too_short_or_unequal_rejected(self, sizes):
+        a, b = (self._reports(*range(n)) for n in sizes)
+        with pytest.raises(AggregationError):
+            paired(a, b)

@@ -1,0 +1,52 @@
+"""Smoke test of ``scripts/ranking_evidence.py``, which no other test imports.
+
+The script's studies take about a minute, so only its pieces run here: the
+paired line it prints and the context manager that swaps the T and TK
+index functions.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from cellsched import strategies
+from cellsched.metrics import MetricsReport
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+import ranking_evidence  # noqa: E402
+
+
+def reports(*values) -> list[MetricsReport]:
+    return [MetricsReport(alpt=1.0, log_alpt=v, completed=1) for v in values]
+
+
+def test_print_pair_bytes(capsys):
+    # differences 0.5, 1, 1: mean 5/6, sd sqrt(1/12), t 5
+    a, b = reports(2.5, 3.0, 4.0), reports(2.0, 2.0, 3.0)
+    ranking_evidence.print_pair("a - b", a, b)
+    ranking_evidence.print_pair("a - b", a, b, digits=5)
+    assert capsys.readouterr().out == (
+        f"  {'a - b':<24} +0.8333  sd 0.2887  t    5.0\n"
+        f"  {'a - b':<24} +0.83333  sd 0.28868  t    5.0\n"
+    )
+
+
+def test_tied_pair_prints_zero_t(capsys):
+    a = reports(7.1, 7.2, 7.0)
+    ranking_evidence.print_pair("tas - tas", a, a)
+    assert capsys.readouterr().out == f"  {'tas - tas':<24} +0.0000  sd 0.0000  t    0.0\n"
+
+
+def test_never_served_first_restores_index_funcs():
+    saved = dict(strategies._INDEX_FUNCS)
+    with ranking_evidence.never_served_first():
+        assert strategies._INDEX_FUNCS["T"] is not saved["T"]
+        assert strategies._INDEX_FUNCS["TK"] is not saved["TK"]
+    assert strategies._INDEX_FUNCS == saved
+    with pytest.raises(RuntimeError), ranking_evidence.never_served_first():
+        raise RuntimeError
+    assert strategies._INDEX_FUNCS == saved

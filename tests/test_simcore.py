@@ -294,6 +294,20 @@ class TestRunSimulation:
                 sim_config(flows_horizon=10), flows=flows, rate_source=FixedRateSource()
             )
 
+    def test_late_flow_is_rejected_before_any_flow_is_admitted(self):
+        class RecordingSource(FixedRateSource):
+            def stream_for(self, flow):
+                admitted.append(flow.id)
+                return super().stream_for(flow)
+
+        admitted = []
+        flows = [make_flow(fid=0, arrival=0), make_flow(fid=1, arrival=10_000)]
+        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 10000"):
+            run_simulation(
+                sim_config(flows_horizon=100), flows=flows, rate_source=RecordingSource()
+            )
+        assert admitted == []
+
     def test_single_flow_hand_trace(self):
         config = sim_config(strategy="max_ci")
         result = run_simulation(
