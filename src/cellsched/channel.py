@@ -43,6 +43,8 @@ class ChannelConfig:
             )
         if not self.envelope_amplitude > 0.0:
             raise ParameterError("envelope_amplitude must be positive")
+        if not math.isfinite(self.envelope_freq + self.envelope_phase):
+            raise ParameterError("envelope_freq + envelope_phase must be finite")
         if self.envelope_mode not in (ENVELOPE_LITERAL, ENVELOPE_TIME_VARYING):
             raise ParameterError(f"unknown envelope_mode {self.envelope_mode!r}")
 
@@ -93,12 +95,8 @@ class FlowRateStream:
         return lo + (hi - lo) * u
 
     def skip(self, n: int) -> None:
-        """Pass over the next ``n`` draws without computing them.
-
-        ``random()`` consumes two 32-bit Mersenne Twister outputs and
-        ``getrandbits(64 * n)`` consumes 2n, so both leave the same state.
-        """
-        self._rng.getrandbits(64 * n)
+        """Pass over the next ``n`` draws without computing them."""
+        seeding.skip(self._rng, n)
 
 
 class ChannelRateSource:

@@ -44,7 +44,8 @@ from .workload import generate_workload
 def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return default_experiment_config()
-    with open(path) as handle:
+    # bytes: PyYAML detects the encoding and rejects invalid text as a YAMLError
+    with open(path, "rb") as handle:
         data = yaml.safe_load(handle)
     if not isinstance(data, (dict, type(None))):  # an empty file is the reference setup
         raise CellschedError(f"config file {path} must hold a mapping")

@@ -255,15 +255,21 @@ def _converter(tp):
 
 
 def _scalar(tp, value, where):
-    """Strings and bools pass only as themselves; numbers convert, ints exactly."""
+    """Strings and bools pass only as themselves; numbers convert, ints exactly.
+
+    A float must be finite: NaN and ±inf are rejected.
+    """
     try:
         result = tp(value)
         exact = type(value) is tp if tp in (str, bool) else not isinstance(value, bool)
+        if tp is float:
+            exact = exact and math.isfinite(result)
         if exact and (tp is not int or result == float(value)):
             return result
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ParameterError(f"{where}: {value!r} is not a valid {tp.__name__}")
+    kind = "finite float" if tp is float else tp.__name__
+    raise ParameterError(f"{where}: {value!r} is not a valid {kind}")
 
 
 def _sequence(item, value, where):
@@ -275,8 +281,9 @@ def _sequence(item, value, where):
 class _Record:
     """Decoder of one dataclass or NamedTuple; its field table is built on first use.
 
-    A value of exactly a field's type (a float for a float, a tuple for a
-    tuple, a config object for its class) is taken as decoded.
+    A value of exactly a field's type (a tuple for a tuple, a config object
+    for its class) is taken as decoded; a float always goes through
+    :func:`_scalar`, which rejects NaN and ±inf.
     """
 
     def __init__(self, cls):
@@ -290,7 +297,10 @@ class _Record:
             raise ParameterError(f"{where}: expected a mapping, got {value!r}")
         if self.convert is None:
             hints = typing.get_type_hints(self.cls)
-            self.types = {k: typing.get_origin(tp) or tp for k, tp in hints.items()}
+            self.types = {
+                k: None if tp is float else typing.get_origin(tp) or tp
+                for k, tp in hints.items()
+            }
             self.convert = {k: _converter(tp) for k, tp in hints.items()}
         types, convert = self.types, self.convert
         try:

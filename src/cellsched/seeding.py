@@ -24,3 +24,12 @@ def stream_seed(base_seed: int, tag: int, sub: int = 0) -> int:
 
 def stream(base_seed: int, tag: int, sub: int = 0) -> random.Random:
     return random.Random(stream_seed(base_seed, tag, sub))
+
+
+def skip(rng: random.Random, n: int) -> None:
+    """Advance ``rng`` past its next ``n`` ``random()`` draws without computing them.
+
+    ``random()`` consumes two 32-bit Mersenne Twister outputs and
+    ``getrandbits(64 * n)`` consumes 2n, so both leave the same state.
+    """
+    rng.getrandbits(64 * n)

@@ -1,14 +1,24 @@
 """Slot-by-slot downlink simulation of one base station.
 
-Each slot: admit arrivals, run buffer refills, reveal every active flow's
-channel rate, ask the strategy for one client, transfer min(rate, buffer)
-to it.  Each active flow has one FlowState record, which holds its channel
-stream from admission on and is what the strategy reads.  The slot loop
-visits every record once per slot and writes three fields: the slot's
-``rate``, the running ``rate_sum`` and the ``age``; the flows with buffered
-bytes go to the strategy as they are.  A flow departs on the slot after the
-transfer that empties both its buffer and its unfetched remainder;
-completed flows yield FlowRecords for the metrics layer.
+Each slot: admit arrivals, deliver the buffer refills due, reveal every
+active flow's channel rate, ask the strategy for one client, transfer
+min(rate, buffer) to it.  Each active flow has one FlowState record, which
+holds its channel stream from admission on and is what the strategy reads.
+A flow departs on the slot after the transfer that empties both its buffer
+and its unfetched remainder; completed flows yield FlowRecords for the
+metrics layer.
+
+A slot decides something only when two or more flows could be chosen, and
+only then does the loop build the eligible list and ask the strategy.
+When no flow is active, or one flow is active and has buffered bytes, the
+outcome is forced: the loop runs a tight stretch up to the next arrival or
+the horizon, or until the lone flow departs or empties its buffer, with one
+rate draw and one ``serve_slot`` call per slot and no eligible list or
+``select_client`` call.  A probabilistic strategy's choice stream still
+advances by one draw per slot, skipped in one step at the stretch's end.
+Refills are events: a serve that empties a buffer with bytes still
+unfetched queues the flow's refill for slot t + 1 + rtt, and
+``refill_buffers`` runs only on slots where one is due.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
@@ -18,6 +28,7 @@ is set to the exact file size on departure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,11 +80,13 @@ class FlowState:
     ``buffer`` holds bytes staged for transmission; ``unfetched`` holds
     bytes still at the origin server (always 0 in infinite mode), so
     ``served + buffer + unfetched == file_size`` up to accumulated float
-    rounding in ``served``.  Each slot the loop writes ``rate`` (this
-    slot's draw), adds it to ``rate_sum`` and sets ``age`` to the slots
-    since arrival, so ``rate_sum / (age + 1)`` is the running mean rate;
-    ``last_served`` feeds tie-breaking.  ``stream``, the flow's channel
-    rate stream or a replay of its recorded rates, is set at admission.
+    rounding in ``served``.  Every slot's draw is added to ``rate_sum``;
+    before the strategy reads the record the loop also writes ``rate``
+    (this slot's draw) and ``age`` (slots since arrival), so
+    ``rate_sum / (age + 1)`` is the running mean rate.  ``last_served``
+    feeds tie-breaking; ``refill_due`` is the slot a queued refill lands.
+    ``stream``, the flow's channel rate stream or a replay of its recorded
+    rates, is set at admission.
     """
 
     spec: FlowSpec
@@ -173,25 +186,21 @@ def admit_arrivals(active, t, pending, model, start, rate_source) -> int:
     return i
 
 
-def refill_buffers(active, t, model: BufferModel) -> None:
-    """Schedule refills for newly emptied buffers and deliver the ones due at t.
+def refill_buffers(waiting, t, model: BufferModel) -> None:
+    """Deliver the refills due at slot t to the records at the head of ``waiting``.
 
-    One pass: each flow is scheduled before its own delivery check, so with
-    rtt = 0 a refill lands in the same slot it was requested.  A delivery
-    adds min(window, unfetched) and doubles the window up to the cap.  A
-    record of an infinite buffer never has unfetched bytes, so nothing fires.
+    ``waiting`` holds, in due order, the records whose buffer emptied with
+    bytes still unfetched; each one's ``refill_due`` is the slot its next
+    window lands.  A delivery adds min(window, unfetched) and doubles the
+    window up to the cap.
     """
-    for state in active.values():
-        if state.buffer == 0.0 and state.unfetched > 0.0 and state.refill_due is None:
-            state.refill_due = t + model.rtt
-        if state.refill_due == t:
-            delta = min(state.congestion_window, state.unfetched)
-            state.buffer += delta
-            state.unfetched -= delta
-            state.congestion_window = min(
-                2.0 * state.congestion_window, model.max_window
-            )
-            state.refill_due = None
+    while waiting and waiting[0].refill_due == t:
+        state = waiting.popleft()
+        delta = min(state.congestion_window, state.unfetched)
+        state.buffer += delta
+        state.unfetched -= delta
+        state.congestion_window = min(2.0 * state.congestion_window, model.max_window)
+        state.refill_due = None
 
 
 def serve_slot(active, t, rate, chosen):
@@ -255,14 +264,15 @@ def run_simulation(
 
     strategy = config.strategy
     model = config.buffer
-    tcp = model.mode == BUFFER_TCP_REFILL
+    probabilistic = strategy.kind == "probabilistic"
     hard_stop = horizon + _DRAIN_SLACK
 
     active: dict[int, FlowState] = {}
+    waiting: deque[FlowState] = deque()  # tcp-refill records in refill_due order
     records = []
     trace = [] if collect_trace else None
 
-    pending_count = len(flows)
+    arrivals = [spec.arrival_slot for spec in flows] + [horizon]  # horizon: none left
     next_pending = 0
     t = 0
     while True:
@@ -273,29 +283,63 @@ def run_simulation(
                 raise SchedulingError(
                     f"drain phase still busy after {t} slots; invariant broken"
                 )
-        elif next_pending < pending_count and flows[next_pending].arrival_slot <= t:
+        elif arrivals[next_pending] <= t:
             next_pending = admit_arrivals(
                 active, t, flows, model, next_pending, rate_source
             )
-        if tcp:
-            refill_buffers(active, t, model)
+        if waiting and waiting[0].refill_due == t:
+            refill_buffers(waiting, t, model)
 
-        eligible = []
-        for state in active.values():
-            state.rate = r = state.stream.draw(t)
-            state.rate_sum += r
-            state.age = t - state.spec.arrival_slot
-            if state.buffer > 0.0:
-                eligible.append(state)
-
-        chosen = select_client(strategy, eligible, choice_rng)
-        active_count = len(active)
-        rate = active[chosen].rate if chosen in active else 0.0
-        record, transfer = serve_slot(active, t, rate, chosen)
+        state = record = None
+        if len(active) == 1:
+            (state,) = active.values()
+        if not active or state is not None and state.buffer > 0.0:
+            # A forced stretch: no flow, or one flow with buffered bytes, is
+            # served without a decision until a flow arrives or the lone flow
+            # departs or empties its buffer.
+            start = t
+            stop = arrivals[next_pending] if t < horizon else hard_stop
+            if state is None:
+                for t in range(start, stop):
+                    serve_slot(active, t, 0.0, None)
+                    if trace is not None:
+                        trace.append(TraceEvent(t, None, 0.0, 0))
+            else:
+                chosen = state.spec.id
+                draw = state.stream.draw
+                rate_sum = state.rate_sum
+                for t in range(start, stop):
+                    rate_sum += (rate := draw(t))
+                    record, transfer = serve_slot(active, t, rate, chosen)
+                    if trace is not None:
+                        trace.append(TraceEvent(t, chosen, transfer, 1))
+                    if state.buffer == 0.0:
+                        break
+                state.rate_sum = rate_sum
+            if probabilistic:
+                seeding.skip(choice_rng, t + 1 - start)
+        else:
+            eligible = []
+            for flow in active.values():
+                flow.rate = r = flow.stream.draw(t)
+                flow.rate_sum += r
+                flow.age = t - flow.spec.arrival_slot
+                if flow.buffer > 0.0:
+                    eligible.append(flow)
+            chosen = None
+            if eligible or probabilistic:
+                chosen = select_client(strategy, eligible, choice_rng)
+            active_count = len(active)
+            state = active.get(chosen)
+            rate = state.rate if state is not None else 0.0
+            record, transfer = serve_slot(active, t, rate, chosen)
+            if trace is not None:
+                trace.append(TraceEvent(t, chosen, transfer, active_count))
         if record is not None:
             records.append(record)
-        if trace is not None:
-            trace.append(TraceEvent(t, chosen, transfer, active_count))
+        elif state is not None and state.buffer == 0.0:
+            state.refill_due = t + 1 + model.rtt
+            waiting.append(state)
         t += 1
 
     return SimResult(

@@ -4,7 +4,10 @@
 unmodified package (``serve_slot`` counts slots, ``SimConfig.horizon`` marks
 drain slots).  A refactor that inlines or renames one of them makes every
 traced benchmark run fail or silently read 0; this test runs the
-benchmark's instruments on a tiny library run and a tiny CLI run.
+benchmark's instruments on two tiny library runs and a tiny CLI run.  The
+second library run passes through idle and single-flow stretches with a
+probabilistic strategy, where the slot loop skips the decision but still
+calls ``serve_slot`` once per slot.
 """
 
 from __future__ import annotations
@@ -28,11 +31,23 @@ OFF_PATH = {"experiments.sweep_probabilistic"}
 
 def test_instruments_see_every_patched_name(tmp_path):
     tracer, counter, timer = Tracer(), SlotCounter(), RunTimer()
-    config = SimConfig(
-        workload=WorkloadConfig(arrival_rate=0.3, horizon=40, seed=5),
-        strategy=StrategySpec(kind="pf"),
-        buffer=BufferModel(mode="tcp-refill", rtt=2, initial_window=50.0),
+    mixture = StrategySpec(
+        kind="probabilistic",
+        children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
+        weights=(0.5, 0.5),
     )
+    configs = [
+        SimConfig(
+            workload=WorkloadConfig(arrival_rate=0.3, horizon=40, seed=5),
+            strategy=StrategySpec(kind="pf"),
+            buffer=BufferModel(mode="tcp-refill", rtt=2, initial_window=50.0),
+        ),
+        # sparse arrivals: idle and single-flow stretches between contended slots
+        SimConfig(
+            workload=WorkloadConfig(arrival_rate=0.05, horizon=300, seed=3),
+            strategy=mixture,
+        ),
+    ]
     config_path = tmp_path / "config.yaml"
     config_path.write_text(
         json.dumps({"horizon": 200, "replications": 2, "strategies": ["tas", "T"]})
@@ -42,10 +57,14 @@ def test_instruments_see_every_patched_name(tmp_path):
     with contextlib.ExitStack() as stack:
         for instrument in (tracer, counter, timer):
             stack.enter_context(instrument.installed())
-        result = simcore.run_simulation(config, collect_trace=True)
-        slots = len(result.trace)
-        assert counter.slots == slots
-        assert tracer.layer_metrics()["simcore.slots"] == (slots, "count")
+        slots = 0
+        for config in configs:
+            trace = simcore.run_simulation(config, collect_trace=True).trace
+            slots += len(trace)
+            assert counter.slots == slots
+            assert tracer.layer_metrics()["simcore.slots"] == (slots, "count")
+        active_counts = {e.active_count for e in trace}
+        assert {0, 1} < active_counts
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
 

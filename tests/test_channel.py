@@ -209,17 +209,6 @@ class TestSharedRateSource:
         self.read(source.stream_for(third), third, 0, 10)
         assert seeded == [first, second, third] and seeded[2] is third
 
-    def test_skip_leaves_the_stream_where_draws_would(self):
-        flow = make_flow(fid=2, mean_rate=50.0)
-        config = ChannelConfig()
-        for n in (0, 1, 2, 37):
-            drawn = FlowRateStream(8, flow, config)
-            skipped = FlowRateStream(8, flow, config)
-            for _ in range(n):
-                drawn.draw(0)
-            skipped.skip(n)
-            assert skipped.draw(0) == drawn.draw(0)
-
 
 class TestFixedRateSource:
     def test_constant_and_per_flow_rates(self):

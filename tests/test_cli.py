@@ -174,6 +174,29 @@ class TestErrors:
         assert main(["sweep-linear", "--config", str(path)]) == 2
         assert "error: config.sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [("channel: {envelope_freq: .inf}", "config.channel.envelope_freq"),
+         ("channel: {envelope_freq: 1.0e+308, envelope_phase: 1.0e+308}",
+          "config.channel: envelope_freq + envelope_phase"),
+         ("channel: {envelope_phase: .nan}", "config.channel.envelope_phase"),
+         ("channel: {envelope_amplitude: .inf}", "config.channel.envelope_amplitude"),
+         ("channel: {hi_coeff: .inf}", "config.channel.hi_coeff"),
+         ("workload: {rate_hi_mult: .inf}", "config.workload.rate_hi_mult"),
+         ("workload: {arrival_rate: .inf}", "config.workload.arrival_rate"),
+         ("workload: {size_mixture: {components: [{weight: 1.0, scale_kb: .inf}]}}",
+          "config.workload.size_mixture.components[0].scale_kb"),
+         ("buffer: {mode: tcp-refill, max_window: -.inf}", "config.buffer.max_window")],
+    )
+    def test_floats_must_be_finite(self, tmp_path, capsys, text, field):
+        # a non-finite float would give NaN or infinite rates, or a math error
+        path = tmp_path / "config.yaml"
+        path.write_text(text + "\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_simplex_step_must_divide_one(self, tmp_path, capsys, command):
         # the loader checks the sweep section whichever subcommand reads it
@@ -205,6 +228,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error: strategy sectf needs buffer mode 'tcp-refill'" in err
         assert not out.exists()
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"horizon: 5\n\xc3\x28\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: unacceptable character" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])

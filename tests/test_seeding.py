@@ -8,6 +8,7 @@ from cellsched.seeding import (
     CHANNEL_STREAM,
     CHOICE_STREAM,
     WORKLOAD_STREAM,
+    skip,
     stream,
     stream_seed,
 )
@@ -38,3 +39,13 @@ def test_different_keys_diverge():
         rng = stream(base, tag, sub)
         draws[(base, tag, sub)] = tuple(rng.random() for _ in range(4))
     assert len(set(draws.values())) == len(draws)
+
+
+def test_skip_leaves_the_stream_where_draws_would():
+    for n in (0, 1, 2, 37):
+        drawn = stream(8, CHANNEL_STREAM, 2)
+        skipped = stream(8, CHANNEL_STREAM, 2)
+        for _ in range(n):
+            drawn.random()
+        skip(skipped, n)
+        assert skipped.random() == drawn.random()

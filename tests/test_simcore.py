@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from cellsched import (
     WorkloadConfig,
     run_simulation,
 )
-from cellsched import simcore
+from cellsched import seeding, simcore
 from cellsched.errors import CapabilityError, SchedulingError
 from cellsched.simcore import admit_arrivals, make_flow_state, refill_buffers, serve_slot
 
@@ -154,55 +155,85 @@ class TestAdmitArrivals:
             admit_arrivals(active, 0, pending, INFINITE, 0, FixedRateSource())
 
 
+def _waiting(state, due: int) -> deque:
+    """A refill queue holding ``state``, emptied and due at slot ``due``."""
+    state.buffer = 0.0
+    state.refill_due = due
+    return deque([state])
+
+
+def _lone_run(monkeypatch, model, size=500.0, rate=100.0):
+    """Trace of one flow alone at a fixed rate, and the slots refill_buffers ran on."""
+    calls = []
+    refill = simcore.refill_buffers
+
+    def spy(waiting, t, model):
+        calls.append(t)
+        return refill(waiting, t, model)
+
+    monkeypatch.setattr(simcore, "refill_buffers", spy)
+    result = run_simulation(
+        sim_config(flows_horizon=10, buffer=model),
+        flows=[make_flow(size=size)],
+        rate_source=FixedRateSource(rate),
+        collect_trace=True,
+    )
+    return [(e.chosen_id, e.transfer) for e in result.trace], calls
+
+
 class TestRefillBuffers:
-    def test_infinite_mode_is_noop(self):
-        state = make_flow_state(make_flow(size=500.0), INFINITE)
-        state.buffer = 0.0
-        refill_buffers({0: state}, 4, INFINITE)
-        assert state.refill_due is None
+    def test_infinite_mode_is_noop(self, monkeypatch):
+        # a serve empties an infinite buffer only with the file, so no refill
+        # is ever due: refill_buffers is never called and no slot waits
+        trace, calls = _lone_run(monkeypatch, INFINITE, size=500.0, rate=40.0)
+        assert calls == []
+        assert trace == [(0, 40.0)] * 12 + [(0, 20.0)]
 
-    def test_nonempty_buffer_untouched(self):
+    def test_nonempty_buffer_untouched(self, monkeypatch):
+        # the flow is served from its first window with no wait until it empties
+        trace, calls = _lone_run(monkeypatch, TCP, size=500.0, rate=40.0)
+        assert trace[:4] == [(0, 40.0), (0, 40.0), (0, 20.0), (None, 0.0)]
+        assert calls[0] == 3 + TCP.rtt
+        # a record that is not due yet stays queued, its buffer as it was
         state = make_flow_state(make_flow(size=500.0), TCP)
-        refill_buffers({0: state}, 4, TCP)
-        assert state.refill_due is None and state.buffer == 100.0
+        waiting = _waiting(state, 5)
+        refill_buffers(waiting, 4, TCP)
+        assert list(waiting) == [state] and state.buffer == 0.0
 
-    def test_schedules_then_delivers_after_rtt(self):
+    def test_schedules_then_delivers_after_rtt(self, monkeypatch):
+        # the serve at t=0 empties the window; the refill lands rtt slots
+        # after the next slot, and refill_buffers runs only on due slots
+        trace, calls = _lone_run(monkeypatch, TCP, size=500.0, rate=100.0)
+        assert trace[:32] == [(0, 100.0)] + [(None, 0.0)] * 30 + [(0, 100.0)]
+        assert calls == [31, 62, 94]
         state = make_flow_state(make_flow(size=500.0), TCP)
-        state.buffer = 0.0
-        refill_buffers({0: state}, 7, TCP)
-        assert state.refill_due == 37
-        for t in range(8, 37):
-            refill_buffers({0: state}, t, TCP)
-            assert state.buffer == 0.0
-        refill_buffers({0: state}, 37, TCP)
+        waiting = _waiting(state, 37)
+        refill_buffers(waiting, 37, TCP)
         assert state.buffer == 100.0
         assert state.unfetched == 300.0
         assert state.congestion_window == 200.0  # doubled for the next cycle
-        assert state.refill_due is None
+        assert state.refill_due is None and not waiting
 
-    def test_zero_rtt_delivers_same_slot(self):
+    def test_zero_rtt_delivers_same_slot(self, monkeypatch):
+        # with rtt = 0 the refill lands on the slot after the emptying serve,
+        # so the flow never waits
         model = replace(TCP, rtt=0)
-        state = make_flow_state(make_flow(size=500.0), model)
-        state.buffer = 0.0
-        refill_buffers({0: state}, 9, model)
-        assert state.buffer == 100.0
+        trace, calls = _lone_run(monkeypatch, model, size=500.0, rate=100.0)
+        assert trace[:6] == [(0, 100.0)] * 5 + [(None, 0.0)]
+        assert calls == [1, 2, 4]
 
     def test_window_clamps_at_remaining_bytes(self):
         state = make_flow_state(make_flow(size=110.0), TCP)
-        state.buffer = 0.0
         state.served = 100.0
         state.unfetched = 10.0
-        refill_buffers({0: state}, 0, TCP)
-        refill_buffers({0: state}, 30, TCP)
+        refill_buffers(_waiting(state, 30), 30, TCP)
         assert state.buffer == 10.0 and state.unfetched == 0.0
 
     def test_window_saturates_at_max(self):
         state = make_flow_state(make_flow(size=10_000.0), TCP)
         for cycle, expected_window in enumerate((200.0, 400.0, 400.0)):
-            state.buffer = 0.0
             t = cycle * 1000
-            refill_buffers({0: state}, t, TCP)
-            refill_buffers({0: state}, t + TCP.rtt, TCP)
+            refill_buffers(_waiting(state, t + TCP.rtt), t + TCP.rtt, TCP)
             assert state.congestion_window == expected_window
 
 
@@ -239,18 +270,22 @@ class TestServeSlot:
 
     def test_idle_slot_still_updates_rate_history(self, monkeypatch):
         # t=0 empties the first window; slots 1-3 wait out the rtt with no
-        # eligible flow, so nobody is served; the refill lands at t=4
+        # eligible flow, so nobody is served; the refill lands at t=4, when
+        # flow 1 arrives and the strategy has two flows to choose from
         model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=10.0)
         views = _spy_views(monkeypatch)
         result = run_simulation(
             sim_config(flows_horizon=10, strategy="max_ci", buffer=model),
-            flows=[make_flow(fid=0, arrival=0, size=20.0)],
-            rate_source=_SquareRateSource({0: 10.0}),
+            flows=[
+                make_flow(fid=0, arrival=0, size=20.0),
+                make_flow(fid=1, arrival=4, size=5.0),
+            ],
+            rate_source=_SquareRateSource({0: 10.0, 1: 1.0}),
             collect_trace=True,
         )
         assert [e.chosen_id for e in result.trace[:5]] == [0, None, None, None, 0]
         # rates 10, 11, 14, 19, 26: the idle slots' draws are in the mean
-        assert views[4] == {0: 16.0}
+        assert views[4][0] == 16.0 and set(views[4]) == {0, 1}
 
     def test_unserved_flows_accumulate_rate_history(self, monkeypatch):
         views = _spy_views(monkeypatch)
@@ -472,6 +507,35 @@ class TestRunSimulation:
         )
         config = sim_config(flows_horizon=1200, strategy=spec)
         assert run_simulation(config).records == run_simulation(config).records
+
+    def test_probabilistic_choice_draws_one_uniform_per_slot(self):
+        # idle 0-2; flow 0 alone at 3, waits out its refill in 4-5 and
+        # departs after 6; idle 7-11; flow 1 alone at 12; from 13 flows 1
+        # and 2 contend: max_ci serves flow 1 (rate 2 > 1), round_robin the
+        # younger flow 2
+        spec = StrategySpec(
+            kind="probabilistic",
+            children=(StrategySpec(kind="max_ci"), StrategySpec(kind="round_robin")),
+            weights=(0.5, 0.5),
+        )
+        model = BufferModel(mode="tcp-refill", rtt=2, initial_window=100.0)
+        result = run_simulation(
+            sim_config(flows_horizon=40, strategy=spec, buffer=model,
+                       drain_after_horizon=False),
+            flows=[
+                make_flow(fid=0, arrival=3, size=150.0),
+                make_flow(fid=1, arrival=12, size=1e6),
+                make_flow(fid=2, arrival=13, size=1e6),
+            ],
+            rate_source=FixedRateSource(per_flow={0: 100.0, 1: 2.0, 2: 1.0}),
+            collect_trace=True,
+        )
+        rng = seeding.stream(1, seeding.CHOICE_STREAM)
+        draws = [rng.random() for _ in range(40)]
+        expected = [None] * 3 + [0, None, None, 0] + [None] * 5 + [1]
+        expected += [1 if u < 0.5 else 2 for u in draws[13:]]
+        assert [e.chosen_id for e in result.trace] == expected
+        assert {1, 2} <= set(expected[13:])
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10**6),
