@@ -9,7 +9,7 @@ the number of pairs the change won.  Standard library only.
 
 Run from the repository root (about 25 minutes for the default plan):
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --seed 61 --seconds 20 \\
+    python3 scripts/bench_pairs.py PARENT CHANGE --seed 113 --seconds 20 \\
         --plan reference_ranking=10 loaded_sweep=5 short_runs=5 --out BENCH_13.json
 """
 
@@ -28,6 +28,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 FIRST_SIDE = "parent on odd pairs, change on even pairs"
 COMMAND = "python3 bench/run.py --workload W --seed S --seconds T --trace 0|1"
+# --seconds lengthens only the untraced cycles, so a short traced run suffices
+TRACE_SECONDS = 5.0
 _DIGEST = re.compile(r"^sim_digest: (\S+)", re.MULTILINE)
 
 
@@ -35,7 +37,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     """The result line of one benchmark run, with the run's ``sim_digest`` added."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -89,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--plan", nargs="+", required=True, metavar="WORKLOAD=N",
                         help="workload and its number of pairs")
-    parser.add_argument("--trace-seconds", type=float, default=5.0)
     parser.add_argument("--description", default="")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
         "command": COMMAND,
         "seed": args.seed,
         "seconds": args.seconds,
-        "trace_seconds": args.trace_seconds,
+        "trace_seconds": TRACE_SECONDS,
         "pairs": {},
         "trace": {},
     }
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
                   f"{pair[1]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
         doc["pairs"][workload] = summarize(pairs, better)
         doc["trace"][workload] = {
-            name: run_bench(checkout, workload, args.seed, args.trace_seconds, 1)
+            name: run_bench(checkout, workload, args.seed, TRACE_SECONDS, 1)
             for name, checkout in zip(SIDES, checkouts)
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # keep what is done

@@ -162,7 +162,7 @@ def _waiting(state, due: int) -> deque:
     return deque([state])
 
 
-def _lone_run(monkeypatch, model, size=500.0, rate=100.0):
+def _lone_run(monkeypatch, model, size, rate):
     """Trace of one flow alone at a fixed rate, and the slots refill_buffers ran on."""
     calls = []
     refill = simcore.refill_buffers
