@@ -4,8 +4,10 @@ PARENT and CHANGE are two checkouts of this repository.  For each workload
 the script runs ``bench/run.py`` in both checkouts, N pairs of runs with the
 parent first on odd pairs and the change first on even pairs, then one
 ``--trace 1`` run on each side.  It writes every result line and, per
-workload and end-to-end metric, each side's runs, median and quartiles and
-the number of pairs the change won.  Standard library only.
+workload and end-to-end metric, each side's runs, median and quartiles, the
+number of pairs the change won, the change of the median in percent and a
+verdict against the metric's relative ``bound`` in BENCHMARK.json.
+Standard library only.
 
 Run from the repository root (about 25 minutes for the default plan):
 
@@ -54,20 +56,40 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def verdict(parent: dict, change: dict, better: str, bound: float) -> str:
+    """"unresolved" when the parent's quartiles lie further apart than ``bound``
+    (relative to its median) and not every change run beats every parent run;
+    otherwise "within bound" when the median got worse by at most ``bound``,
+    else "outside bound".
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    spread = (parent["q3"] - parent["q1"]) / abs(parent["median"])
+    beats_all = min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])
+    if spread > bound and not beats_all:
+        return "unresolved"
+    worse = sign * (parent["median"] - change["median"]) / abs(parent["median"])
+    return "within bound" if worse <= bound else "outside bound"
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     """Summary of alternated (parent, change) result lines of one workload.
 
-    ``better`` maps each end-to-end metric to "lower" or "higher".  A pair
-    counts for the change only when it is strictly better; ties count for
-    neither side.
+    ``metrics`` maps each end-to-end metric to its BENCHMARK.json entry,
+    which gives ``better`` ("lower" or "higher") and the relative ``bound``.
+    A pair counts for the change only when it is strictly better; ties count
+    for neither side.
     """
     summary = {"pairs": len(pairs), "first_side": FIRST_SIDE}
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
         values = [[side["metrics"][metric]["value"] for side in pair] for pair in pairs]
-        sign = -1.0 if direction == "lower" else 1.0
+        sign = -1.0 if spec["better"] == "lower" else 1.0
+        parent, change = (_spread([v[i] for v in values]) for i in range(len(SIDES)))
         summary[metric] = {
-            **{name: _spread([v[i] for v in values]) for i, name in enumerate(SIDES)},
+            "parent": parent,
+            "change": change,
             "change_better_pairs": sum(sign * (c - p) > 0.0 for p, c in values),
+            "median_change_pct": 100.0 * (change["median"] / parent["median"] - 1.0),
+            "verdict": verdict(parent, change, spec["better"], spec["bound"]),
         }
     for key in ("failed", "attempted"):
         summary[key] = {name: sum(pair[i][key] for pair in pairs)
@@ -97,7 +119,7 @@ def main(argv=None) -> int:
 
     checkouts = (args.parent, args.change)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     plan = {}
     for item in args.plan:
         name, _, count = item.partition("=")
@@ -128,7 +150,7 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k + 1}/{count}: wall_s "
                   f"{pair[0]['metrics']['wall_s']['value']:.4g} -> "
                   f"{pair[1]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
-        doc["pairs"][workload] = summarize(pairs, better)
+        doc["pairs"][workload] = summarize(pairs, metrics)
         doc["trace"][workload] = {
             name: run_bench(checkout, workload, args.seed, TRACE_SECONDS, 1)
             for name, checkout in zip(SIDES, checkouts)

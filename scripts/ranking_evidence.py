@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import math
 
-from cellsched import StrategySpec, default_experiment_config, simplex_grid, strategies
+from cellsched import StrategySpec, experiment_from_dict, strategies
 from cellsched.experiments import RANKING_KINDS, replicate
 from cellsched.metrics import aggregate, paired
 
@@ -50,7 +50,7 @@ def print_pair(name, a, b, digits=4):
 
 
 def ranking_block(base_seed):
-    config = default_experiment_config(base_seed=base_seed)
+    config = experiment_from_dict({"base_seed": base_seed})
     specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
     scores = dict(zip(RANKING_KINDS, per_seed(config, specs)))
     aggs = {k: aggregate(v) for k, v in scores.items()}
@@ -67,9 +67,9 @@ def ranking_block(base_seed):
 
 
 def mixture_surface():
-    config = default_experiment_config(horizon=10_000, replications=5)
+    config = experiment_from_dict({"horizon": 10_000, "replications": 5})
     children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
-    grid = simplex_grid(0.1)
+    grid = config.sweep.simplex_grid  # simplex_step 0.1
     specs = [
         StrategySpec(kind="probabilistic", children=children, weights=p) for p in grid
     ]
@@ -106,7 +106,7 @@ def never_served_first():
 
 
 def never_served_alternative():
-    config = default_experiment_config(horizon=30_000, replications=5)
+    config = experiment_from_dict({"horizon": 30_000, "replications": 5})
     kinds = ("T", "TK", "tas")
     specs = [StrategySpec(kind=k) for k in kinds]
     as_documented = dict(zip(kinds, per_seed(config, specs)))
@@ -123,7 +123,7 @@ def never_served_alternative():
 
 
 def linear_alphas():
-    config = default_experiment_config(horizon=20_000, replications=20)
+    config = experiment_from_dict({"horizon": 20_000, "replications": 20})
     alphas = (0.0, 0.5, 1.0, 2.0)
     tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
     specs = [

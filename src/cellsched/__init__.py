@@ -13,11 +13,9 @@ from .errors import CellschedError, ParameterError
 from .experiments import (
     ExperimentConfig,
     SweepSpec,
-    default_experiment_config,
     experiment_from_dict,
     experiment_to_dict,
     run_experiment,
-    simplex_grid,
     sweep_linear,
     sweep_probabilistic,
 )
@@ -38,13 +36,11 @@ __all__ = [
     "StrategySpec",
     "SweepSpec",
     "WorkloadConfig",
-    "default_experiment_config",
     "experiment_from_dict",
     "experiment_to_dict",
     "generate_workload",
     "run_experiment",
     "run_simulation",
-    "simplex_grid",
     "sweep_linear",
     "sweep_probabilistic",
 ]

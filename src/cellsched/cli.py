@@ -24,7 +24,6 @@ import yaml
 from .errors import CellschedError
 from .experiments import (
     ExperimentConfig,
-    default_experiment_config,
     experiment_from_dict,
     git_blob_sha1,
     run_experiment,
@@ -43,7 +42,7 @@ from .workload import generate_workload
 
 def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
-        return default_experiment_config()
+        return experiment_from_dict({})
     # bytes: PyYAML detects the encoding and rejects invalid text as a YAMLError
     with open(path, "rb") as handle:
         data = yaml.safe_load(handle)
@@ -60,9 +59,9 @@ def apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 def _emit(config: ExperimentConfig, name: str, filename: str, write, rows) -> Path:
     """Write ``rows`` to <out>/``filename`` with ``write``, then the manifest beside it.
 
-    <out> is the config's output directory (default ``results``); returns the CSV path.
+    <out> is the config's output directory; returns the CSV path.
     """
-    out = Path(config.output if config.output is not None else "results")
+    out = Path(config.output)
     data = write(out / filename, rows)
     write_manifest(out, name, config, {filename: git_blob_sha1(data)})
     return out / filename

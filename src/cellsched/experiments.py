@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .metrics import AggregateReport, aggregate, summarize
 from .simcore import SimConfig, run_simulation
 from .strategies import OWNED_PARAMS, StrategySpec
-from .workload import WorkloadConfig, generate_workload
+from .workload import generate_workload
 
 TABLE_HEADER = (
     "strategy",
@@ -50,7 +50,7 @@ MAX_GRID_POINTS = 10_000  # of either sweep grid; the defaults have 21 and 66
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grids of both sweeps: each sweep reads its own fields, whatever ``kind`` says."""
+    """Grids of both sweeps: each sweep reads its own grid, whatever ``kind`` says."""
 
     kind: str = "linear"  # "linear" | "probabilistic"; echoed, selects nothing
     alpha_max: float = 2.0
@@ -60,29 +60,32 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "probabilistic"):
             raise ParameterError(f"unknown sweep kind {self.kind!r}")
-        _alpha_points(self.alpha_max, self.alpha_step)
-        _simplex_divisions(self.simplex_step)
+        self.alpha_grid, self.simplex_grid  # built and checked on loading
 
+    @functools.cached_property
+    def alpha_grid(self) -> tuple[float, ...]:
+        """Multiples of ``alpha_step`` from 0 up to the last one not above ``alpha_max``."""
+        step = self.alpha_step
+        if not 0.0 <= self.alpha_max < math.inf or not step > 0.0:
+            raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
+        last = (self.alpha_max + 1e-9) / step
+        if not last < MAX_GRID_POINTS:
+            raise ParameterError(f"alpha_step={step} makes over {MAX_GRID_POINTS} grid points")
+        return tuple(round(i * step, 12) for i in range(math.floor(last) + 1))
 
-def _alpha_points(alpha_max: float, step: float) -> int:
-    """How many multiples of ``step`` lie in [0, alpha_max]; at most MAX_GRID_POINTS."""
-    if not 0.0 <= alpha_max < math.inf or not step > 0.0:
-        raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
-    last = (alpha_max + 1e-9) / step
-    if not last < MAX_GRID_POINTS:
-        raise ParameterError(f"alpha_step={step} makes over {MAX_GRID_POINTS} grid points")
-    return math.floor(last) + 1
-
-
-def _simplex_divisions(step: float) -> int:
-    """How many steps of ``step`` make 1; an error unless ``step`` divides 1."""
-    n = 1.0 / step if 0.0 < step <= 1.0 else 0.0
-    if (n + 1) * (n + 2) / 2 > MAX_GRID_POINTS:  # the grid's point count
-        raise ParameterError(f"simplex_step={step} makes over {MAX_GRID_POINTS} grid points")
-    n = round(n)
-    if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise ParameterError(f"simplex_step={step} must lie in (0, 1] and divide 1")
-    return n
+    @functools.cached_property
+    def simplex_grid(self) -> tuple[tuple[float, float, float], ...]:
+        """All three-part probability vectors on a regular grid of ``simplex_step``."""
+        step = self.simplex_step
+        n = 1.0 / step if 0.0 < step <= 1.0 else 0.0
+        if (n + 1) * (n + 2) / 2 > MAX_GRID_POINTS:  # the grid's point count
+            raise ParameterError(f"simplex_step={step} makes over {MAX_GRID_POINTS} grid points")
+        n = round(n)
+        if n < 1 or abs(n * step - 1.0) > 1e-9:
+            raise ParameterError(f"simplex_step={step} must lie in (0, 1] and divide 1")
+        return tuple(
+            (i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n + 1 - i)
+        )
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ class ExperimentConfig:
     strategies: tuple[StrategySpec, ...] = ()
     replications: int = 10
     base_seed: int = 1
-    sweep: SweepSpec | None = None
-    output: str | None = None
+    sweep: SweepSpec = SweepSpec()
+    output: str = "results"  # the directory the CSV and manifest go to
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
@@ -118,17 +121,6 @@ class ExperimentConfig:
 class StrategyScore:
     label: str
     score: AggregateReport
-
-
-def default_experiment_config(
-    base_seed: int = ExperimentConfig.base_seed,
-    replications: int = ExperimentConfig.replications,
-    horizon: int = WorkloadConfig.horizon,
-) -> ExperimentConfig:
-    """The reference setup: a config file holding only these three values."""
-    return experiment_from_dict(
-        {"base_seed": base_seed, "replications": replications, "horizon": horizon}
-    )
 
 
 def replicate(sim_template, specs, base_seed, replications):
@@ -169,30 +161,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
     return tuple(rows)
 
 
-def default_alpha_grid(
-    alpha_max: float = SweepSpec.alpha_max, step: float = SweepSpec.alpha_step
-) -> tuple[float, ...]:
-    """Multiples of ``step`` from 0 up to the last one not above ``alpha_max``."""
-    return tuple(round(i * step, 12) for i in range(_alpha_points(alpha_max, step)))
-
-
-def simplex_grid(
-    step: float = SweepSpec.simplex_step,
-) -> tuple[tuple[float, float, float], ...]:
-    """All three-part probability vectors on a regular grid of the given step."""
-    n = _simplex_divisions(step)
-    points = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            points.append((i / n, j / n, k / n))
-    return tuple(points)
-
-
 def sweep_linear(config: ExperimentConfig):
     """logALPT curve of I_tas + alpha * I_das over the config's alpha grid."""
-    sweep = config.sweep or SweepSpec()
-    grid = default_alpha_grid(sweep.alpha_max, sweep.alpha_step)
+    grid = config.sweep.alpha_grid
     tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
     specs = [
         StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
@@ -203,7 +174,7 @@ def sweep_linear(config: ExperimentConfig):
 
 def sweep_probabilistic(config: ExperimentConfig):
     """logALPT surface of the {T, tas, das} mixture over the config's simplex grid."""
-    grid = simplex_grid((config.sweep or SweepSpec()).simplex_step)
+    grid = config.sweep.simplex_grid
     children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
     specs = [
         StrategySpec(kind="probabilistic", children=children, weights=point)

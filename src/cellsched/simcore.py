@@ -28,16 +28,19 @@ is set to the exact file size on departure.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import seeding
-from .channel import ChannelConfig, ChannelRateSource, FlowRateStream, RateReplay
+from .channel import (
+    ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateReplay
+)
 from .errors import CapabilityError, ParameterError, SchedulingError
 from .metrics import FlowRecord
 from .strategies import StrategySpec, select_client
-from .workload import FlowSpec, WorkloadConfig, generate_workload
+from .workload import FlowSpec, WorkloadConfig, generate_workload, mixture_mean
 
 BUFFER_INFINITE = "infinite"
 BUFFER_TCP_REFILL = "tcp-refill"
@@ -123,6 +126,22 @@ class SimConfig:
         if self.strategy.uses_buffer and self.buffer.mode != BUFFER_TCP_REFILL:
             raise CapabilityError(
                 f"strategy {self.strategy.label()} needs buffer mode 'tcp-refill'"
+            )
+        channel, workload = self.channel, self.workload
+        last = workload.horizon + _DRAIN_SLACK  # no run reaches a later slot
+        if channel.envelope_mode == ENVELOPE_TIME_VARYING and not math.isfinite(
+            channel.envelope_freq * last + channel.envelope_phase
+        ):
+            raise ParameterError(
+                f"channel.envelope_freq={channel.envelope_freq} overflows the "
+                f"time-varying envelope argument by slot {last}"
+            )
+        mean_size = mixture_mean(workload.size_mixture)
+        top = workload.rate_hi_mult * workload.arrival_rate * mean_size  # largest mean rate
+        if not math.isfinite(channel.hi_coeff * 2 * channel.envelope_amplitude * top):
+            raise ParameterError(
+                "channel.hi_coeff * 2 * channel.envelope_amplitude * workload.rate_hi_mult"
+                " * workload.arrival_rate * mean file size, the largest rate, overflows"
             )
 
     @property

@@ -144,11 +144,7 @@ def mixture_mean(mixture: ParetoMixture) -> float:
 
 
 def sample_mean_rate(
-    rng,
-    arrival_rate: float,
-    mean_size: float,
-    lo_mult: float = WorkloadConfig.rate_lo_mult,
-    hi_mult: float = WorkloadConfig.rate_hi_mult,
+    rng, arrival_rate: float, mean_size: float, lo_mult: float, hi_mult: float
 ) -> float:
     """Assign a client its mean channel rate, uniform on the load-proportional band."""
     if not arrival_rate > 0.0 or not mean_size > 0.0:

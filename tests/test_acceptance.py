@@ -30,7 +30,7 @@ from cellsched import (
     SimConfig,
     StrategySpec,
     WorkloadConfig,
-    default_experiment_config,
+    experiment_from_dict,
     generate_workload,
     run_experiment,
     run_simulation,
@@ -68,7 +68,7 @@ TOP, BOTTOM = ("tas", "das"), ("T", "pf", "max_ci")
 
 
 def test_criterion_01_strategy_ranking():
-    config = default_experiment_config()  # horizon 1e5, 10 replications
+    config = experiment_from_dict({})  # horizon 1e5, 10 replications
     started = time.perf_counter()
     scores = run_experiment(config)
     elapsed = time.perf_counter() - started
@@ -107,7 +107,7 @@ ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 
 def test_criterion_02_linear_sweep_boundary():
-    config = default_experiment_config(horizon=20_000, replications=20)
+    config = experiment_from_dict({"horizon": 20_000, "replications": 20})
     tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
     specs = [
         StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
@@ -143,7 +143,7 @@ TAS_VERTEX, T_VERTEX = (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)
 
 
 def test_criterion_03_probabilistic_sweep_vertex():
-    config = default_experiment_config(horizon=10_000, replications=5)
+    config = experiment_from_dict({"horizon": 10_000, "replications": 5})
     surface = sweep_probabilistic(config)
     best_p, best = max(surface, key=lambda row: row[1].log_alpt_mean)
     tas = next(agg for p, agg in surface if p == TAS_VERTEX)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 import bench_pairs  # noqa: E402
@@ -31,7 +33,9 @@ def test_summary_of_alternated_pairs():
         (result(2.4, 85.0), result(2.0, 105.0)),
         (result(1.9, 99.0), result(1.7, 120.0)),
     ]
-    summary = bench_pairs.summarize(pairs, {"wall_s": "lower", "slots_per_s": "higher"})
+    metrics = {"wall_s": {"better": "lower", "bound": 0.25},
+               "slots_per_s": {"better": "higher", "bound": 0.1}}
+    summary = bench_pairs.summarize(pairs, metrics)
     assert summary["pairs"] == 5
     assert summary["first_side"] == "parent on odd pairs, change on even pairs"
     wall = summary["wall_s"]
@@ -41,15 +45,38 @@ def test_summary_of_alternated_pairs():
     assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (1.95, 2.3)
     assert wall["change"]["median"] == 1.9
     assert wall["change_better_pairs"] == 4
-    assert summary["slots_per_s"]["change_better_pairs"] == 3
+    assert wall["median_change_pct"] == pytest.approx(100.0 * (1.9 / 2.1 - 1.0))
+    # quartiles 0.35 apart, 17 % of the median: inside the 25 % bound
+    assert wall["verdict"] == "within bound"
+    rate = summary["slots_per_s"]
+    assert rate["change_better_pairs"] == 3
+    assert rate["median_change_pct"] == pytest.approx(100.0 * (105.0 / 95.0 - 1.0))
+    # quartiles 87.5 and 99.5, 13 % of the median, wider than the 10 % bound,
+    # and the change's 80 and 90 do not beat every parent run
+    assert (rate["parent"]["q1"], rate["parent"]["q3"]) == (87.5, 99.5)
+    assert rate["verdict"] == "unresolved"
     assert summary["failed"] == {"parent": 1, "change": 0}
     assert summary["attempted"] == {"parent": 50, "change": 50}
     assert summary["sim_digest"] == {"parent": ["d1"], "change": ["d1", "d2"]}
 
 
 def test_single_pair_has_flat_quartiles():
-    summary = bench_pairs.summarize([(result(2.0, 1.0), result(2.0, 1.0))],
-                                    {"wall_s": "lower"})
+    metrics = {"wall_s": {"better": "lower", "bound": 0.25},
+               "slots_per_s": {"better": "higher", "bound": 0.2}}
+    summary = bench_pairs.summarize([(result(2.0, 1.0), result(2.0, 0.7))], metrics)
     assert summary["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0,
                                            "runs": [2.0]}
     assert summary["wall_s"]["change_better_pairs"] == 0
+    assert summary["wall_s"]["median_change_pct"] == 0.0
+    assert summary["wall_s"]["verdict"] == "within bound"
+    assert summary["slots_per_s"]["median_change_pct"] == pytest.approx(-30.0)
+    assert summary["slots_per_s"]["verdict"] == "outside bound"
+
+
+def test_wide_spread_resolves_when_every_change_run_wins():
+    pairs = [(result(2.0, 1.0), result(1.0, 1.0)),
+             (result(3.0, 1.0), result(1.9, 1.0)),
+             (result(4.0, 1.0), result(1.5, 1.0))]
+    summary = bench_pairs.summarize(pairs, {"wall_s": {"better": "lower", "bound": 0.25}})
+    assert summary["wall_s"]["median_change_pct"] == 100.0 * (1.5 / 3.0 - 1.0)
+    assert summary["wall_s"]["verdict"] == "within bound"

@@ -11,12 +11,16 @@ import pytest
 import yaml
 
 from cellsched import (
+    ExperimentConfig,
+    SimConfig,
+    StrategySpec,
+    WorkloadConfig,
     cli,
-    default_experiment_config,
     experiment_from_dict,
     generate_workload,
 )
 from cellsched.cli import load_config, main
+from cellsched.experiments import RANKING_KINDS
 
 
 BASE_CONFIG = {
@@ -186,10 +190,15 @@ class TestErrors:
          ("workload: {arrival_rate: .inf}", "config.workload.arrival_rate"),
          ("workload: {size_mixture: {components: [{weight: 1.0, scale_kb: .inf}]}}",
           "config.workload.size_mixture.components[0].scale_kb"),
-         ("buffer: {mode: tcp-refill, max_window: -.inf}", "config.buffer.max_window")],
+         ("buffer: {mode: tcp-refill, max_window: -.inf}", "config.buffer.max_window"),
+         ("{channel: {envelope_mode: time_varying, envelope_freq: 1.0e+306}, horizon: 1000,"
+          " replications: 2, strategies: [tas]}", "config: channel.envelope_freq=1e+306"),
+         ("{channel: {envelope_amplitude: 1.0e+308}, horizon: 300, replications: 2,"
+          " strategies: [TK]}", "config: channel.hi_coeff * 2 * channel.envelope_amplitude")],
     )
     def test_floats_must_be_finite(self, tmp_path, capsys, text, field):
-        # a non-finite float would give NaN or infinite rates, or a math error
+        # a non-finite float, or a product of finite ones that overflows, would
+        # give NaN or infinite rates, or a math error
         path = tmp_path / "config.yaml"
         path.write_text(text + "\n")
         out = tmp_path / "results"
@@ -264,7 +273,7 @@ class TestErrors:
     def test_empty_file_is_the_reference_setup(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
-        assert load_config(str(path)) == default_experiment_config()
+        assert load_config(str(path)) == experiment_from_dict({})
 
     def test_malformed_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -292,7 +301,20 @@ class TestHelp:
 
 class TestDefaults:
     def test_no_config_loads_reference_setup(self):
-        assert load_config(None) == default_experiment_config()
+        sim = SimConfig(workload=WorkloadConfig(), strategy=StrategySpec(kind="T"))
+        strategies = tuple(StrategySpec(kind=k) for k in RANKING_KINDS)
+        assert load_config(None) == ExperimentConfig(sim, strategies)
+
+    def test_manifest_echoes_the_default_sweep_and_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)  # no sweep section, no output
+        assert main(["run", "--config", cfg]) == 0
+        echo = json.loads((tmp_path / "results" / "manifest.json").read_text())["config"]
+        assert echo["sweep"] == {
+            "kind": "linear", "alpha_max": 2.0, "alpha_step": 0.1, "simplex_step": 0.1
+        }
+        assert echo["output"] == "results"
+        assert experiment_from_dict(echo) == load_config(cfg)
 
     def test_no_config_is_an_empty_config_file(self):
         assert load_config(None) == experiment_from_dict({})

@@ -21,13 +21,11 @@ from cellsched import (
     StrategySpec,
     SweepSpec,
     WorkloadConfig,
-    default_experiment_config,
     experiment_from_dict,
     experiment_to_dict,
     generate_workload,
     run_experiment,
     run_simulation,
-    simplex_grid,
     sweep_linear,
     sweep_probabilistic,
 )
@@ -41,7 +39,6 @@ from cellsched.experiments import (
     TRACE_HEADER,
     WORKLOAD_HEADER,
     StrategyScore,
-    default_alpha_grid,
     from_dict,
     git_blob_sha1,
     replicate,
@@ -81,22 +78,24 @@ class TestExperimentConfig:
             tiny_config(replications=1)
 
     def test_defaults_describe_reference_setup(self):
-        config = default_experiment_config()
+        config = experiment_from_dict({})
         assert config.replications == 10
         assert config.sim.workload.horizon == 100_000
         assert config.sim.workload.arrival_rate == 0.09
         assert tuple(s.kind for s in config.strategies) == RANKING_KINDS
+        assert config.sweep == SweepSpec() and config.output == "results"
 
     def test_default_sim_config_horizon(self):
-        config = default_experiment_config(horizon=5000)
+        config = experiment_from_dict({"horizon": 5000})
         assert config.sim.workload.horizon == 5000
         assert config.sim.strategy == config.strategies[0]
 
     def test_defaults_are_the_decoded_config_file(self):
-        config = default_experiment_config(7, 3, 5000)
-        data = {"base_seed": 7, "replications": 3, "horizon": 5000}
-        assert config == experiment_from_dict(data)
-        assert default_experiment_config() == experiment_from_dict({})
+        config = experiment_from_dict({"base_seed": 7, "replications": 3, "horizon": 5000})
+        workload = WorkloadConfig(horizon=5000)
+        sim = SimConfig(workload=workload, strategy=StrategySpec(kind="T"))
+        strategies = tuple(StrategySpec(kind=k) for k in RANKING_KINDS)
+        assert config == ExperimentConfig(sim, strategies, replications=3, base_seed=7)
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ParameterError, match="tas"):
@@ -107,40 +106,44 @@ class TestExperimentConfig:
         )
 
 
+def alpha_grid(alpha_max, step):
+    return SweepSpec(alpha_max=alpha_max, alpha_step=step).alpha_grid
+
+
 class TestSweepGrids:
     def test_default_alpha_grid(self):
-        grid = default_alpha_grid()
+        grid = SweepSpec().alpha_grid
         assert len(grid) == 21
         assert grid[0] == 0.0 and grid[-1] == 2.0
         assert grid[3] == 0.3  # exact decimals, no float drift
 
     def test_alpha_grid_stops_at_alpha_max(self):
         # 2.0 / 0.3 = 6.67 steps: the grid ends at 1.8, not at a rounded 2.1
-        assert default_alpha_grid(2.0, 0.3) == (0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
-        assert default_alpha_grid(0.25, 0.1) == (0.0, 0.1, 0.2)
-        assert default_alpha_grid(0.05, 0.1) == (0.0,)
+        assert alpha_grid(2.0, 0.3) == (0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
+        assert alpha_grid(0.25, 0.1) == (0.0, 0.1, 0.2)
+        assert alpha_grid(0.05, 0.1) == (0.0,)
 
     def test_alpha_grid_keeps_steps_that_divide_evenly(self):
         # 0.7 / 0.1 and 0.3 / 0.1 fall just short of a whole number in floats
-        assert default_alpha_grid(0.7, 0.1) == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-        assert default_alpha_grid(0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
-        assert default_alpha_grid(1.0, 0.5) == (0.0, 0.5, 1.0)
+        assert alpha_grid(0.7, 0.1) == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+        assert alpha_grid(0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
+        assert alpha_grid(1.0, 0.5) == (0.0, 0.5, 1.0)
 
     @given(st.floats(0.0, 5.0), st.floats(0.01, 1.0))
     def test_alpha_grid_is_the_multiples_up_to_alpha_max(self, alpha_max, step):
-        grid = default_alpha_grid(alpha_max, step)
+        grid = alpha_grid(alpha_max, step)
         assert grid[0] == 0.0
         assert grid[-1] <= alpha_max + 1e-9 < grid[-1] + step + 1e-9
 
     def test_simplex_grid_covers_all_compositions(self):
-        grid = simplex_grid(0.1)
+        grid = SweepSpec(simplex_step=0.1).simplex_grid
         assert len(grid) == 66
         assert all(abs(sum(p) - 1.0) < 1e-9 for p in grid)
         assert (1.0, 0.0, 0.0) in grid and (0.0, 0.0, 1.0) in grid
 
     def test_simplex_step_must_divide_one(self):
-        with pytest.raises(ParameterError):
-            simplex_grid(0.3)
+        with pytest.raises(ParameterError, match="divide 1"):
+            SweepSpec(simplex_step=0.3)
 
     def test_sweep_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -433,7 +436,7 @@ def _experiment_configs(draw):
         drain_after_horizon=draw(st.booleans()),
     )
     sweep = draw(
-        st.none()
+        st.just(SweepSpec())
         | st.builds(
             SweepSpec,
             kind=st.sampled_from(("linear", "probabilistic")),
@@ -448,13 +451,13 @@ def _experiment_configs(draw):
         replications=draw(st.integers(2, 50)),
         base_seed=draw(st.integers(0, 2**31)),
         sweep=sweep,
-        output=draw(st.none() | st.sampled_from(("results", "out/run 1"))),
+        output=draw(st.sampled_from(("results", "out/run 1"))),
     )
 
 
 class TestExperimentSerialization:
     def test_round_trip_preserves_config(self):
-        config = default_experiment_config(base_seed=7, replications=3, horizon=5000)
+        config = experiment_from_dict({"base_seed": 7, "replications": 3, "horizon": 5000})
         rebuilt = experiment_from_dict(experiment_to_dict(config))
         assert rebuilt == config
 

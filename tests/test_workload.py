@@ -123,10 +123,12 @@ class TestSampleFileSize:
 
 
 class TestSampleMeanRate:
+    BAND = (WorkloadConfig.rate_lo_mult, WorkloadConfig.rate_hi_mult)  # 1/3 and 3
+
     def test_band_edges(self):
         lam, a_bar = 0.09, REFERENCE_MIXTURE_MEAN
-        lo = sample_mean_rate(StubRng([0.0]), lam, a_bar)
-        hi = sample_mean_rate(StubRng([1.0]), lam, a_bar)
+        lo = sample_mean_rate(StubRng([0.0]), lam, a_bar, *self.BAND)
+        hi = sample_mean_rate(StubRng([1.0]), lam, a_bar, *self.BAND)
         assert lo == pytest.approx(474.83, abs=0.01)
         assert hi == pytest.approx(4273.50, abs=0.01)
 
@@ -134,14 +136,14 @@ class TestSampleMeanRate:
         rng = random.Random(13)
         lam, a_bar = 0.09, REFERENCE_MIXTURE_MEAN
         n = 10**6
-        total = sum(sample_mean_rate(rng, lam, a_bar) for _ in range(n))
+        total = sum(sample_mean_rate(rng, lam, a_bar, *self.BAND) for _ in range(n))
         assert total / n == pytest.approx(2374.2, rel=0.01)
 
     def test_rejects_non_positive_inputs(self):
         with pytest.raises(ParameterError):
-            sample_mean_rate(random.Random(0), 0.0, 100.0)
+            sample_mean_rate(random.Random(0), 0.0, 100.0, *self.BAND)
         with pytest.raises(ParameterError):
-            sample_mean_rate(random.Random(0), 0.1, 0.0)
+            sample_mean_rate(random.Random(0), 0.1, 0.0, *self.BAND)
 
 
 class TestGenerateWorkload:
