@@ -6,7 +6,9 @@ parent first on odd pairs and the change first on even pairs, then one
 ``--trace 1`` run on each side.  It writes every result line and, per
 workload and end-to-end metric, each side's runs, median and quartiles, the
 number of pairs the change won, the change of the median in percent and a
-verdict against the metric's relative ``bound`` in BENCHMARK.json.
+verdict against the metric's relative ``bound`` in BENCHMARK.json.  Per
+workload, ``sim_digest_equal`` says whether both sides' runs gave the same
+``sim_digest``s; a stderr warning names any workload where they did not.
 Standard library only.
 
 Run from the repository root (about 25 minutes for the default plan):
@@ -94,8 +96,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     for key in ("failed", "attempted"):
         summary[key] = {name: sum(pair[i][key] for pair in pairs)
                         for i, name in enumerate(SIDES)}
-    summary["sim_digest"] = {name: sorted({pair[i]["sim_digest"] for pair in pairs})
-                             for i, name in enumerate(SIDES)}
+    digests = {name: sorted({pair[i]["sim_digest"] for pair in pairs})
+               for i, name in enumerate(SIDES)}
+    summary["sim_digest"] = digests
+    summary["sim_digest_equal"] = digests["parent"] == digests["change"]
     return summary
 
 
@@ -150,7 +154,11 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k + 1}/{count}: wall_s "
                   f"{pair[0]['metrics']['wall_s']['value']:.4g} -> "
                   f"{pair[1]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
-        doc["pairs"][workload] = summarize(pairs, metrics)
+        doc["pairs"][workload] = summary = summarize(pairs, metrics)
+        if not summary["sim_digest_equal"]:
+            print(f"warning: {workload}: sim_digest differs, parent "
+                  f"{summary['sim_digest']['parent']} -> change "
+                  f"{summary['sim_digest']['change']}", file=sys.stderr)
         doc["trace"][workload] = {
             name: run_bench(checkout, workload, args.seed, TRACE_SECONDS, 1)
             for name, checkout in zip(SIDES, checkouts)

@@ -154,7 +154,8 @@ class TraceEvent(NamedTuple):
     """One slot of the service trace: who was served and how much moved.
 
     A named tuple rather than a frozen dataclass: one is built per slot of a
-    traced run, and a tuple is about twice as cheap to build.
+    traced run.  The slot loop builds each row with ``tuple.__new__``, which
+    skips the named tuple's Python-level ``__new__`` and gives an equal row.
     """
 
     t: int
@@ -237,8 +238,9 @@ def serve_slot(active, t, rate, chosen):
         raise SchedulingError(f"chosen flow {chosen} is not active at slot {t}")
     if not state.buffer > 0.0:
         raise SchedulingError(f"chosen flow {chosen} has an empty buffer at slot {t}")
-    transfer = min(rate, state.buffer)
-    state.buffer -= transfer
+    buffer = state.buffer
+    transfer = buffer if buffer < rate else rate  # the operand min(rate, buffer) gives
+    state.buffer = buffer - transfer
     state.served += transfer
     state.last_served = t
     if state.buffer == 0.0 and state.unfetched == 0.0:
@@ -290,6 +292,7 @@ def run_simulation(
     waiting: deque[FlowState] = deque()  # tcp-refill records in refill_due order
     records = []
     trace = [] if collect_trace else None
+    event = tuple.__new__  # builds a TraceEvent without its Python-level __new__
 
     arrivals = [spec.arrival_slot for spec in flows] + [horizon]  # horizon: none left
     next_pending = 0
@@ -322,7 +325,7 @@ def run_simulation(
                 for t in range(start, stop):
                     serve_slot(active, t, 0.0, None)
                     if trace is not None:
-                        trace.append(TraceEvent(t, None, 0.0, 0))
+                        trace.append(event(TraceEvent, (t, None, 0.0, 0)))
             else:
                 chosen = state.spec.id
                 draw = state.stream.draw
@@ -331,7 +334,7 @@ def run_simulation(
                     rate_sum += (rate := draw(t))
                     record, transfer = serve_slot(active, t, rate, chosen)
                     if trace is not None:
-                        trace.append(TraceEvent(t, chosen, transfer, 1))
+                        trace.append(event(TraceEvent, (t, chosen, transfer, 1)))
                     if state.buffer == 0.0:
                         break
                 state.rate_sum = rate_sum
@@ -353,7 +356,7 @@ def run_simulation(
             rate = state.rate if state is not None else 0.0
             record, transfer = serve_slot(active, t, rate, chosen)
             if trace is not None:
-                trace.append(TraceEvent(t, chosen, transfer, active_count))
+                trace.append(event(TraceEvent, (t, chosen, transfer, active_count)))
         if record is not None:
             records.append(record)
         elif state is not None and state.buffer == 0.0:

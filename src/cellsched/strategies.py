@@ -21,13 +21,17 @@ The +inf rule puts a flow in its arrival slot first under the indices that
 divide by age, and a never-served flow first under das and pf; by their
 formulas, T and TK score a never-served flow of positive age as 0.  The
 repository's documents do not settle which of the two conventions the
-source paper meant.
+source paper meant.  Each index function writes the +inf rule inline, with
+no helper call per flow; every call looks the function up in ``_INDEX_FUNCS``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 from .errors import ParameterError
 
@@ -122,6 +126,16 @@ class StrategySpec:
             return True
         return any(c.uses_buffer for c in self.children)
 
+    @functools.cached_property
+    def _choice_bounds(self) -> list[float]:
+        """A mixture's running weight sums; the first child whose sum exceeds the
+        uniform decides.  The last positive weight's sum is +inf, so a uniform at or
+        above a total short of 1 never picks a zero-weight child."""
+        last = max(i for i, w in enumerate(self.weights) if w > 0.0)
+        bounds = list(accumulate(self.weights[: last + 1]))
+        bounds[-1] = _INF
+        return bounds
+
     def label(self) -> str:
         """The kind, with every owned parameter that differs from its default."""
         pairs = zip(self.children, self.weights)
@@ -140,15 +154,9 @@ class StrategySpec:
 _PARAM_DEFAULTS = {f.name: f.default for f in fields(StrategySpec) if f.name != "kind"}
 
 
-def _div(num: float, den: float) -> float:
-    """Division with the zero-denominator-to-+inf convention (never NaN)."""
-    if den == 0.0:
-        return _INF
-    return num / den
-
-
 def _idx_round_robin(spec, flow):
-    return _div(1.0, flow.age)
+    age = flow.age
+    return _INF if age == 0.0 else 1.0 / age
 
 
 def _idx_max_ci(spec, flow):
@@ -156,40 +164,49 @@ def _idx_max_ci(spec, flow):
 
 
 def _idx_tas(spec, flow):
-    return _div(flow.rate, flow.age)
+    age = flow.age
+    return _INF if age == 0.0 else flow.rate / age
 
 
 def _idx_das(spec, flow):
-    return _div(flow.rate, flow.served)
+    served = flow.served
+    return _INF if served == 0.0 else flow.rate / served
 
 
 def _idx_pf(spec, flow):
-    return _div(flow.rate * flow.age, flow.served)
+    served = flow.served
+    return _INF if served == 0.0 else flow.rate * flow.age / served
 
 
 def _idx_srpt(spec, flow):
-    return _div(flow.rate, flow.spec.file_size - flow.served)
+    den = flow.spec.file_size - flow.served
+    return _INF if den == 0.0 else flow.rate / den
 
 
 def _idx_sectf(spec, flow):
-    return _div(flow.rate, flow.buffer)
-
-
-def _mean_rate(spec, flow):
-    """The flow's mean rate as ``spec.mean_rate_mode`` reads it."""
-    if spec.mean_rate_mode == "assigned":
-        return flow.spec.mean_rate
-    return flow.rate_sum / (flow.age + 1)  # one draw per slot: age + 1 so far
+    buffer = flow.buffer
+    return _INF if buffer == 0.0 else flow.rate / buffer
 
 
 def _idx_t(spec, flow):
-    r = _mean_rate(spec, flow)
-    return _div(flow.served, flow.age + _div(flow.served, spec.c_const * r))
+    if spec.mean_rate_mode == "assigned":
+        den = spec.c_const * flow.spec.mean_rate
+    else:  # one draw per slot: age + 1 so far
+        den = spec.c_const * (flow.rate_sum / (flow.age + 1))
+    served = flow.served
+    den = flow.age + (_INF if den == 0.0 else served / den)
+    return _INF if den == 0.0 else served / den
 
 
 def _idx_tk(spec, flow):
-    r = flow.rate if spec.tk_variant == "inst" else _mean_rate(spec, flow)
-    return _div(r * flow.served, flow.age)
+    if spec.tk_variant == "inst":
+        r = flow.rate
+    elif spec.mean_rate_mode == "assigned":
+        r = flow.spec.mean_rate
+    else:
+        r = flow.rate_sum / (flow.age + 1)
+    age = flow.age
+    return _INF if age == 0.0 else r * flow.served / age
 
 
 def _idx_linear(spec, flow):
@@ -232,13 +249,7 @@ def compute_index(spec: StrategySpec, flow) -> float:
 
 def _draw_child(spec: StrategySpec, rng) -> StrategySpec:
     # one uniform is consumed per call, even for a single-child mixture
-    u = rng.random()
-    acc = 0.0
-    for child, p in zip(spec.children, spec.weights):
-        acc += p
-        if u < acc:
-            return child
-    return spec.children[-1]
+    return spec.children[bisect_right(spec._choice_bounds, rng.random())]
 
 
 def select_client(spec: StrategySpec, flows, rng=None):

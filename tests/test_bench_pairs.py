@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -58,6 +59,7 @@ def test_summary_of_alternated_pairs():
     assert summary["failed"] == {"parent": 1, "change": 0}
     assert summary["attempted"] == {"parent": 50, "change": 50}
     assert summary["sim_digest"] == {"parent": ["d1"], "change": ["d1", "d2"]}
+    assert summary["sim_digest_equal"] is False
 
 
 def test_single_pair_has_flat_quartiles():
@@ -71,6 +73,7 @@ def test_single_pair_has_flat_quartiles():
     assert summary["wall_s"]["verdict"] == "within bound"
     assert summary["slots_per_s"]["median_change_pct"] == pytest.approx(-30.0)
     assert summary["slots_per_s"]["verdict"] == "outside bound"
+    assert summary["sim_digest_equal"] is True
 
 
 def test_wide_spread_resolves_when_every_change_run_wins():
@@ -80,3 +83,29 @@ def test_wide_spread_resolves_when_every_change_run_wins():
     summary = bench_pairs.summarize(pairs, {"wall_s": {"better": "lower", "bound": 0.25}})
     assert summary["wall_s"]["median_change_pct"] == 100.0 * (1.5 / 3.0 - 1.0)
     assert summary["wall_s"]["verdict"] == "within bound"
+
+
+def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "slots_per_s", "better": "higher", "bound": 0.2}]}))
+    digests = {("same", parent): "d1", ("same", change): "d1",
+               ("moved", parent): "d1", ("moved", change): "d2"}
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        return result(2.0, 1.0, digest=digests[workload, checkout])
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.setattr(bench_pairs, "git_revision", lambda checkout: "abc")
+    out = tmp_path / "pairs.json"
+    bench_pairs.main([str(parent), str(change), "--seed", "1", "--seconds", "1",
+                      "--plan", "same=2", "moved=2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["pairs"]["same"]["sim_digest_equal"] is True
+    assert doc["pairs"]["moved"]["sim_digest_equal"] is False
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: moved: sim_digest differs, parent ['d1'] -> change ['d2']"]

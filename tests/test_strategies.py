@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given
@@ -17,10 +18,19 @@ from cellsched import (
     WorkloadConfig,
     run_simulation,
 )
-from cellsched.strategies import ATOMIC_KINDS, C_DEFAULT, compute_index, select_client
+from cellsched.simcore import FlowState
+from cellsched.strategies import (
+    ATOMIC_KINDS,
+    C_DEFAULT,
+    _draw_child,
+    compute_index,
+    select_client,
+)
+from cellsched.workload import FlowSpec
 
 from conftest import CountingRng, StubRng, make_view
 from pareto_posterior import expected_file_size, pareto_posterior_density
+from reference_model import INDICES
 
 INF = math.inf
 
@@ -286,6 +296,32 @@ class TestComputeIndex:
         value = compute_index(StrategySpec(kind=kind), view)
         assert not math.isnan(value)
 
+    # zero, negative zero, subnormal and huge values, as numerators and denominators
+    _edge_floats = st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 1e308)) | st.floats(
+        min_value=0.0, max_value=1e12
+    )
+
+    @pytest.mark.parametrize("kind", sorted(INDICES))
+    @given(
+        age=st.sampled_from((0, 1)) | st.integers(min_value=0, max_value=10**6),
+        served=_edge_floats,
+        rate=_edge_floats,
+        rate_sum=_edge_floats,
+    )
+    def test_ranking_indices_match_the_reference_bit_for_bit(
+        self, kind, age, served, rate, rate_sum
+    ):
+        flow = FlowState(
+            spec=FlowSpec(id=0, arrival_slot=0, file_size=1e12, mean_rate=1.0),
+            served=served,
+            rate=rate,
+            rate_sum=rate_sum,
+            age=age,
+        )
+        got = compute_index(StrategySpec(kind=kind), flow)
+        want = INDICES[kind](rate, age, served, rate_sum / (age + 1))
+        assert struct.pack("<d", got) == struct.pack("<d", want)  # -0.0 != 0.0 here
+
 
 class TestExpectedFileSize:
     def test_hand_value(self):
@@ -353,6 +389,51 @@ class TestLinearCombine:
         # das = 5 / 0 = +inf, max_ci = 5
         view = make_view(rate=5.0, served=0.0)
         assert compute_index(linear_spec(("das", "max_ci"), (1.0, 1.0)), view) == INF
+
+
+class TestDrawChild:
+    @staticmethod
+    def expected(weights, u):
+        """The mixture rule: u in [sum before i, sum through i) picks child i; a u
+        at or above the total picks the last child with a positive weight."""
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if u < acc:
+                return i
+        return max(i for i, w in enumerate(weights) if w > 0.0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (1.0,),
+            (0.3, 0.7),
+            (0.0, 1.0),
+            (0.2, 0.0, 0.5, 0.3),
+            (0.1,) * 10,
+            (0.7, 0.2999999995, 0.0),  # sums short of 1 by under the tolerance
+            (0.5, 0.0, 0.4999999995, 0.0, 0.0),
+        ],
+    )
+    def test_uniform_at_and_around_each_running_sum(self, weights):
+        children = tuple(StrategySpec(kind="tas") for _ in weights)  # told apart by identity
+        spec = StrategySpec(kind="probabilistic", children=children, weights=weights)
+        sums = list(itertools.accumulate(weights))
+        uniforms = {0.0, 1.0 - 2.0**-53, math.nextafter(sums[-1], INF)}
+        for s in sums:
+            uniforms |= {s, math.nextafter(s, -INF)}
+        for u in sorted(u for u in uniforms if u >= 0.0):  # random() gives [0, 1)
+            i = self.expected(weights, u)
+            assert weights[i] > 0.0
+            assert _draw_child(spec, StubRng([u])) is children[i], u
+
+    def test_zero_weight_last_child_never_decides(self):
+        tas, t, das = (StrategySpec(kind=k) for k in ("tas", "T", "das"))
+        spec = StrategySpec(
+            kind="probabilistic", children=(tas, t, das), weights=(0.7, 0.2999999995, 0.0)
+        )
+        assert _draw_child(spec, StubRng([0.9999999994])) is t
+        assert _draw_child(spec, StubRng([0.9999999996])) is t  # past the total
 
 
 class TestSelectClient:
