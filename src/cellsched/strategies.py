@@ -190,11 +190,11 @@ def _idx_sectf(spec, flow):
 
 def _idx_t(spec, flow):
     if spec.mean_rate_mode == "assigned":
-        den = spec.c_const * flow.spec.mean_rate
+        c_r = spec.c_const * flow.spec.mean_rate
     else:  # one draw per slot: age + 1 so far
-        den = spec.c_const * (flow.rate_sum / (flow.age + 1))
+        c_r = spec.c_const * (flow.rate_sum / (flow.age + 1))
     served = flow.served
-    den = flow.age + (_INF if den == 0.0 else served / den)
+    den = flow.age + (_INF if c_r == 0.0 else served / c_r)
     return _INF if den == 0.0 else served / den
 
 
