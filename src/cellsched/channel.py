@@ -3,13 +3,14 @@
 Each active flow sees an i.i.d. rate every slot, uniform on
 ``[lo_coeff * E(t) * mean_rate, hi_coeff * E(t) * mean_rate]`` where E(t)
 is a sinusoidal envelope factor.  With the default coefficients the band
-amplitude is 30% of the band mean.
+amplitude is 30% of the band mean.  A run draws from one
+:class:`FlowRateStream` per flow; runs on a shared seed read each flow's
+rates from a :class:`RateRecord` keyed by slot instead.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 from . import seeding
@@ -94,10 +95,6 @@ class FlowRateStream:
         lo, hi = rate_bounds(self._mean_rate, t, self._config)
         return lo + (hi - lo) * u
 
-    def skip(self, n: int) -> None:
-        """Pass over the next ``n`` draws without computing them."""
-        seeding.skip(self._rng, n)
-
 
 class ChannelRateSource:
     """Factory handing each flow its own deterministic rate stream."""
@@ -110,59 +107,52 @@ class ChannelRateSource:
         return FlowRateStream(self.base_seed, flow, self.config)
 
 
+class RateRecord(dict):
+    """One flow's rates on one seed, keyed by slot and drawn on first read.
+
+    ``draw`` is ``dict.__getitem__``, so reading a recorded rate is one C
+    call.  A missing slot is drawn from the flow's :class:`FlowRateStream`,
+    which the record keeps, and stored.  Every run reads its flow's slots in
+    order from the arrival on, so the missing slot is always the one after
+    the last recorded, and the stream's next draw is its rate.  A record
+    holds no reference to its :class:`SharedRateSource`: that cycle would
+    leave each seed's records to the cyclic garbage collector.
+    """
+
+    __slots__ = ("flow", "_stream")
+
+    draw = dict.__getitem__
+
+    def __init__(self, flow: FlowSpec, stream: FlowRateStream):
+        self.flow = flow
+        self._stream = stream
+
+    def __missing__(self, t: int) -> float:
+        rate = self[t] = self._stream.draw(t)
+        return rate
+
+
 class SharedRateSource:
     """One seed's channel rates, drawn once and replayed to every run on the seed.
 
-    Each flow's rates are recorded on first use, 8 bytes a slot in an
-    ``array``, and ``stream_for`` hands every run a :class:`RateReplay`
-    over the record.  The j-th draw is the rate at slot ``arrival + j`` in
-    both envelope modes, so a replayed run sees exactly the rates its own
-    :class:`ChannelRateSource` would give.  A record belongs to one
-    FlowSpec object: a different flow under a known id starts a fresh
-    record.
+    ``stream_for`` hands every run the flow's :class:`RateRecord`, made on
+    the flow's first admission with the flow's own stream from a
+    :class:`ChannelRateSource`.  A record keeps its stream and every rate
+    drawn so far, about 100 bytes a slot and 2.5 KB of generator state a
+    flow, until the source is dropped.  A replayed run sees exactly the
+    rates its own :class:`ChannelRateSource` would give.  A record belongs
+    to one FlowSpec object: a different flow under a known id starts a
+    fresh record.
     """
 
     def __init__(self, base_seed: int, config: ChannelConfig):
         self._source = ChannelRateSource(base_seed, config)
-        self._records: dict[int, tuple[FlowSpec, array]] = {}
+        self._records: dict[int, RateRecord] = {}
 
-    def stream_for(self, flow: FlowSpec) -> RateReplay:
+    def stream_for(self, flow: FlowSpec) -> RateRecord:
         record = self._records.get(flow.id)
-        if record is None or record[0] is not flow:
-            record = self._records[flow.id] = (flow, array("d"))
-        return RateReplay(self._source, flow, record[1])
-
-
-class RateReplay:
-    """One run's reader of a flow's recorded rates.
-
-    Past the end of the record it draws from the flow's
-    :class:`FlowRateStream` and appends.  The stream lives only as long as
-    this reader: a later reader that outlives the record reseeds the flow's
-    stream and skips the recorded draws, which costs less memory than
-    keeping every stream for the whole seed.
-    """
-
-    __slots__ = ("_source", "_flow", "_rates", "_j", "_stream", "_stream_at")
-
-    def __init__(self, source: ChannelRateSource, flow: FlowSpec, rates: array):
-        self._source = source
-        self._flow = flow
-        self._rates = rates
-        self._j = 0
-        self._stream = None
-        self._stream_at = 0  # the index of the stream's next draw
-
-    def draw(self, t: float) -> float:
-        j = self._j
-        self._j = j + 1
-        rates = self._rates
-        if j < len(rates):
-            return rates[j]
-        if self._stream is None or self._stream_at != j:
-            self._stream = self._source.stream_for(self._flow)
-            self._stream.skip(j)
-        self._stream_at = j + 1
-        rate = self._stream.draw(t)
-        rates.append(rate)
-        return rate
+        if record is None or record.flow is not flow:
+            record = self._records[flow.id] = RateRecord(
+                flow, self._source.stream_for(flow)
+            )
+        return record

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from . import seeding
 from .channel import (
-    ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateReplay
+    ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateRecord
 )
 from .errors import CapabilityError, ParameterError, SchedulingError
 from .metrics import FlowRecord
@@ -88,8 +88,8 @@ class FlowState:
     (this slot's draw) and ``age`` (slots since arrival), so
     ``rate_sum / (age + 1)`` is the running mean rate.  ``last_served``
     feeds tie-breaking; ``refill_due`` is the slot a queued refill lands.
-    ``stream``, the flow's channel rate stream or a replay of its recorded
-    rates, is set at admission.
+    ``stream``, the flow's channel rate stream or its seed's record of the
+    flow's rates keyed by slot, is set at admission.
     """
 
     spec: FlowSpec
@@ -102,7 +102,7 @@ class FlowState:
     rate_sum: float = 0.0
     age: int = 0
     last_served: int | None = None
-    stream: FlowRateStream | RateReplay | None = None
+    stream: FlowRateStream | RateRecord | None = None
 
 
 @dataclass(frozen=True)

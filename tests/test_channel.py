@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from cellsched import ChannelConfig, ParameterError
+from cellsched import (
+    ChannelConfig,
+    ParameterError,
+    SimConfig,
+    StrategySpec,
+    WorkloadConfig,
+    generate_workload,
+)
 from cellsched.channel import (
     ENVELOPE_TIME_VARYING,
     ChannelRateSource,
@@ -16,6 +24,7 @@ from cellsched.channel import (
     envelope_factor,
     rate_bounds,
 )
+from cellsched.experiments import RANKING_KINDS, replicate
 
 from conftest import FixedRateSource, StubRng, make_flow
 
@@ -177,7 +186,7 @@ class TestSharedRateSource:
         source = SharedRateSource(5, config)
         expected = self.fresh(flow, config, 30)
         assert self.read(source.stream_for(flow), flow, 0, 10) == expected[:10]
-        # replays the record, then reseeds and skips the ten recorded draws
+        # replays the ten recorded rates, then extends the record from its stream
         assert self.read(source.stream_for(flow), flow, 0, 20) == expected[:20]
         # two readers interleaved: each extension follows the other's
         a, b = source.stream_for(flow), source.stream_for(flow)
@@ -186,7 +195,9 @@ class TestSharedRateSource:
         got_a += self.read(a, flow, 22, 8)
         assert got_a == expected and got_b == expected[:26]
 
-    def test_new_flow_object_under_known_id_starts_fresh_record(self, monkeypatch):
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        """The flow of every ChannelRateSource.stream_for call, in call order."""
         seeded = []
         real = ChannelRateSource.stream_for
         monkeypatch.setattr(
@@ -194,6 +205,32 @@ class TestSharedRateSource:
             "stream_for",
             lambda source, flow: seeded.append(flow) or real(source, flow),
         )
+        return seeded
+
+    def test_later_readers_extend_the_record_without_reseeding(self, seeded):
+        config = ChannelConfig()
+        flow = make_flow(fid=4, arrival=300, mean_rate=100.0)
+        source = SharedRateSource(5, config)
+        for n in (10, 20, 5, 40):
+            assert self.read(source.stream_for(flow), flow, 0, n) == self.fresh(
+                flow, config, n
+            )
+        assert seeded == [flow]  # one stream per record
+
+    def test_replicate_seeds_one_stream_per_flow_per_seed(self, seeded):
+        specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
+        sim = SimConfig(
+            workload=WorkloadConfig(arrival_rate=0.09, horizon=600), strategy=specs[0]
+        )
+        replicate(sim, specs, 4, 2)
+        flows = [
+            flow
+            for seed in (4, 5)
+            for flow in generate_workload(replace(sim.workload, seed=seed))
+        ]
+        assert flows and seeded == flows
+
+    def test_new_flow_object_under_known_id_starts_fresh_record(self, seeded):
         config = ChannelConfig()
         source = SharedRateSource(5, config)
         first = make_flow(fid=1, mean_rate=100.0)

@@ -265,24 +265,33 @@ class TestSharedRates:
     def test_reports_equal_independent_runs(
         self, monkeypatch, envelope_mode, buffer_mode
     ):
-        skipped = []
-        real_skip = channel.FlowRateStream.skip
+        specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
+        running = []  # the strategy of each run, in call order
+        later_draws = []  # stream draws made while strategies 2-7 ran
+        real_run = experiments.run_simulation
+        real_draw = channel.FlowRateStream.draw
 
-        def counting_skip(stream, n):
-            skipped.append(n)
-            real_skip(stream, n)
+        def tracking_run(config, **kwargs):
+            running.append(config.strategy)
+            return real_run(config, **kwargs)
 
-        monkeypatch.setattr(channel.FlowRateStream, "skip", counting_skip)
+        def counting_draw(stream, t):
+            if running[-1] is not specs[0]:
+                later_draws.append(t)
+            return real_draw(stream, t)
+
+        monkeypatch.setattr(experiments, "run_simulation", tracking_run)
+        monkeypatch.setattr(channel.FlowRateStream, "draw", counting_draw)
         sim = SimConfig(
             workload=WorkloadConfig(arrival_rate=0.09, horizon=600),
             strategy=StrategySpec(kind="T"),
             channel=ChannelConfig(envelope_mode=envelope_mode),
             buffer=BufferModel(mode=buffer_mode),
         )
-        specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
         reports = replicate(sim, specs, 4, 2)
-        # some later strategy kept a flow active past the record and reseeded
-        assert any(n > 0 for n in skipped)
+        assert running == specs * 2
+        # some later strategy kept a flow active past its record and extended it
+        assert len(later_draws) > 0
         for spec, spec_reports in zip(specs, reports):
             for i, report in enumerate(spec_reports):
                 workload = replace(sim.workload, seed=4 + i)
