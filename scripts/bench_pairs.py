@@ -2,16 +2,18 @@
 
 PARENT and CHANGE are two checkouts of this repository.  For each workload
 the script runs ``bench/run.py`` in both checkouts, N pairs of runs with the
-parent first on odd pairs and the change first on even pairs, then one
-``--trace 1`` run on each side.  It writes every result line and, per
+parent first on odd pairs and the change first on even pairs, then
+``TRACE_RUNS`` alternated ``--trace 1`` runs on each side.  It writes, per
 workload and end-to-end metric, each side's runs, median and quartiles, the
 number of pairs the change won, the change of the median in percent and a
-verdict against the metric's relative ``bound`` in BENCHMARK.json.  Per
-workload, ``sim_digest_equal`` says whether both sides' runs gave the same
+verdict against the metric's relative ``bound`` in BENCHMARK.json; per side
+of the traced runs it writes the median of every metric, since a single
+traced run's self times swing with the host's speed.  Per workload,
+``sim_digest_equal`` says whether both sides' runs gave the same
 ``sim_digest``s; a stderr warning names any workload where they did not.
 Standard library only.
 
-Run from the repository root (about 25 minutes for the default plan):
+Run from the repository root (about 27 minutes for the default plan):
 
     python3 scripts/bench_pairs.py PARENT CHANGE --seed 113 --seconds 20 \\
         --plan reference_ranking=10 loaded_sweep=5 short_runs=5 --out BENCH_13.json
@@ -31,9 +33,11 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 FIRST_SIDE = "parent on odd pairs, change on even pairs"
+ORDERS = ((0, 1), (1, 0))  # the sides' run order, by pair number modulo 2
 COMMAND = "python3 bench/run.py --workload W --seed S --seconds T --trace 0|1"
 # --seconds lengthens only the untraced cycles, so a short traced run suffices
 TRACE_SECONDS = 5.0
+TRACE_RUNS = 3
 _DIGEST = re.compile(r"^sim_digest: (\S+)", re.MULTILINE)
 
 
@@ -103,6 +107,21 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     return summary
 
 
+def trace_medians(results: list[dict]) -> dict:
+    """One side's traced result lines as one: the median of each metric."""
+    return {
+        "runs": len(results),
+        "failed": sum(r["failed"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+        "sim_digest": sorted({r["sim_digest"] for r in results}),
+        "metrics": {
+            name: {"value": statistics.median(r["metrics"][name]["value"] for r in results),
+                   "unit": metric["unit"]}
+            for name, metric in results[0]["metrics"].items()
+        },
+    }
+
+
 def git_revision(checkout: Path) -> str:
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True, check=False)
@@ -140,15 +159,15 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "trace_seconds": TRACE_SECONDS,
+        "trace_runs": TRACE_RUNS,
         "pairs": {},
         "trace": {},
     }
     for workload, count in plan.items():
         pairs = []
         for k in range(count):
-            order = (0, 1) if k % 2 == 0 else (1, 0)
             pair = [None, None]
-            for i in order:
+            for i in ORDERS[k % 2]:
                 pair[i] = run_bench(checkouts[i], workload, args.seed, args.seconds, 0)
             pairs.append(tuple(pair))
             print(f"{workload} pair {k + 1}/{count}: wall_s "
@@ -159,9 +178,12 @@ def main(argv=None) -> int:
             print(f"warning: {workload}: sim_digest differs, parent "
                   f"{summary['sim_digest']['parent']} -> change "
                   f"{summary['sim_digest']['change']}", file=sys.stderr)
+        traced = [[], []]
+        for k in range(TRACE_RUNS):
+            for i in ORDERS[k % 2]:
+                traced[i].append(run_bench(checkouts[i], workload, args.seed, TRACE_SECONDS, 1))
         doc["trace"][workload] = {
-            name: run_bench(checkout, workload, args.seed, TRACE_SECONDS, 1)
-            for name, checkout in zip(SIDES, checkouts)
+            name: trace_medians(runs) for name, runs in zip(SIDES, traced)
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # keep what is done
     return 0

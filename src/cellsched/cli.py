@@ -74,14 +74,14 @@ def _pm(mean: float, std: float) -> str:
 def cmd_run(config: ExperimentConfig) -> int:
     """strategy ranking table (logALPT/ALPT mean +/- std per strategy)"""
     scores = run_experiment(config)
-    width = max((len(s.label) for s in scores), default=8)
-    print(f"{'strategy':<{width}}  {'logALPT':>16}  {'ALPT':>16}")
-    for s in scores:
-        print(
-            f"{s.label:<{width}}  "
-            f"{_pm(s.score.log_alpt_mean, s.score.log_alpt_std)}  "
-            f"{_pm(s.score.alpt_mean, s.score.alpt_std)}"
-        )
+    table = [("strategy", "logALPT", "ALPT")] + [
+        (s.label, _pm(s.score.log_alpt_mean, s.score.log_alpt_std),
+         _pm(s.score.alpt_mean, s.score.alpt_std))
+        for s in scores
+    ]
+    label_w, log_w, alpt_w = (max(map(len, column)) for column in zip(*table))
+    for label, log_cell, alpt_cell in table:
+        print(f"{label:<{label_w}}  {log_cell:>{log_w}}  {alpt_cell:>{alpt_w}}")
     print(f"wrote {_emit(config, 'ranking', 'ranking.csv', write_ranking_csv, scores)}")
     return 0
 
@@ -104,7 +104,7 @@ def cmd_sweep_prob(config: ExperimentConfig) -> int:
     best_p, best = max(surface, key=lambda row: row[1].log_alpt_mean)
     for point, agg in surface:
         print(
-            f"p=({point[0]:.1f},{point[1]:.1f},{point[2]:.1f}) "
+            f"p=({point[0]:g},{point[1]:g},{point[2]:g}) "
             f"logALPT {_pm(agg.log_alpt_mean, agg.log_alpt_std)}"
         )
     print(

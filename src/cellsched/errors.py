@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-All of them derive from CellschedError so callers (notably the CLI) can
-catch every expected failure in one clause while programmatic users still
-get the conventional ValueError/RuntimeError lineage.
+Every error derives from CellschedError, so the CLI catches all expected
+failures in one clause.  Bad input of any kind, from a config value out of
+range to a metric over no completed flow, is a ParameterError (a ValueError);
+a broken scheduling invariant is a SchedulingError (a RuntimeError).
 """
 
 
@@ -11,20 +12,8 @@ class CellschedError(Exception):
 
 
 class ParameterError(CellschedError, ValueError):
-    """A configuration value or argument is outside its documented domain."""
-
-
-class CapabilityError(CellschedError, RuntimeError):
-    """A strategy needs information the current setup does not provide."""
+    """Bad input: a value outside its documented domain, or a request the setup cannot serve."""
 
 
 class SchedulingError(CellschedError, RuntimeError):
     """The scheduling contract was violated (bad chosen id, broken invariant)."""
-
-
-class UndefinedMetricError(CellschedError, ValueError):
-    """A metric was requested over an empty record set."""
-
-
-class AggregationError(CellschedError, ValueError):
-    """Cross-replication aggregation needs at least two reports."""

@@ -216,12 +216,8 @@ def _converter(tp):
     """A function (value, where) -> value of type ``tp``, built once per type."""
     if tp in (int, float, str, bool):
         return functools.partial(_scalar, tp)
-    args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        return functools.partial(_sequence, _converter(args[0]))
-    if args:  # X | None
-        inner = _converter(args[0])
-        return lambda value, where: None if value is None else inner(value, where)
+        return functools.partial(_sequence, _converter(typing.get_args(tp)[0]))
     return _Record(tp)
 
 

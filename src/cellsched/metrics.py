@@ -12,7 +12,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .errors import AggregationError, ParameterError, UndefinedMetricError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ class MetricsReport:
 def alpt(records) -> float:
     """Mean perceived throughput (1/N) * sum A_k / (T_k_end - T_k_0)."""
     if not records:
-        raise UndefinedMetricError("ALPT is undefined over zero completed flows")
+        raise ParameterError("ALPT is undefined over zero completed flows")
     return statistics.fmean(r.perceived_throughput for r in records)
 
 
 def log_alpt(records) -> float:
     """Mean natural-log perceived throughput."""
     if not records:
-        raise UndefinedMetricError("logALPT is undefined over zero completed flows")
+        raise ParameterError("logALPT is undefined over zero completed flows")
     return statistics.fmean(math.log(r.perceived_throughput) for r in records)
 
 
@@ -91,7 +91,7 @@ def aggregate(reports) -> AggregateReport:
     """Unweighted mean and sample (n-1) std of each metric across replications."""
     reports = list(reports)
     if len(reports) < 2:
-        raise AggregationError(
+        raise ParameterError(
             f"need at least 2 replications to aggregate, got {len(reports)}"
         )
     alpts = [r.alpt for r in reports]
@@ -120,7 +120,7 @@ class PairedReport:
 def paired(a, b) -> PairedReport:
     """Compare two strategies' reports seed by seed; with std 0, t is +/-inf or 0.0."""
     if len(a) != len(b) or len(a) < 2:
-        raise AggregationError(f"need 2+ paired replications, got {len(a)} and {len(b)}")
+        raise ParameterError(f"need 2+ paired replications, got {len(a)} and {len(b)}")
     d = [x.log_alpt - y.log_alpt for x, y in zip(a, b)]
     mean, std = statistics.fmean(d), statistics.stdev(d)
     t = mean / (std / math.sqrt(len(d))) if std else (mean * math.inf if mean else 0.0)

@@ -3,12 +3,15 @@
 Every source of randomness in a run (workload generation, per-flow channel
 draws, the strategy-choice draw of probabilistic mixtures) gets its own
 stream so that replaying a run with the same base seed is bit-identical and
-so that channel draws never depend on scheduling decisions.
+so that channel draws never depend on scheduling decisions.  A weighted
+pick, of a mixture's child or of a file-size class, bisects ``choice_bounds``.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import accumulate
 
 WORKLOAD_STREAM = 0
 CHANNEL_STREAM = 1
@@ -33,3 +36,13 @@ def skip(rng: random.Random, n: int) -> None:
     ``getrandbits(64 * n)`` consumes 2n, so both leave the same state.
     """
     rng.getrandbits(64 * n)
+
+
+def choice_bounds(weights) -> list[float]:
+    """Running sums of ``weights`` for a pick by ``bisect_right(bounds, u)``.
+
+    The sum at the last positive weight is +inf, so a u at or above a total
+    short of 1 picks that entry, and an entry of zero weight is never picked.
+    """
+    last = max(i for i, w in enumerate(weights) if w > 0.0)
+    return [*accumulate(weights[:last]), math.inf]

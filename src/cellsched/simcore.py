@@ -37,7 +37,7 @@ from . import seeding
 from .channel import (
     ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateRecord
 )
-from .errors import CapabilityError, ParameterError, SchedulingError
+from .errors import ParameterError, SchedulingError
 from .metrics import FlowRecord
 from .strategies import StrategySpec, select_client
 from .workload import FlowSpec, WorkloadConfig, generate_workload, mixture_mean
@@ -121,10 +121,8 @@ class SimConfig:
     drain_after_horizon: bool = True
 
     def __post_init__(self):
-        if not self.workload.horizon > 0:
-            raise ParameterError(f"horizon={self.workload.horizon} must be positive")
         if self.strategy.uses_buffer and self.buffer.mode != BUFFER_TCP_REFILL:
-            raise CapabilityError(
+            raise ParameterError(
                 f"strategy {self.strategy.label()} needs buffer mode 'tcp-refill'"
             )
         channel, workload = self.channel, self.workload

@@ -31,23 +31,11 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import accumulate
 
 from .errors import ParameterError
+from .seeding import choice_bounds
 
-ATOMIC_KINDS = (
-    "round_robin",
-    "max_ci",
-    "tas",
-    "das",
-    "pf",
-    "srpt",
-    "sectf",
-    "T",
-    "TK",
-)
 COMBINATOR_KINDS = ("linear", "probabilistic")
-KINDS = ATOMIC_KINDS + COMBINATOR_KINDS
 
 #: Default time constant of the T index's remaining-time estimate.
 C_DEFAULT = 0.6 / math.log(13.0 / 7.0)
@@ -128,13 +116,7 @@ class StrategySpec:
 
     @functools.cached_property
     def _choice_bounds(self) -> list[float]:
-        """A mixture's running weight sums; the first child whose sum exceeds the
-        uniform decides.  The last positive weight's sum is +inf, so a uniform at or
-        above a total short of 1 never picks a zero-weight child."""
-        last = max(i for i, w in enumerate(self.weights) if w > 0.0)
-        bounds = list(accumulate(self.weights[: last + 1]))
-        bounds[-1] = _INF
-        return bounds
+        return choice_bounds(self.weights)
 
     def label(self) -> str:
         """The kind, with every owned parameter that differs from its default."""
@@ -234,6 +216,8 @@ _INDEX_FUNCS = {
     "TK": _idx_tk,
     "linear": _idx_linear,
 }
+ATOMIC_KINDS = tuple(kind for kind in _INDEX_FUNCS if kind not in COMBINATOR_KINDS)
+KINDS = ATOMIC_KINDS + COMBINATOR_KINDS
 
 
 def compute_index(spec: StrategySpec, flow) -> float:

@@ -7,7 +7,9 @@ channel rate drawn uniformly from a band proportional to the offered load.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +58,10 @@ class ParetoMixture:
         if not self.alpha > 1.0:
             raise ParameterError(f"shape alpha={self.alpha} must exceed 1")
 
+    @functools.cached_property
+    def _choice_bounds(self) -> list[float]:
+        return seeding.choice_bounds([w for w, _ in self.components])
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -77,9 +83,8 @@ class WorkloadConfig:
     def __post_init__(self):
         if not self.arrival_rate > 0.0:
             raise ParameterError(f"arrival_rate={self.arrival_rate} must be positive")
-        # horizon 0 is allowed and yields an empty workload
-        if self.horizon < 0:
-            raise ParameterError(f"horizon={self.horizon} must be non-negative")
+        if not self.horizon > 0:
+            raise ParameterError(f"horizon={self.horizon} must be positive")
         if not 0.0 < self.rate_lo_mult < self.rate_hi_mult:
             raise ParameterError(
                 f"need 0 < rate_lo_mult < rate_hi_mult, got "
@@ -121,16 +126,10 @@ def sample_file_size(rng, mixture: ParetoMixture) -> float:
     """Draw one file size: pick a mixture component, then invert the Pareto CDF.
 
     The component draw and the Pareto draw are independent; the result is
-    never below the chosen component's scale.
+    never below the chosen component's scale.  A component of zero weight is
+    never drawn.
     """
-    u_comp = rng.random()
-    acc = 0.0
-    scale = mixture.components[-1][1]
-    for w, m in mixture.components:
-        acc += w
-        if u_comp < acc:
-            scale = m
-            break
+    scale = mixture.components[bisect_right(mixture._choice_bounds, rng.random())][1]
     u = 1.0 - rng.random()  # (0, 1]; avoids the u=0 pole
     return scale * u ** (-1.0 / mixture.alpha)
 

@@ -85,6 +85,15 @@ def test_wide_spread_resolves_when_every_change_run_wins():
     assert summary["wall_s"]["verdict"] == "within bound"
 
 
+def test_trace_medians_take_each_metric_median():
+    runs = [result(2.0, 30.0), result(1.0, 10.0), result(5.0, 20.0, failed=1)]
+    merged = bench_pairs.trace_medians(runs)
+    assert merged["metrics"] == {"wall_s": {"value": 2.0, "unit": "s"},
+                                 "slots_per_s": {"value": 20.0, "unit": "1/s"}}
+    assert (merged["runs"], merged["failed"], merged["attempted"]) == (3, 1, 30)
+    assert merged["sim_digest"] == ["d1"]
+
+
 def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
@@ -95,7 +104,11 @@ def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys
     digests = {("same", parent): "d1", ("same", change): "d1",
                ("moved", parent): "d1", ("moved", change): "d2"}
 
+    traced = []
+
     def fake_run(checkout, workload, seed, seconds, trace):
+        if trace:
+            traced.append((workload, checkout.name))
         return result(2.0, 1.0, digest=digests[workload, checkout])
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
@@ -106,6 +119,11 @@ def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys
     doc = json.loads(out.read_text())
     assert doc["pairs"]["same"]["sim_digest_equal"] is True
     assert doc["pairs"]["moved"]["sim_digest_equal"] is False
+    # three traced runs per side, alternated like the pairs, kept as medians
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    assert traced == [("same", side) for side in sides] + [("moved", side) for side in sides]
+    assert doc["trace"]["same"]["parent"]["runs"] == 3
+    assert doc["trace"]["moved"]["change"]["metrics"]["wall_s"]["value"] == 2.0
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("warning:")]
     assert warnings == ["warning: moved: sim_digest differs, parent ['d1'] -> change ['d2']"]

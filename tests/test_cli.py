@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -59,6 +60,17 @@ class TestRun:
         assert manifest["seeds"] == [1, 2]
         assert set(manifest["outputs"]) == {"ranking.csv"}
 
+    def test_table_columns_line_up(self, tmp_path, capsys):
+        # both labels are shorter than the header, and ALPT cells can be wider than it
+        code, _ = run_cli(tmp_path, "run", extra={"strategies": ["T", "tas"]})
+        assert code == 0
+        header, *rows = capsys.readouterr().out.splitlines()[:3]
+        log_end = header.index("logALPT") + len("logALPT")
+        for row in rows:
+            assert row[: len("strategy  ")].rstrip() in ("T", "tas")
+            assert re.search(r"± \S+", row).end() == log_end
+            assert len(row) == len(header)  # the last column ends where "ALPT" does
+
     def test_seed_and_replication_overrides(self, tmp_path):
         code, out = run_cli(
             tmp_path, "run", args=["--seed", "5", "--replications", "3"]
@@ -102,6 +114,14 @@ class TestSweeps:
         lines = (out / "prob_sweep.csv").read_text().splitlines()
         assert lines[0].startswith("p_t,p_tas,p_das,")
         assert len(lines) == 1 + 6
+
+    def test_sweep_prob_labels_are_distinct(self, tmp_path, capsys):
+        # one decimal gave two points of this grid the label p=(0.1,0.8,0.1)
+        code, _ = run_cli(tmp_path, "sweep-prob", extra={"sweep": {"simplex_step": 0.05}})
+        assert code == 0
+        out = capsys.readouterr().out
+        labels = [line.split()[0] for line in out.splitlines() if line.startswith("p=(")]
+        assert len(labels) == len(set(labels)) == 231
 
 
 class TestSweepGridsFollowTheConfig:
@@ -235,7 +255,7 @@ class TestErrors:
         code, out = run_cli(tmp_path, command, extra={"strategies": ["tas", "sectf"]})
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: strategy sectf needs buffer mode 'tcp-refill'" in err
+        assert "error: config: strategy sectf needs buffer mode 'tcp-refill'" in err
         assert not out.exists()
 
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys):

@@ -30,7 +30,6 @@ from cellsched import (
     sweep_probabilistic,
 )
 from cellsched import channel, experiments
-from cellsched.errors import CapabilityError
 from cellsched.experiments import (
     CURVE_HEADER,
     RANKING_KINDS,
@@ -175,7 +174,7 @@ class TestScoring:
         assert row.score.replications == 3
 
     def test_capability_error_carries_label(self):
-        with pytest.raises(CapabilityError, match="sectf"):
+        with pytest.raises(ParameterError, match="sectf"):
             config = tiny_config(strategies=(StrategySpec(kind="sectf"),))
             run_experiment(config)
 
@@ -507,6 +506,8 @@ class TestExperimentSerialization:
                 {"workload": {"size_mixture": {"components": [[0.5, 1], [0.5, 2]]}}},
                 "config.workload.size_mixture.components[0]",
             ),
+            ({"horizon": 0}, "config.workload: horizon=0 must be positive"),
+            ({"horizon": -1}, "config.workload: horizon=-1 must be positive"),
         ],
     )
     def test_decode_failures_name_the_field(self, payload, where):

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellsched import ParameterError
-from cellsched.errors import AggregationError, UndefinedMetricError
 from cellsched.experiments import to_dict
 from cellsched.metrics import (
     FlowRecord,
@@ -64,7 +63,7 @@ class TestAlpt:
         assert alpt([record(123.25, 9, 10)]) == 123.25
 
     def test_empty_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ParameterError):
             alpt([])
 
     @given(record_lists)
@@ -84,7 +83,7 @@ class TestLogAlpt:
         assert log_alpt(records) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ParameterError):
             log_alpt([])
 
     @given(record_lists, st.floats(min_value=1e-3, max_value=1e3))
@@ -146,7 +145,7 @@ class TestAggregate:
         assert agg.unfinished_total == 2
 
     def test_fewer_than_two_reports_rejected(self):
-        with pytest.raises(AggregationError):
+        with pytest.raises(ParameterError):
             aggregate([self._report(1.0)])
 
 
@@ -181,5 +180,5 @@ class TestPaired:
     @pytest.mark.parametrize("sizes", [(1, 1), (0, 0), (2, 3), (3, 2)])
     def test_too_short_or_unequal_rejected(self, sizes):
         a, b = (self._reports(*range(n)) for n in sizes)
-        with pytest.raises(AggregationError):
+        with pytest.raises(ParameterError):
             paired(a, b)

@@ -19,7 +19,7 @@ from cellsched import (
     run_simulation,
 )
 from cellsched import seeding, simcore
-from cellsched.errors import CapabilityError, SchedulingError
+from cellsched.errors import SchedulingError
 from cellsched.simcore import admit_arrivals, make_flow_state, refill_buffers, serve_slot
 
 from conftest import FixedRateSource, make_flow
@@ -103,7 +103,7 @@ class TestSimConfigValidation:
             sim_config(workload=WorkloadConfig(arrival_rate=0.09, horizon=0))
 
     def test_sectf_requires_tcp_mode(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ParameterError):
             sim_config(strategy="sectf")
         sim_config(strategy="sectf", buffer=TCP)  # accepted
 

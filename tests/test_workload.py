@@ -96,6 +96,19 @@ class TestSampleFileSize:
         rng = StubRng([0.0, 1.0 - 2.0**-5.5])
         assert sample_file_size(rng, mix) == pytest.approx(1000.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "u", [0.0, math.nextafter(0.5, 0.0), 0.5, 0.99999999995, 1.0 - 2.0**-53]
+    )
+    def test_zero_weight_component_is_never_drawn(self, u):
+        # the weights sum to 1 - 1e-10, within the tolerance; a pick at or above
+        # that total must go to the last positive weight, as for a probabilistic
+        # strategy, not to the last component
+        mix = ParetoMixture(
+            components=((0.5, 100.0), (0.0, 1e6), (0.4999999999, 200.0), (0.0, 1e6))
+        )
+        rng = StubRng([u, 0.0])  # component pick, then u -> 1: the scale itself
+        assert sample_file_size(rng, mix) == (100.0 if u < 0.5 else 200.0)
+
     def test_empirical_mean_default_mixture(self):
         rng = random.Random(7)
         mix = ParetoMixture()
@@ -147,10 +160,6 @@ class TestSampleMeanRate:
 
 
 class TestGenerateWorkload:
-    def test_zero_horizon_is_empty(self):
-        config = WorkloadConfig(arrival_rate=0.09, horizon=0)
-        assert generate_workload(config) == []
-
     def test_deterministic_given_seed(self):
         config = WorkloadConfig(arrival_rate=0.09, horizon=5000, seed=42)
         assert generate_workload(config) == generate_workload(config)
@@ -180,8 +189,9 @@ class TestGenerateWorkload:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             WorkloadConfig(arrival_rate=0.0)
-        with pytest.raises(ParameterError):
-            WorkloadConfig(arrival_rate=0.09, horizon=-1)
+        for horizon in (0, -1):
+            with pytest.raises(ParameterError, match=f"horizon={horizon} must be positive"):
+                WorkloadConfig(arrival_rate=0.09, horizon=horizon)
         with pytest.raises(ParameterError):
             WorkloadConfig(arrival_rate=0.09, rate_lo_mult=2.0, rate_hi_mult=1.0)
 
