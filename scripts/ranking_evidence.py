@@ -33,15 +33,6 @@ from cellsched.experiments import RANKING_KINDS, replicate
 from cellsched.metrics import aggregate, paired
 
 
-def per_seed(config, specs):
-    """The reports of each replication of each of ``specs``, in seed order.
-
-    One ``replicate`` call, so all of ``specs`` share each seed's workload
-    and channel rates.
-    """
-    return replicate(config.sim, specs, config.base_seed, config.replications)
-
-
 def print_pair(name, a, b, digits=4):
     """Print the mean, sample sd and t statistic of the per-seed differences a - b."""
     p = paired(a, b)
@@ -52,7 +43,7 @@ def print_pair(name, a, b, digits=4):
 def ranking_block(base_seed):
     config = experiment_from_dict({"base_seed": base_seed})
     specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
-    scores = dict(zip(RANKING_KINDS, per_seed(config, specs)))
+    scores = dict(zip(RANKING_KINDS, replicate(config, specs)))
     aggs = {k: aggregate(v) for k, v in scores.items()}
     order = sorted(aggs, key=lambda k: aggs[k].log_alpt_mean, reverse=True)
     seeds = config.seeds
@@ -73,7 +64,7 @@ def mixture_surface():
     specs = [
         StrategySpec(kind="probabilistic", children=children, weights=p) for p in grid
     ]
-    scores = dict(zip(grid, per_seed(config, specs)))
+    scores = dict(zip(grid, replicate(config, specs)))
     means = {p: aggregate(v).log_alpt_mean for p, v in scores.items()}
     peak = max(means, key=means.get)
     edge_gap = max(means[peak] - m for p, m in means.items() if p[0] == 0.0)
@@ -109,9 +100,9 @@ def never_served_alternative():
     config = experiment_from_dict({"horizon": 30_000, "replications": 5})
     kinds = ("T", "TK", "tas")
     specs = [StrategySpec(kind=k) for k in kinds]
-    as_documented = dict(zip(kinds, per_seed(config, specs)))
+    as_documented = dict(zip(kinds, replicate(config, specs)))
     with never_served_first():
-        lifted = dict(zip(kinds, per_seed(config, specs)))
+        lifted = dict(zip(kinds, replicate(config, specs)))
     print(f"never-served flows scored +inf by T and TK, h={config.sim.workload.horizon} "
           f"x {config.replications} seeds:")
     for k in kinds:
@@ -130,7 +121,7 @@ def linear_alphas():
         StrategySpec(kind="linear", children=(tas, das), weights=(1.0, a))
         for a in alphas
     ]
-    scores = dict(zip(alphas, per_seed(config, specs)))
+    scores = dict(zip(alphas, replicate(config, specs)))
     seeds = config.seeds
     print(f"linear I_tas + alpha*I_das, h={config.sim.workload.horizon}, "
           f"seeds {seeds[0]}-{seeds[-1]}:")

@@ -7,14 +7,15 @@ Subcommands:
   dump-workload  CSV of the generated arrival stream for the base seed
   trace          per-slot service trace of one run of the first strategy
 
-Configuration comes from an optional YAML file (--config); --seed,
---replications, and --out override it.  Without a config the reference
-setup is used.  Exit code 0 on success, 2 on any expected error.
+Configuration comes from an optional YAML file (--config); --seed, --replications
+and --out override it.  Without a config the reference setup is used.  Exit code 0
+on success or when the reader of stdout leaves early, 2 on any expected error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,9 +47,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     # bytes: PyYAML detects the encoding and rejects invalid text as a YAMLError
     with open(path, "rb") as handle:
         data = yaml.safe_load(handle)
-    if not isinstance(data, (dict, type(None))):  # an empty file is the reference setup
-        raise CellschedError(f"config file {path} must hold a mapping")
-    return experiment_from_dict(data or {})
+    return experiment_from_dict({} if data is None else data)  # None: an empty file
 
 
 def apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -74,6 +73,7 @@ def _pm(mean: float, std: float) -> str:
 def cmd_run(config: ExperimentConfig) -> int:
     """strategy ranking table (logALPT/ALPT mean +/- std per strategy)"""
     scores = run_experiment(config)
+    path = _emit(config, "ranking", "ranking.csv", write_ranking_csv, scores)
     table = [("strategy", "logALPT", "ALPT")] + [
         (s.label, _pm(s.score.log_alpt_mean, s.score.log_alpt_std),
          _pm(s.score.alpt_mean, s.score.alpt_std))
@@ -82,7 +82,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     label_w, log_w, alpt_w = (max(map(len, column)) for column in zip(*table))
     for label, log_cell, alpt_cell in table:
         print(f"{label:<{label_w}}  {log_cell:>{log_w}}  {alpt_cell:>{alpt_w}}")
-    print(f"wrote {_emit(config, 'ranking', 'ranking.csv', write_ranking_csv, scores)}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -90,10 +90,10 @@ def cmd_sweep_linear(config: ExperimentConfig) -> int:
     """logALPT curve of the linear index I_tas + alpha * I_das"""
     curve = sweep_linear(config)
     best_alpha, best = max(curve, key=lambda row: row[1].log_alpt_mean)
+    path = _emit(config, "sweep-linear", "linear_sweep.csv", write_curve_csv, curve)
     for alpha, agg in curve:
         print(f"alpha={alpha:<5g} logALPT {_pm(agg.log_alpt_mean, agg.log_alpt_std)}")
     print(f"best alpha: {best_alpha:g} (logALPT {best.log_alpt_mean:.3f})")
-    path = _emit(config, "sweep-linear", "linear_sweep.csv", write_curve_csv, curve)
     print(f"wrote {path}")
     return 0
 
@@ -102,6 +102,7 @@ def cmd_sweep_prob(config: ExperimentConfig) -> int:
     """logALPT surface of the probabilistic {T, tas, das} mixture"""
     surface = sweep_probabilistic(config)
     best_p, best = max(surface, key=lambda row: row[1].log_alpt_mean)
+    path = _emit(config, "sweep-prob", "prob_sweep.csv", write_surface_csv, surface)
     for point, agg in surface:
         print(
             f"p=({point[0]:g},{point[1]:g},{point[2]:g}) "
@@ -111,7 +112,6 @@ def cmd_sweep_prob(config: ExperimentConfig) -> int:
         f"best mixture: (p_t,p_tas,p_das)=({best_p[0]:g},{best_p[1]:g},{best_p[2]:g})"
         f" (logALPT {best.log_alpt_mean:.3f})"
     )
-    path = _emit(config, "sweep-prob", "prob_sweep.csv", write_surface_csv, surface)
     print(f"wrote {path}")
     return 0
 
@@ -164,8 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = apply_overrides(load_config(args.config), args)
-        return _COMMANDS[args.command](config)
+        code = _COMMANDS[args.command](apply_overrides(load_config(args.config), args))
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout left; the files are written first
+        if sys.stdout is sys.__stdout__:  # Python flushes it at exit: point it at devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CellschedError, OSError, yaml.YAMLError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

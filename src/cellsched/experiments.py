@@ -1,9 +1,9 @@
 """Replicated experiments: strategy ranking tables and parameter sweeps.
 
-Every strategy is evaluated on the same replication seeds (base_seed + i),
-so each one sees identical arrival streams and identical per-flow channel
-draws (made once per seed and replayed to every strategy) — score
-differences are paired, reflecting only the scheduling rule.
+Every strategy is evaluated on the config's replication seeds, so each
+one sees identical arrival streams and identical per-flow channel draws
+(made once per seed and replayed to every strategy) — score differences
+are paired, reflecting only the scheduling rule.
 Results aggregate to mean +/- sample std and serialize to CSV plus a JSON
 manifest carrying the config echo, the seeds, and content hashes.
 """
@@ -123,30 +123,31 @@ class StrategyScore:
     score: AggregateReport
 
 
-def replicate(sim_template, specs, base_seed, replications):
-    """Metric reports of every strategy in ``specs`` on each replication seed.
+def replicate(config: ExperimentConfig, specs):
+    """Metric reports of every strategy in ``specs`` on each of the config's seeds.
 
     Returns one list per strategy, in seed order.  Seeds form the outer
     loop: each seed's workload is generated once, its channel rates are
     drawn once into a SharedRateSource, and every strategy runs on those
     same flows and rates, so only one seed's flows are alive at a time.
     """
-    templates = [replace(sim_template, strategy=spec) for spec in specs]
+    sim = config.sim
+    templates = [replace(sim, strategy=spec) for spec in specs]
     reports = [[] for _ in templates]
-    for i in range(replications):
-        workload = replace(sim_template.workload, seed=base_seed + i)
+    for seed in config.seeds:
+        workload = replace(sim.workload, seed=seed)
         flows = generate_workload(workload)
-        rates = SharedRateSource(workload.seed, sim_template.channel)
+        rates = SharedRateSource(seed, sim.channel)
         for template, spec_reports in zip(templates, reports):
-            config = replace(template, workload=workload)
-            result = run_simulation(config, flows=flows, rate_source=rates)
+            run = replace(template, workload=workload)
+            result = run_simulation(run, flows=flows, rate_source=rates)
             spec_reports.append(summarize(result.records, result.unfinished))
     return reports
 
 
 def _scores(config: ExperimentConfig, specs) -> list[AggregateReport]:
     """The aggregate score of each of ``specs`` on the config's seeds."""
-    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    reports = replicate(config, specs)
     return [aggregate(spec_reports) for spec_reports in reports]
 
 

@@ -13,6 +13,8 @@ import math
 import random
 from itertools import accumulate
 
+from .errors import ParameterError
+
 WORKLOAD_STREAM = 0
 CHANNEL_STREAM = 1
 CHOICE_STREAM = 2
@@ -41,8 +43,11 @@ def skip(rng: random.Random, n: int) -> None:
 def choice_bounds(weights) -> list[float]:
     """Running sums of ``weights`` for a pick by ``bisect_right(bounds, u)``.
 
-    The sum at the last positive weight is +inf, so a u at or above a total
-    short of 1 picks that entry, and an entry of zero weight is never picked.
+    The weights must be non-negative and sum to 1 within 1e-9.  The sum at
+    the last positive weight is +inf, so a u at or above a total short of 1
+    picks that entry, and an entry of zero weight is never picked.
     """
+    if not all(w >= 0.0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
+        raise ParameterError(f"weights {list(weights)} must be non-negative and sum to 1")
     last = max(i for i, w in enumerate(weights) if w > 0.0)
     return [*accumulate(weights[:last]), math.inf]

@@ -49,7 +49,6 @@ OWNED_PARAMS = {
     "probabilistic": ("children", "weights"),
 }
 
-_PROB_TOL = 1e-9
 _INF = math.inf
 
 
@@ -98,15 +97,10 @@ class StrategySpec:
         for child in self.children:
             if child.kind not in ATOMIC_KINDS:
                 raise ParameterError("combinator children must be atomic kinds")
-        if any(w < 0.0 for w in self.weights):
-            raise ParameterError("weights must be non-negative")
-        if self.kind == "linear":
-            if not any(w > 0.0 for w in self.weights):
-                raise ParameterError("linear combination needs a positive weight")
-        else:  # probabilistic
-            total = sum(self.weights)
-            if abs(total - 1.0) > _PROB_TOL:
-                raise ParameterError(f"mixture probabilities sum to {total}, expected 1")
+        if self.kind == "probabilistic":
+            self._choice_bounds  # built on loading; checks the weights
+        elif not all(w >= 0.0 for w in self.weights) or not any(self.weights):
+            raise ParameterError("linear weights must be non-negative, one of them positive")
 
     @property
     def uses_buffer(self) -> bool:

@@ -113,7 +113,7 @@ def test_criterion_02_linear_sweep_boundary():
         StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
         for alpha in ALPHAS
     ]
-    reports = replicate(config.sim, specs, config.base_seed, config.replications)
+    reports = replicate(config, specs)
     scores = dict(zip(ALPHAS, reports))
     gains = {alpha: paired(scores[alpha], scores[0.0]) for alpha in ALPHAS[1:]}
     beats_zero = all(gain.t >= 3.0 for gain in gains.values())

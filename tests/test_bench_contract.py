@@ -8,6 +8,10 @@ benchmark's instruments on two tiny library runs and a tiny CLI run.  The
 second library run passes through idle and single-flow stretches with a
 probabilistic strategy, where the slot loop skips the decision but still
 calls ``serve_slot`` once per slot.
+
+Every config mapping the benchmark's workloads build must also decode: a
+loader change that rejected one (``loaded_sweep`` writes ``sweep.kind``)
+would fail every run of that workload.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from collections import Counter
 from pathlib import Path
 
 from cellsched import BufferModel, SimConfig, StrategySpec, WorkloadConfig, cli, simcore
+from cellsched.experiments import experiment_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from tracer import TARGETS, RunTimer, SlotCounter, Tracer  # noqa: E402
+from workloads import LoadedSweep, ReferenceRanking, ShortRuns  # noqa: E402
 
 # the CLI's ``run`` command never reaches the probabilistic sweep
 OFF_PATH = {"experiments.sweep_probabilistic"}
@@ -72,3 +78,16 @@ def test_instruments_see_every_patched_name(tmp_path):
     assert not [name for name in TARGETS if name not in OFF_PATH and not calls[name]]
     assert len(timer.latencies) == calls["simcore.run_simulation"]
     assert tracer.layer_metrics()["simcore.slots"] == (counter.slots, "count")
+
+
+def test_loader_decodes_every_benchmark_config(tmp_path):
+    for workload in (ReferenceRanking, LoadedSweep):
+        # the CLI workloads write their mapping to a file and pass --config
+        config_path = workload(1, tmp_path / workload.name).config_path
+        config = cli.load_config(str(config_path))
+        assert config == experiment_from_dict(workload.mapping)
+    assert config.sweep.kind == "probabilistic"
+    mappings = ShortRuns(1, tmp_path).config_mappings
+    assert len(mappings) == ShortRuns.runs
+    for mapping in mappings:
+        experiment_from_dict(mapping)

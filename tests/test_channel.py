@@ -10,6 +10,7 @@ import pytest
 
 from cellsched import (
     ChannelConfig,
+    ExperimentConfig,
     ParameterError,
     SimConfig,
     StrategySpec,
@@ -50,6 +51,17 @@ class TestConfigValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
             ChannelConfig(envelope_mode="sawtooth")
+
+    def test_rejects_an_envelope_of_zero_on_every_slot(self):
+        # sin(argument) == -1 makes E = 0 and every rate 0, so no flow finishes
+        for config in (
+            dict(envelope_phase=-math.pi / 2 - 5e-4),  # literal: freq + phase
+            dict(envelope_mode="time_varying", envelope_freq=0.0, envelope_phase=-math.pi / 2),
+        ):
+            with pytest.raises(ParameterError, match="envelope_phase="):
+                ChannelConfig(**config)
+        # a moving envelope is 0 only where the argument passes -pi/2
+        ChannelConfig(envelope_mode="time_varying", envelope_phase=-math.pi / 2 - 5e-4)
 
 
 class TestEnvelopeFactor:
@@ -222,7 +234,7 @@ class TestSharedRateSource:
         sim = SimConfig(
             workload=WorkloadConfig(arrival_rate=0.09, horizon=600), strategy=specs[0]
         )
-        replicate(sim, specs, 4, 2)
+        replicate(ExperimentConfig(sim, replications=2, base_seed=4), specs)
         flows = [
             flow
             for seed in (4, 5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import subprocess
@@ -280,7 +281,7 @@ class TestErrors:
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
         assert main(["run", "--config", str(path)]) == 2
-        assert "must hold a mapping" in capsys.readouterr().err
+        assert "error: config: expected a mapping, got [1, 2]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[]\n", "false\n", "0\n"])
     def test_falsy_non_mapping_is_rejected(self, tmp_path, capsys, text):
@@ -288,7 +289,7 @@ class TestErrors:
         path.write_text(text)
         argv = ["dump-workload", "--config", str(path), "--out", str(tmp_path)]
         assert main(argv) == 2
-        assert "must hold a mapping" in capsys.readouterr().err
+        assert "error: config: expected a mapping" in capsys.readouterr().err
 
     def test_empty_file_is_the_reference_setup(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -304,6 +305,47 @@ class TestErrors:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has left."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "command, csv_name",
+        [("run", "ranking.csv"), ("sweep-linear", "linear_sweep.csv"),
+         ("sweep-prob", "prob_sweep.csv")],
+    )
+    def test_reader_leaving_is_not_an_error(self, tmp_path, capsys, monkeypatch,
+                                            command, csv_name):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        sweep = {"alpha_max": 0.2, "simplex_step": 0.5}
+        code, out = run_cli(tmp_path, command, extra={"sweep": sweep})
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == [csv_name]
+        assert (out / csv_name).exists()
+
+    def test_console_script_with_closed_stdout(self, tmp_path):
+        # the reader closes before the first byte is written, so the flush at
+        # the end of main fails; Python's own flush at exit must stay silent too
+        cfg = write_config(tmp_path)
+        out = tmp_path / "results"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cellsched.cli", "run", "--config", cfg, "--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        assert proc.wait() == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+        assert (out / "ranking.csv").exists() and (out / "manifest.json").exists()
 
 
 class TestHelp:

@@ -163,8 +163,8 @@ class TestScoring:
     def test_replication_reports_deterministic(self):
         config = tiny_config()
         specs = (StrategySpec(kind="tas"),)
-        a = replicate(config.sim, specs, config.base_seed, 2)
-        b = replicate(config.sim, specs, config.base_seed, 2)
+        a = replicate(replace(config, replications=2), specs)
+        b = replicate(replace(config, replications=2), specs)
         assert a == b
 
     def test_score_strategy_pairs_replications(self):
@@ -287,7 +287,7 @@ class TestSharedRates:
             channel=ChannelConfig(envelope_mode=envelope_mode),
             buffer=BufferModel(mode=buffer_mode),
         )
-        reports = replicate(sim, specs, 4, 2)
+        reports = replicate(ExperimentConfig(sim, replications=2, base_seed=4), specs)
         assert running == specs * 2
         # some later strategy kept a flow active past its record and extended it
         assert len(later_draws) > 0
@@ -508,6 +508,10 @@ class TestExperimentSerialization:
             ),
             ({"horizon": 0}, "config.workload: horizon=0 must be positive"),
             ({"horizon": -1}, "config.workload: horizon=-1 must be positive"),
+            (
+                {"channel": {"envelope_phase": -1.5712963267948965}},
+                "config.channel: envelope_phase=-1.5712963267948965 makes every rate 0",
+            ),
         ],
     )
     def test_decode_failures_name_the_field(self, payload, where):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
+from cellsched import ParameterError, ParetoMixture, StrategySpec
 from cellsched.seeding import (
     CHANNEL_STREAM,
     CHOICE_STREAM,
@@ -49,3 +52,24 @@ def test_skip_leaves_the_stream_where_draws_would():
             drawn.random()
         skip(skipped, n)
         assert skipped.random() == drawn.random()
+
+
+def test_both_weighted_picks_share_one_weights_rule():
+    # a size mixture and a probabilistic strategy: one tolerance, one message
+    children = (StrategySpec(kind="tas"), StrategySpec(kind="das"))
+    scales = (100.0, 200.0)
+    for weights in ((0.5, 0.5 + 5e-10), (0.5, 0.5 - 5e-10)):  # within 1e-9 of 1
+        ParetoMixture(components=tuple(zip(weights, scales)))
+        StrategySpec(kind="probabilistic", children=children, weights=weights)
+    messages = []
+    for weights in ((0.5, 0.5 + 2e-9), (1.5, -0.5)):
+        with pytest.raises(ParameterError) as mixture:
+            ParetoMixture(components=tuple(zip(weights, scales)))
+        with pytest.raises(ParameterError) as strategy:
+            StrategySpec(kind="probabilistic", children=children, weights=weights)
+        messages += [str(mixture.value), str(strategy.value)]
+    assert messages == [
+        f"weights {list(weights)} must be non-negative and sum to 1"
+        for weights in ((0.5, 0.5 + 2e-9), (1.5, -0.5))
+        for _ in range(2)
+    ]

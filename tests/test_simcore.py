@@ -144,16 +144,6 @@ class TestAdmitArrivals:
         # each record is admitted whole, holding the stream its source gave
         assert [active[fid].stream.draw(3) for fid in (0, 1)] == [3.0, 4.0]
 
-    def test_missed_arrival_is_contract_violation(self):
-        with pytest.raises(SchedulingError):
-            admit_arrivals({}, 10, [make_flow(arrival=4)], INFINITE, 0, FixedRateSource())
-
-    def test_duplicate_id_rejected(self):
-        active = {0: make_flow_state(make_flow(fid=0), INFINITE)}
-        pending = [make_flow(fid=0, arrival=0)]
-        with pytest.raises(SchedulingError):
-            admit_arrivals(active, 0, pending, INFINITE, 0, FixedRateSource())
-
 
 def _waiting(state, due: int) -> deque:
     """A refill queue holding ``state``, emptied and due at slot ``due``."""
@@ -342,6 +332,32 @@ class TestRunSimulation:
                 sim_config(flows_horizon=100), flows=flows, rate_source=RecordingSource()
             )
         assert admitted == []
+
+    def test_unsorted_flows_are_rejected_before_slot_0(self, monkeypatch):
+        calls = []
+        admit = simcore.admit_arrivals
+
+        def spy(active, t, *args):
+            calls.append(t)
+            return admit(active, t, *args)
+
+        monkeypatch.setattr(simcore, "admit_arrivals", spy)
+        flows = [make_flow(fid=0, arrival=4), make_flow(fid=1, arrival=2)]
+        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 2"):
+            run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
+        assert calls == []
+
+    def test_duplicate_id_rejected(self):
+        flows = [make_flow(fid=0, arrival=0), make_flow(fid=0, arrival=0)]
+        with pytest.raises(SchedulingError, match="flow 0 arrives at slot 0"):
+            run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
+
+    def test_non_overlapping_duplicate_ids_are_rejected(self):
+        # the first flow 7 is long gone when the second arrives; both would
+        # be served, and seeded, as flow 7
+        flows = [make_flow(fid=7, arrival=0, size=10.0), make_flow(fid=7, arrival=20)]
+        with pytest.raises(SchedulingError, match="flow 7 arrives at slot 20.*distinct ids"):
+            run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
 
     def test_single_flow_hand_trace(self):
         config = sim_config(strategy="max_ci")
