@@ -48,9 +48,6 @@ class ChannelConfig:
             raise ParameterError("envelope_freq + envelope_phase must be finite")
         if self.envelope_mode not in (ENVELOPE_LITERAL, ENVELOPE_TIME_VARYING):
             raise ParameterError(f"unknown envelope_mode {self.envelope_mode!r}")
-        constant = self.envelope_mode == ENVELOPE_LITERAL or self.envelope_freq == 0.0
-        if constant and math.sin(self.envelope_freq + self.envelope_phase) == -1.0:
-            raise ParameterError(f"envelope_phase={self.envelope_phase} makes every rate 0")
 
 
 def envelope_factor(t: float, config: ChannelConfig) -> float:

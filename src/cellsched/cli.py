@@ -127,12 +127,13 @@ def cmd_dump_workload(config: ExperimentConfig) -> int:
 
 def cmd_trace(config: ExperimentConfig) -> int:
     """per-slot service trace of one run of the first strategy"""
-    workload = replace(config.sim.workload, seed=config.base_seed)
-    result = run_simulation(replace(config.sim, workload=workload), collect_trace=True)
+    spec, workload = config.strategies[0], replace(config.sim.workload, seed=config.base_seed)
+    run = replace(config.sim, strategy=spec, workload=workload)
+    result = run_simulation(run, collect_trace=True)
     path = _emit(config, "trace", "trace.csv", write_trace_csv, result.trace)
     print(
         f"wrote {path} ({len(result.trace)} slots, "
-        f"{len(result.records)} completions, strategy {config.sim.strategy.label()})"
+        f"{len(result.records)} completions, strategy {spec.label()})"
     )
     return 0
 

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -207,19 +208,39 @@ def to_dict(obj):
     return {name: to_dict(getattr(obj, name)) for name in names}
 
 
-def from_dict(tp, data, where: str = "config"):
-    """Decode ``data`` as type ``tp``; errors are ParameterErrors naming the field."""
-    return _converter(tp)(data, where)
+def from_dict(tp, data, where: str = "config", /, **decoded):
+    """Decode ``data`` as type ``tp``; errors are ParameterErrors naming the field.
+
+    ``decoded`` holds fields given already decoded.  A value of exactly its
+    field's type (an int, str or bool, or a config object) is taken as
+    decoded; a tuple is converted item by item and a float goes through
+    :func:`_scalar`, which rejects NaN and ±inf.
+    """
+    if type(tp) is types.GenericAlias:  # tuple[X, ...], the one generic field type
+        if not isinstance(data, (list, tuple)):
+            raise ParameterError(f"{where}: expected a list, got {data!r}")
+        item = typing.get_args(tp)[0]
+        return tuple([from_dict(item, v, f"{where}[{i}]") for i, v in enumerate(data)])
+    hints = _hints(tp)
+    if not hints:  # int, float, str or bool: a class without fields
+        return _scalar(tp, data, where)
+    if tp is StrategySpec and isinstance(data, str):
+        data = {"kind": data}
+    if not isinstance(data, dict):
+        raise ParameterError(f"{where}: expected a mapping, got {data!r}")
+    if not data.keys() <= hints.keys():
+        unknown = sorted(data.keys() - hints.keys(), key=str)
+        raise ParameterError(f"{where}: unknown fields {unknown}")
+    for k, v in data.items():
+        t = hints[k]
+        decoded[k] = v if type(v) is t and t is not float else from_dict(t, v, f"{where}.{k}")
+    try:
+        return tp(**decoded)
+    except (TypeError, ParameterError) as err:  # TypeError: a field is missing
+        raise ParameterError(f"{where}: {err}") from None
 
 
-@functools.cache
-def _converter(tp):
-    """A function (value, where) -> value of type ``tp``, built once per type."""
-    if tp in (int, float, str, bool):
-        return functools.partial(_scalar, tp)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        return functools.partial(_sequence, _converter(typing.get_args(tp)[0]))
-    return _Record(tp)
+_hints = functools.cache(typing.get_type_hints)  # field annotations of a config class
 
 
 def _scalar(tp, value, where):
@@ -238,51 +259,6 @@ def _scalar(tp, value, where):
         pass
     kind = "finite float" if tp is float else tp.__name__
     raise ParameterError(f"{where}: {value!r} is not a valid {kind}")
-
-
-def _sequence(item, value, where):
-    if not isinstance(value, (list, tuple)):
-        raise ParameterError(f"{where}: expected a list, got {value!r}")
-    return tuple([item(v, f"{where}[{i}]") for i, v in enumerate(value)])
-
-
-class _Record:
-    """Decoder of one dataclass or NamedTuple; its field table is built on first use.
-
-    A value of exactly a field's type (a tuple for a tuple, a config object
-    for its class) is taken as decoded; a float always goes through
-    :func:`_scalar`, which rejects NaN and ±inf.
-    """
-
-    def __init__(self, cls):
-        self.cls = cls
-        self.convert = None
-
-    def __call__(self, value, where):
-        if self.cls is StrategySpec and isinstance(value, str):
-            value = {"kind": value}
-        if not isinstance(value, dict):
-            raise ParameterError(f"{where}: expected a mapping, got {value!r}")
-        if self.convert is None:
-            hints = typing.get_type_hints(self.cls)
-            self.types = {
-                k: None if tp is float else typing.get_origin(tp) or tp
-                for k, tp in hints.items()
-            }
-            self.convert = {k: _converter(tp) for k, tp in hints.items()}
-        types, convert = self.types, self.convert
-        try:
-            kwargs = {
-                k: v if type(v) is types[k] else convert[k](v, f"{where}.{k}")
-                for k, v in value.items()
-            }
-        except KeyError:
-            unknown = sorted(value.keys() - types.keys(), key=str)
-            raise ParameterError(f"{where}: unknown fields {unknown}") from None
-        try:
-            return self.cls(**kwargs)
-        except (TypeError, ParameterError) as err:  # TypeError: a field is missing
-            raise ParameterError(f"{where}: {err}") from None
 
 
 def _section(data, where: str, hidden) -> dict:
@@ -317,14 +293,12 @@ def experiment_from_dict(data) -> ExperimentConfig:
     if "horizon" in top:
         workload["horizon"] = _scalar(int, top.pop("horizon"), "config.horizon")
     sim = {k: top.pop(k) for k in ("drain_after_horizon", "channel", "buffer") if k in top}
-    raw = top.get("strategies", RANKING_KINDS)
+    raw = top.pop("strategies", RANKING_KINDS)
     strategies = from_dict(tuple[StrategySpec, ...], raw, "config.strategies")
     if not strategies:
         raise ParameterError("config.strategies: the list is empty")
-    top["strategies"] = strategies
-    sim["strategy"] = strategies[0]
-    top["sim"] = from_dict(SimConfig, {**sim, "workload": workload})
-    return from_dict(ExperimentConfig, top)
+    sim = from_dict(SimConfig, {**sim, "workload": workload}, strategy=strategies[0])
+    return from_dict(ExperimentConfig, top, sim=sim, strategies=strategies)
 
 
 # --- emission ------------------------------------------------------------

@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 from . import seeding
 from .channel import (
-    ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateRecord
+    ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateRecord,
+    envelope_factor,
 )
 from .errors import ParameterError, SchedulingError
 from .metrics import FlowRecord
@@ -127,9 +128,8 @@ class SimConfig:
             )
         channel, workload = self.channel, self.workload
         last = workload.horizon + _DRAIN_SLACK  # no run reaches a later slot
-        if channel.envelope_mode == ENVELOPE_TIME_VARYING and not math.isfinite(
-            channel.envelope_freq * last + channel.envelope_phase
-        ):
+        moving = channel.envelope_mode == ENVELOPE_TIME_VARYING and channel.envelope_freq != 0.0
+        if moving and not math.isfinite(channel.envelope_freq * last + channel.envelope_phase):
             raise ParameterError(
                 f"channel.envelope_freq={channel.envelope_freq} overflows the "
                 f"time-varying envelope argument by slot {last}"
@@ -140,6 +140,14 @@ class SimConfig:
             raise ParameterError(
                 "channel.hi_coeff * 2 * channel.envelope_amplitude * workload.rate_hi_mult"
                 " * workload.arrival_rate * mean file size, the largest rate, overflows"
+            )
+        # the largest envelope factor; a still envelope keeps its value at slot 0
+        e_max = 2 * channel.envelope_amplitude if moving else envelope_factor(0, channel)
+        smallest = min(m for _, m in workload.size_mixture.components)
+        if channel.hi_coeff * e_max * top * _DRAIN_SLACK < smallest:
+            raise ParameterError(
+                "channel.hi_coeff * envelope * workload.rate_hi_mult * workload.arrival_rate"
+                f" * mean size * {_DRAIN_SLACK} slots < scale_kb {smallest:g}: no flow can finish"
             )
 
     @property

@@ -99,8 +99,8 @@ class StrategySpec:
                 raise ParameterError("combinator children must be atomic kinds")
         if self.kind == "probabilistic":
             self._choice_bounds  # built on loading; checks the weights
-        elif not all(w >= 0.0 for w in self.weights) or not any(self.weights):
-            raise ParameterError("linear weights must be non-negative, one of them positive")
+        elif not all(0.0 <= w < _INF for w in self.weights) or not any(self.weights):
+            raise ParameterError("linear weights must be finite and non-negative, one positive")
 
     @property
     def uses_buffer(self) -> bool:

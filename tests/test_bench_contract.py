@@ -11,7 +11,8 @@ calls ``serve_slot`` once per slot.
 
 Every config mapping the benchmark's workloads build must also decode: a
 loader change that rejected one (``loaded_sweep`` writes ``sweep.kind``)
-would fail every run of that workload.
+would fail every run of that workload.  The manifest echo of each
+``short_runs`` config must decode to the same config again.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 from cellsched import BufferModel, SimConfig, StrategySpec, WorkloadConfig, cli, simcore
-from cellsched.experiments import experiment_from_dict
+from cellsched.experiments import experiment_from_dict, experiment_to_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -91,3 +92,11 @@ def test_loader_decodes_every_benchmark_config(tmp_path):
     assert len(mappings) == ShortRuns.runs
     for mapping in mappings:
         experiment_from_dict(mapping)
+
+
+def test_short_runs_configs_round_trip(tmp_path):
+    # the decoder on the inputs it serves: each mapping's manifest echo
+    # decodes to the config the mapping gave
+    for mapping in ShortRuns(1, tmp_path).config_mappings:
+        config = experiment_from_dict(mapping)
+        assert experiment_from_dict(experiment_to_dict(config)) == config

@@ -53,15 +53,21 @@ class TestConfigValidation:
             ChannelConfig(envelope_mode="sawtooth")
 
     def test_rejects_an_envelope_of_zero_on_every_slot(self):
-        # sin(argument) == -1 makes E = 0 and every rate 0, so no flow finishes
+        # sin(argument) == -1 makes E = 0 and every rate 0, so no flow finishes;
+        # so does an E so small that no flow finishes within the drain guard
+        workload = WorkloadConfig(arrival_rate=0.5, horizon=5)
         for config in (
             dict(envelope_phase=-math.pi / 2 - 5e-4),  # literal: freq + phase
             dict(envelope_mode="time_varying", envelope_freq=0.0, envelope_phase=-math.pi / 2),
+            dict(envelope_phase=-math.pi / 2 - 5e-4 + 2e-8),  # E = 3.3e-16
         ):
-            with pytest.raises(ParameterError, match="envelope_phase="):
-                ChannelConfig(**config)
+            channel = ChannelConfig(**config)
+            with pytest.raises(ParameterError, match=r"channel\.hi_coeff \* envelope .* "
+                               r"workload\.rate_hi_mult .* no flow can finish"):
+                SimConfig(workload=workload, strategy=StrategySpec(kind="tas"), channel=channel)
         # a moving envelope is 0 only where the argument passes -pi/2
-        ChannelConfig(envelope_mode="time_varying", envelope_phase=-math.pi / 2 - 5e-4)
+        channel = ChannelConfig(envelope_mode="time_varying", envelope_phase=-math.pi / 2 - 5e-4)
+        SimConfig(workload=workload, strategy=StrategySpec(kind="tas"), channel=channel)
 
 
 class TestEnvelopeFactor:

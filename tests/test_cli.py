@@ -20,9 +20,10 @@ from cellsched import (
     cli,
     experiment_from_dict,
     generate_workload,
+    run_simulation,
 )
 from cellsched.cli import load_config, main
-from cellsched.experiments import RANKING_KINDS
+from cellsched.experiments import RANKING_KINDS, write_trace_csv
 
 
 BASE_CONFIG = {
@@ -173,6 +174,22 @@ class TestDataDumps:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,chosen_id,transfer_kb,active_count"
         assert len(lines) >= 1 + 400  # at least one row per horizon slot
+
+    def test_trace_runs_the_first_listed_strategy(self, tmp_path, capsys):
+        # the manifest echoes the strategies, and the trace is of the first one
+        pf = StrategySpec(kind="pf")
+        config = replace(
+            load_config(write_config(tmp_path)), strategies=(pf,), output=str(tmp_path / "out")
+        )
+        assert cli.cmd_trace(config) == 0
+        assert "strategy pf)" in capsys.readouterr().out
+        workload = replace(config.sim.workload, seed=config.base_seed)
+        run = replace(config.sim, strategy=pf, workload=workload)
+        trace = run_simulation(run, collect_trace=True).trace
+        expected = write_trace_csv(tmp_path / "expected.csv", trace)
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == expected
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["strategies"] == [{"kind": "pf"}]
 
 
 class TestErrors:

@@ -8,7 +8,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cellsched import (
@@ -436,13 +436,13 @@ def _experiment_configs(draw):
             )
         )
     )
-    sim = SimConfig(
-        workload=workload,
-        strategy=strategies[0],
-        channel=channel,
-        buffer=buffer,
-        drain_after_horizon=draw(st.booleans()),
-    )
+    drain = draw(st.booleans())
+    try:
+        sim = SimConfig(workload=workload, strategy=strategies[0], channel=channel,
+                        buffer=buffer, drain_after_horizon=drain)
+    except ParameterError as err:  # an envelope near 0 with which no flow can finish
+        assume("no flow can finish" not in str(err))
+        raise
     sweep = draw(
         st.just(SweepSpec())
         | st.builds(
@@ -510,13 +510,39 @@ class TestExperimentSerialization:
             ({"horizon": -1}, "config.workload: horizon=-1 must be positive"),
             (
                 {"channel": {"envelope_phase": -1.5712963267948965}},
-                "config.channel: envelope_phase=-1.5712963267948965 makes every rate 0",
+                "config: channel.hi_coeff * envelope * workload.rate_hi_mult",
+            ),
+            # a tuple is converted item by item, as a list is
+            (
+                {"strategies": [{"kind": "linear", "children": ("tas", "das"),
+                                 "weights": (1.0, math.inf)}]},
+                "config.strategies[0].weights[1]: inf is not a valid finite float",
+            ),
+            (
+                {"strategies": [{"kind": "linear", "children": ("tas", {"kind": "T", "x": 1}),
+                                 "weights": (1.0, 1.0)}]},
+                "config.strategies[0].children[1]: unknown fields ['x']",
+            ),
+            (
+                {"workload": {"size_mixture": {"components": (
+                    {"weight": 1.0, "scale_kb": math.nan},)}}},
+                "config.workload.size_mixture.components[0].scale_kb",
             ),
         ],
     )
     def test_decode_failures_name_the_field(self, payload, where):
         with pytest.raises(ParameterError, match=re.escape(where)):
             experiment_from_dict(payload)
+
+    def test_tuples_decode_like_lists(self):
+        linear = {"kind": "linear", "children": ["tas", "das"], "weights": [1.0, 0.5]}
+        mixture = {"components": [{"weight": 0.5, "scale_kb": 300}] * 2}
+        listed = {"strategies": [linear], "workload": {"size_mixture": mixture}}
+        tupled = {
+            "strategies": ({**linear, "children": ("tas", "das"), "weights": (1.0, 0.5)},),
+            "workload": {"size_mixture": {"components": tuple(mixture["components"])}},
+        }
+        assert experiment_from_dict(tupled) == experiment_from_dict(listed)
 
     def test_mixture_components_stay_mappings(self):
         mixture = {"components": [{"weight": 1, "scale_kb": 300}], "alpha": 3}

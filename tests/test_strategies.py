@@ -72,10 +72,14 @@ class TestStrategySpecValidation:
             )
 
     def test_rejects_negative_weights(self):
-        with pytest.raises(ParameterError):
-            StrategySpec(
-                kind="linear", children=(StrategySpec(kind="tas"),), weights=(-1.0,)
-            )
+        # an infinite weight times an index of 0 is NaN, which no index may be
+        for weight in (-1.0, math.inf):
+            with pytest.raises(ParameterError, match="finite and non-negative"):
+                StrategySpec(
+                    kind="linear",
+                    children=(StrategySpec(kind="T"), StrategySpec(kind="tas")),
+                    weights=(weight, 1.0),
+                )
 
     def test_mixture_probabilities_must_sum_to_one(self):
         with pytest.raises(ParameterError):
