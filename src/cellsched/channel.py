@@ -59,6 +59,19 @@ def envelope_factor(t: float, config: ChannelConfig) -> float:
     return config.envelope_amplitude * (math.sin(arg) + 1.0)
 
 
+def envelope_max(config: ChannelConfig, last: int) -> float:
+    """The largest E(t) over slots 0 to ``last``: the sine's argument spans [lo, hi], and E
+    peaks at a crest pi/2 + 2 pi k if the next one up from lo comes before hi, else at an end."""
+    t0, t1 = (1, 1) if config.envelope_mode == ENVELOPE_LITERAL else (0, last)  # literal: one point
+    lo, hi = sorted((config.envelope_freq * t0 + config.envelope_phase,
+                     config.envelope_freq * t1 + config.envelope_phase))
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"channel.envelope_freq={config.envelope_freq} overflows the "
+                             f"time-varying envelope argument by slot {last}")
+    peak = 1.0 if (math.pi / 2 - lo) % math.tau < hi - lo else max(math.sin(lo), math.sin(hi))
+    return config.envelope_amplitude * (peak + 1.0)
+
+
 def rate_bounds(mean_rate: float, t: float, config: ChannelConfig) -> tuple[float, float]:
     """Lower and upper rate bounds for a flow with the given mean rate at slot t."""
     e = envelope_factor(t, config)

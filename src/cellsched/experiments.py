@@ -94,7 +94,7 @@ class ExperimentConfig:
     """One experiment: a sim template, the strategies, and replication plan."""
 
     sim: SimConfig
-    strategies: tuple[StrategySpec, ...] = ()
+    strategies: tuple[StrategySpec, ...]
     replications: int = 10
     base_seed: int = 1
     sweep: SweepSpec = SweepSpec()
@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ParameterError(
                 f"replications={self.replications}; need >= 2 for a spread"
             )
+        if not self.strategies:
+            raise ParameterError("strategies: the list is empty")
         labels = [spec.label() for spec in self.strategies]
         if len(set(labels)) != len(labels):
             raise ParameterError(f"strategy labels must be distinct, got {labels}")
@@ -352,11 +354,7 @@ def write_workload_csv(path, flows) -> bytes:
 
 
 def write_trace_csv(path, events) -> bytes:
-    rows = [
-        (e.t, "" if e.chosen_id is None else e.chosen_id, e.transfer, e.active_count)
-        for e in events
-    ]
-    return _write_csv(Path(path), TRACE_HEADER, rows)
+    return _write_csv(Path(path), TRACE_HEADER, events)  # csv writes a None id as ""
 
 
 def git_blob_sha1(data: bytes) -> str:

@@ -35,8 +35,7 @@ from typing import NamedTuple
 
 from . import seeding
 from .channel import (
-    ENVELOPE_TIME_VARYING, ChannelConfig, ChannelRateSource, FlowRateStream, RateRecord,
-    envelope_factor,
+    ChannelConfig, ChannelRateSource, FlowRateStream, RateRecord, envelope_max,
 )
 from .errors import ParameterError, SchedulingError
 from .metrics import FlowRecord
@@ -54,10 +53,10 @@ _DRAIN_SLACK = 10_000_000
 class BufferModel:
     """Base-station buffering discipline for staged file bytes.
 
-    ``infinite`` stages the whole file on arrival.  ``tcp-refill`` stages
-    ``initial_window``, waits ``rtt`` slots after the buffer empties, then
-    delivers the next window, doubling it up to ``max_window`` (slow-start
-    growth with saturation).
+    ``tcp-refill`` stages ``initial_window``, waits ``rtt`` slots after the
+    buffer empties, then delivers the next window, doubling it up to
+    ``max_window`` (slow-start growth with saturation).  ``infinite`` stages
+    one window that holds the whole file, so it takes none of those three.
     """
 
     mode: str = BUFFER_INFINITE
@@ -75,6 +74,12 @@ class BufferModel:
                 f"need 0 < initial_window <= max_window, got "
                 f"{self.initial_window} and {self.max_window}"
             )
+        tcp_params = (self.rtt, self.initial_window, self.max_window)
+        if self.mode == BUFFER_INFINITE and tcp_params != _TCP_DEFAULTS:
+            raise ParameterError("buffer mode 'infinite' does not take rtt or the windows")
+
+
+_TCP_DEFAULTS = (BufferModel.rtt, BufferModel.initial_window, BufferModel.max_window)
 
 
 @dataclass(slots=True)
@@ -128,27 +133,13 @@ class SimConfig:
             )
         channel, workload = self.channel, self.workload
         last = workload.horizon + _DRAIN_SLACK  # no run reaches a later slot
-        moving = channel.envelope_mode == ENVELOPE_TIME_VARYING and channel.envelope_freq != 0.0
-        if moving and not math.isfinite(channel.envelope_freq * last + channel.envelope_phase):
-            raise ParameterError(
-                f"channel.envelope_freq={channel.envelope_freq} overflows the "
-                f"time-varying envelope argument by slot {last}"
-            )
-        mean_size = mixture_mean(workload.size_mixture)
-        top = workload.rate_hi_mult * workload.arrival_rate * mean_size  # largest mean rate
-        if not math.isfinite(channel.hi_coeff * 2 * channel.envelope_amplitude * top):
-            raise ParameterError(
-                "channel.hi_coeff * 2 * channel.envelope_amplitude * workload.rate_hi_mult"
-                " * workload.arrival_rate * mean file size, the largest rate, overflows"
-            )
-        # the largest envelope factor; a still envelope keeps its value at slot 0
-        e_max = 2 * channel.envelope_amplitude if moving else envelope_factor(0, channel)
+        top = (channel.hi_coeff * envelope_max(channel, last) * workload.rate_hi_mult
+               * workload.arrival_rate * mixture_mean(workload.size_mixture))  # the largest rate
         smallest = min(m for _, m in workload.size_mixture.components)
-        if channel.hi_coeff * e_max * top * _DRAIN_SLACK < smallest:
-            raise ParameterError(
-                "channel.hi_coeff * envelope * workload.rate_hi_mult * workload.arrival_rate"
-                f" * mean size * {_DRAIN_SLACK} slots < scale_kb {smallest:g}: no flow can finish"
-            )
+        if not smallest / _DRAIN_SLACK <= top < math.inf:
+            raise ParameterError("channel.hi_coeff * envelope * workload.rate_hi_mult * "
+                                 "workload.arrival_rate * mean size is not finite or below "
+                                 f"scale_kb {smallest:g} / {_DRAIN_SLACK}: no flow can finish")
 
     @property
     def horizon(self) -> int:
@@ -178,17 +169,11 @@ class SimResult:
 
 
 def make_flow_state(spec: FlowSpec, model: BufferModel, stream=None) -> FlowState:
-    """Fresh FlowState with the buffer initialized per the buffer model."""
-    if model.mode == BUFFER_INFINITE:
-        return FlowState(spec=spec, buffer=spec.file_size, stream=stream)
-    staged = min(model.initial_window, spec.file_size)
-    return FlowState(
-        spec=spec,
-        buffer=staged,
-        unfetched=spec.file_size - staged,
-        congestion_window=model.initial_window,
-        stream=stream,
-    )
+    """Fresh FlowState staging its first window: ``initial_window``, or the whole file."""
+    window = model.initial_window if model.mode == BUFFER_TCP_REFILL else math.inf
+    staged = spec.file_size if spec.file_size < window else window  # min(), without the call
+    return FlowState(spec, buffer=staged, unfetched=spec.file_size - staged,
+                     congestion_window=window, stream=stream)
 
 
 def admit_arrivals(active, t, pending, model, start, rate_source) -> int:

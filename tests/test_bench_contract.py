@@ -4,7 +4,8 @@
 unmodified package (``serve_slot`` counts slots, ``SimConfig.horizon`` marks
 drain slots).  A refactor that inlines or renames one of them makes every
 traced benchmark run fail or silently read 0; this test runs the
-benchmark's instruments on two tiny library runs and a tiny CLI run.  The
+benchmark's instruments on two tiny library runs and two tiny CLI runs,
+``run`` and ``sweep-prob``, so every name it patches is reached.  The
 second library run passes through idle and single-flow stretches with a
 probabilistic strategy, where the slot loop skips the decision but still
 calls ``serve_slot`` once per slot.
@@ -32,9 +33,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracer import TARGETS, RunTimer, SlotCounter, Tracer  # noqa: E402
 from workloads import LoadedSweep, ReferenceRanking, ShortRuns  # noqa: E402
 
-# the CLI's ``run`` command never reaches the probabilistic sweep
-OFF_PATH = {"experiments.sweep_probabilistic"}
-
 
 def test_instruments_see_every_patched_name(tmp_path):
     tracer, counter, timer = Tracer(), SlotCounter(), RunTimer()
@@ -59,7 +57,14 @@ def test_instruments_see_every_patched_name(tmp_path):
     config_path.write_text(
         json.dumps({"horizon": 200, "replications": 2, "strategies": ["tas", "T"]})
     )
-    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    sweep_path = tmp_path / "sweep.yaml"
+    sweep_path.write_text(
+        json.dumps({"horizon": 200, "replications": 2, "sweep": {"simplex_step": 0.5}})
+    )
+    argvs = [
+        ["run", "--config", str(config_path), "--out", str(tmp_path / "out")],
+        ["sweep-prob", "--config", str(sweep_path), "--out", str(tmp_path / "sweep")],
+    ]
 
     with contextlib.ExitStack() as stack:
         for instrument in (tracer, counter, timer):
@@ -73,10 +78,10 @@ def test_instruments_see_every_patched_name(tmp_path):
         active_counts = {e.active_count for e in trace}
         assert {0, 1} < active_counts
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0
+            assert [cli.main(argv) for argv in argvs] == [0, 0]
 
     calls = Counter(tracer.names[k] for k in tracer.name)
-    assert not [name for name in TARGETS if name not in OFF_PATH and not calls[name]]
+    assert not [name for name in TARGETS if not calls[name]]
     assert len(timer.latencies) == calls["simcore.run_simulation"]
     assert tracer.layer_metrics()["simcore.slots"] == (counter.slots, "count")
 

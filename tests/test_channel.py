@@ -7,6 +7,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellsched import (
     ChannelConfig,
@@ -23,6 +25,7 @@ from cellsched.channel import (
     FlowRateStream,
     SharedRateSource,
     envelope_factor,
+    envelope_max,
     rate_bounds,
 )
 from cellsched.experiments import RANKING_KINDS, replicate
@@ -60,6 +63,8 @@ class TestConfigValidation:
             dict(envelope_phase=-math.pi / 2 - 5e-4),  # literal: freq + phase
             dict(envelope_mode="time_varying", envelope_freq=0.0, envelope_phase=-math.pi / 2),
             dict(envelope_phase=-math.pi / 2 - 5e-4 + 2e-8),  # E = 3.3e-16
+            # moving, but only 1e-5 up from the trough by the guard's last slot: E < 7.6e-11
+            dict(envelope_mode="time_varying", envelope_freq=1e-12, envelope_phase=-math.pi / 2),
         ):
             channel = ChannelConfig(**config)
             with pytest.raises(ParameterError, match=r"channel\.hi_coeff \* envelope .* "
@@ -68,6 +73,35 @@ class TestConfigValidation:
         # a moving envelope is 0 only where the argument passes -pi/2
         channel = ChannelConfig(envelope_mode="time_varying", envelope_phase=-math.pi / 2 - 5e-4)
         SimConfig(workload=workload, strategy=StrategySpec(kind="tas"), channel=channel)
+
+
+class TestEnvelopeMax:
+    @given(
+        freq=st.floats(-0.1, 0.1),
+        phase=st.floats(-10.0, 10.0),
+        mode=st.sampled_from(("literal", "time_varying")),
+        last=st.integers(0, 10**8),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
+    )
+    def test_bounds_every_slot_up_to_last(self, freq, phase, mode, last, fractions):
+        config = ChannelConfig(envelope_freq=freq, envelope_phase=phase, envelope_mode=mode)
+        e_max = envelope_max(config, last)
+        slots = [0, last, *(round(f * last) for f in fractions)]
+        assert all(e_max >= envelope_factor(t, config) for t in slots)
+        assert e_max <= 2 * config.envelope_amplitude
+        if mode == "literal" or freq == 0.0:  # a still envelope: its one value, exactly
+            assert e_max == envelope_factor(0, config)
+
+    def test_a_window_without_a_crest_peaks_at_an_end(self):
+        # the argument runs from 2.0 up to 2.0 + 2e-4 * 10_000 = 4.0, past no
+        # crest pi/2 + 2 pi k, so E peaks at slot 0, below 2 * amplitude
+        config = ChannelConfig(envelope_freq=2e-4, envelope_phase=2.0,
+                               envelope_mode=ENVELOPE_TIME_VARYING)
+        e_max = envelope_max(config, 10_000)
+        assert e_max == envelope_factor(0, config) == 1.5 * (math.sin(2.0) + 1.0)
+        assert e_max < 2 * 1.5
+        # one crest inside the window lifts it to 2 * amplitude
+        assert envelope_max(replace(config, envelope_phase=1.0), 10_000) == 3.0
 
 
 class TestEnvelopeFactor:
@@ -240,7 +274,7 @@ class TestSharedRateSource:
         sim = SimConfig(
             workload=WorkloadConfig(arrival_rate=0.09, horizon=600), strategy=specs[0]
         )
-        replicate(ExperimentConfig(sim, replications=2, base_seed=4), specs)
+        replicate(ExperimentConfig(sim, specs, replications=2, base_seed=4), specs)
         flows = [
             flow
             for seed in (4, 5)

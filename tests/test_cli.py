@@ -232,7 +232,7 @@ class TestErrors:
          ("{channel: {envelope_mode: time_varying, envelope_freq: 1.0e+306}, horizon: 1000,"
           " replications: 2, strategies: [tas]}", "config: channel.envelope_freq=1e+306"),
          ("{channel: {envelope_amplitude: 1.0e+308}, horizon: 300, replications: 2,"
-          " strategies: [TK]}", "config: channel.hi_coeff * 2 * channel.envelope_amplitude")],
+          " strategies: [TK]}", "config: channel.hi_coeff * envelope * workload")],
     )
     def test_floats_must_be_finite(self, tmp_path, capsys, text, field):
         # a non-finite float, or a product of finite ones that overflows, would

@@ -56,12 +56,11 @@ from cellsched.workload import Component
 from conftest import make_flow
 
 
-def tiny_config(horizon=400, replications=2, **kwargs) -> ExperimentConfig:
-    sim = SimConfig(
-        workload=WorkloadConfig(arrival_rate=0.09, horizon=horizon),
-        strategy=StrategySpec(kind="tas"),
-    )
-    return ExperimentConfig(sim=sim, replications=replications, base_seed=1, **kwargs)
+def tiny_config(horizon=400, replications=2, strategies=None, **kwargs) -> ExperimentConfig:
+    tas = StrategySpec(kind="tas")
+    sim = SimConfig(workload=WorkloadConfig(arrival_rate=0.09, horizon=horizon), strategy=tas)
+    strategies = (tas,) if strategies is None else strategies
+    return ExperimentConfig(sim, strategies, replications=replications, base_seed=1, **kwargs)
 
 
 LINEAR_SWEEP = SweepSpec(kind="linear", alpha_max=1.0, alpha_step=0.5)
@@ -95,6 +94,11 @@ class TestExperimentConfig:
         sim = SimConfig(workload=workload, strategy=StrategySpec(kind="T"))
         strategies = tuple(StrategySpec(kind=k) for k in RANKING_KINDS)
         assert config == ExperimentConfig(sim, strategies, replications=3, base_seed=7)
+
+    def test_rejects_an_empty_lineup(self):
+        # the loader rejects an empty list too; a library caller reaches the class
+        with pytest.raises(ParameterError, match="strategies: the list is empty"):
+            replace(tiny_config(), strategies=())
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ParameterError, match="tas"):
@@ -186,9 +190,6 @@ class TestScoring:
         rows = run_experiment(config)
         means = [row.score.log_alpt_mean for row in rows]
         assert means == sorted(means, reverse=True)
-
-    def test_run_experiment_empty_is_empty(self):
-        assert run_experiment(tiny_config(strategies=())) == ()
 
 
 class TestOneWorkloadPerSeed:
@@ -287,7 +288,7 @@ class TestSharedRates:
             channel=ChannelConfig(envelope_mode=envelope_mode),
             buffer=BufferModel(mode=buffer_mode),
         )
-        reports = replicate(ExperimentConfig(sim, replications=2, base_seed=4), specs)
+        reports = replicate(ExperimentConfig(sim, specs, replications=2, base_seed=4), specs)
         assert running == specs * 2
         # some later strategy kept a flow active past its record and extended it
         assert len(later_draws) > 0
@@ -528,6 +529,8 @@ class TestExperimentSerialization:
                     {"weight": 1.0, "scale_kb": math.nan},)}}},
                 "config.workload.size_mixture.components[0].scale_kb",
             ),
+            ({"buffer": {"mode": "infinite", "rtt": 5}},
+             "config.buffer: buffer mode 'infinite' does not take rtt"),
         ],
     )
     def test_decode_failures_name_the_field(self, payload, where):

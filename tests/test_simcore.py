@@ -89,6 +89,10 @@ class TestBufferModel:
             BufferModel(initial_window=0.0)
         with pytest.raises(ParameterError):
             BufferModel(initial_window=500.0, max_window=400.0)
+        # an infinite buffer never refills, so a window or rtt would do nothing
+        for field in ("rtt", "initial_window", "max_window"):
+            with pytest.raises(ParameterError, match="'infinite' does not take"):
+                BufferModel(**{field: getattr(TCP, field) * 2})
 
 
 class TestSimConfigValidation:
@@ -114,6 +118,7 @@ class TestMakeFlowState:
         assert state.buffer == 500.0
         assert state.served == 0.0
         assert state.unfetched == 0.0
+        assert state.congestion_window == math.inf  # one window holds the whole file
 
     def test_tcp_stages_initial_window(self):
         state = make_flow_state(make_flow(size=500.0), TCP)
