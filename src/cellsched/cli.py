@@ -75,9 +75,8 @@ def cmd_run(config: ExperimentConfig) -> int:
     scores = run_experiment(config)
     path = _emit(config, "ranking", "ranking.csv", write_ranking_csv, scores)
     table = [("strategy", "logALPT", "ALPT")] + [
-        (s.label, _pm(s.score.log_alpt_mean, s.score.log_alpt_std),
-         _pm(s.score.alpt_mean, s.score.alpt_std))
-        for s in scores
+        (label, _pm(agg.log_alpt_mean, agg.log_alpt_std), _pm(agg.alpt_mean, agg.alpt_std))
+        for label, agg in scores
     ]
     label_w, log_w, alpt_w = (max(map(len, column)) for column in zip(*table))
     for label, log_cell, alpt_cell in table:

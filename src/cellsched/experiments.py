@@ -24,7 +24,7 @@ from pathlib import Path
 from .channel import SharedRateSource
 from .errors import ParameterError
 from .metrics import AggregateReport, aggregate, summarize
-from .simcore import SimConfig, run_simulation
+from .simcore import SimConfig, check_serves, run_simulation
 from .strategies import OWNED_PARAMS, StrategySpec
 from .workload import generate_workload
 
@@ -111,19 +111,12 @@ class ExperimentConfig:
         labels = [spec.label() for spec in self.strategies]
         if len(set(labels)) != len(labels):
             raise ParameterError(f"strategy labels must be distinct, got {labels}")
-        for spec in self.strategies:  # SimConfig checks what each strategy needs
-            if spec is not self.sim.strategy:  # checked when self.sim was made
-                replace(self.sim, strategy=spec)
+        for spec in self.strategies:
+            check_serves(self.sim.buffer, spec)
 
     @property
     def seeds(self) -> tuple[int, ...]:
         return tuple(self.base_seed + i for i in range(self.replications))
-
-
-@dataclass(frozen=True)
-class StrategyScore:
-    label: str
-    score: AggregateReport
 
 
 def replicate(config: ExperimentConfig, specs):
@@ -133,18 +126,22 @@ def replicate(config: ExperimentConfig, specs):
     loop: each seed's workload is generated once, its channel rates are
     drawn once into a SharedRateSource, and every strategy runs on those
     same flows and rates, so only one seed's flows are alive at a time.
+    A run whose metrics are undefined raises a ParameterError naming its
+    seed and strategy.
     """
     sim = config.sim
-    templates = [replace(sim, strategy=spec) for spec in specs]
-    reports = [[] for _ in templates]
+    reports = [[] for _ in specs]
     for seed in config.seeds:
         workload = replace(sim.workload, seed=seed)
         flows = generate_workload(workload)
         rates = SharedRateSource(seed, sim.channel)
-        for template, spec_reports in zip(templates, reports):
-            run = replace(template, workload=workload)
+        for spec, spec_reports in zip(specs, reports):
+            run = replace(sim, strategy=spec, workload=workload)
             result = run_simulation(run, flows=flows, rate_source=rates)
-            spec_reports.append(summarize(result.records, result.unfinished))
+            try:
+                spec_reports.append(summarize(result.records, result.unfinished))
+            except ParameterError as err:
+                raise ParameterError(f"seed {seed}, strategy {spec.label()}: {err}") from None
     return reports
 
 
@@ -154,15 +151,11 @@ def _scores(config: ExperimentConfig, specs) -> list[AggregateReport]:
     return [aggregate(spec_reports) for spec_reports in reports]
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[StrategyScore, ...]:
-    """Score every strategy on shared seeds; rows sorted by logALPT descending."""
+def run_experiment(config: ExperimentConfig) -> tuple[tuple[str, AggregateReport], ...]:
+    """(label, score) of every strategy on shared seeds, sorted by logALPT descending."""
     specs = config.strategies
-    rows = [
-        StrategyScore(label=spec.label(), score=score)
-        for spec, score in zip(specs, _scores(config, specs))
-    ]
-    rows.sort(key=lambda row: row.score.log_alpt_mean, reverse=True)
-    return tuple(rows)
+    rows = zip([spec.label() for spec in specs], _scores(config, specs))
+    return tuple(sorted(rows, key=lambda row: row[1].log_alpt_mean, reverse=True))
 
 
 def sweep_linear(config: ExperimentConfig):
@@ -321,16 +314,16 @@ def _write_csv(path: Path, header, rows) -> bytes:
 def write_ranking_csv(path, scores) -> bytes:
     rows = [
         (
-            s.label,
-            s.score.log_alpt_mean,
-            s.score.log_alpt_std,
-            s.score.alpt_mean,
-            s.score.alpt_std,
-            s.score.replications,
-            s.score.completed_total,
-            s.score.unfinished_total,
+            label,
+            agg.log_alpt_mean,
+            agg.log_alpt_std,
+            agg.alpt_mean,
+            agg.alpt_std,
+            agg.replications,
+            agg.completed_total,
+            agg.unfinished_total,
         )
-        for s in scores
+        for label, agg in scores
     ]
     return _write_csv(Path(path), TABLE_HEADER, rows)
 

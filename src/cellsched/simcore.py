@@ -40,7 +40,7 @@ from .channel import (
 from .errors import ParameterError, SchedulingError
 from .metrics import FlowRecord
 from .strategies import StrategySpec, select_client
-from .workload import FlowSpec, WorkloadConfig, generate_workload, mixture_mean
+from .workload import FlowSpec, WorkloadConfig, generate_workload, mean_rate_band
 
 BUFFER_INFINITE = "infinite"
 BUFFER_TCP_REFILL = "tcp-refill"
@@ -80,6 +80,12 @@ class BufferModel:
 
 
 _TCP_DEFAULTS = (BufferModel.rtt, BufferModel.initial_window, BufferModel.max_window)
+
+
+def check_serves(buffer: BufferModel, spec: StrategySpec) -> None:
+    """Reject a strategy that reads what ``buffer`` does not stage."""
+    if spec.uses_buffer and buffer.mode != BUFFER_TCP_REFILL:
+        raise ParameterError(f"strategy {spec.label()} needs buffer mode 'tcp-refill'")
 
 
 @dataclass(slots=True)
@@ -127,14 +133,11 @@ class SimConfig:
     drain_after_horizon: bool = True
 
     def __post_init__(self):
-        if self.strategy.uses_buffer and self.buffer.mode != BUFFER_TCP_REFILL:
-            raise ParameterError(
-                f"strategy {self.strategy.label()} needs buffer mode 'tcp-refill'"
-            )
+        check_serves(self.buffer, self.strategy)
         channel, workload = self.channel, self.workload
         last = workload.horizon + _DRAIN_SLACK  # no run reaches a later slot
-        top = (channel.hi_coeff * envelope_max(channel, last) * workload.rate_hi_mult
-               * workload.arrival_rate * mixture_mean(workload.size_mixture))  # the largest rate
+        top = (channel.hi_coeff * envelope_max(channel, last)
+               * mean_rate_band(workload)[1])  # the largest rate
         smallest = min(m for _, m in workload.size_mixture.components)
         if not smallest / _DRAIN_SLACK <= top < math.inf:
             raise ParameterError("channel.hi_coeff * envelope * workload.rate_hi_mult * "

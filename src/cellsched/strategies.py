@@ -191,7 +191,7 @@ def _idx_linear(spec, flow):
     for child, w in zip(spec.children, spec.weights):
         if w == 0.0:
             continue
-        v = compute_index(child, flow)
+        v = _INDEX_FUNCS[child.kind](child, flow)
         if v == _INF:
             return _INF
         total += w * v

@@ -104,10 +104,9 @@ def sample_interarrival(rng, arrival_rate: float) -> float:
     """Draw one exponential inter-arrival gap, in slots (real-valued).
 
     Inverse-CDF form ``-ln(u)/rate`` with u uniform on (0, 1]; the boundary
-    u = 1 maps to a zero-length gap.
+    u = 1 maps to a zero-length gap.  The rate is positive, as
+    ``WorkloadConfig`` checks.
     """
-    if not arrival_rate > 0.0:
-        raise ParameterError(f"arrival_rate={arrival_rate} must be positive")
     u = 1.0 - rng.random()
     return -math.log(u) / arrival_rate
 
@@ -130,16 +129,10 @@ def mixture_mean(mixture: ParetoMixture) -> float:
     return sum(w * a * m / (a - 1.0) for w, m in mixture.components)
 
 
-def sample_mean_rate(
-    rng, arrival_rate: float, mean_size: float, lo_mult: float, hi_mult: float
-) -> float:
-    """Assign a client its mean channel rate, uniform on the load-proportional band."""
-    if not arrival_rate > 0.0 or not mean_size > 0.0:
-        raise ParameterError("arrival_rate and mean_size must be positive")
-    load = arrival_rate * mean_size
-    lo = lo_mult * load
-    hi = hi_mult * load
-    return lo + (hi - lo) * rng.random()
+def mean_rate_band(config: WorkloadConfig) -> tuple[float, float]:
+    """The band clients' mean rates are drawn from: each multiplier times the offered load."""
+    load = config.arrival_rate * mixture_mean(config.size_mixture)
+    return config.rate_lo_mult * load, config.rate_hi_mult * load
 
 
 def generate_workload(config: WorkloadConfig) -> list[FlowSpec]:
@@ -151,7 +144,7 @@ def generate_workload(config: WorkloadConfig) -> list[FlowSpec]:
     Deterministic given ``config.seed``.
     """
     rng = seeding.stream(config.seed, seeding.WORKLOAD_STREAM)
-    a_bar = mixture_mean(config.size_mixture)
+    lo, hi = mean_rate_band(config)
     flows: list[FlowSpec] = []
     clock = 0.0
     while True:
@@ -160,12 +153,6 @@ def generate_workload(config: WorkloadConfig) -> list[FlowSpec]:
         if slot >= config.horizon:
             break
         size = sample_file_size(rng, config.size_mixture)
-        rate = sample_mean_rate(
-            rng,
-            config.arrival_rate,
-            a_bar,
-            config.rate_lo_mult,
-            config.rate_hi_mult,
-        )
+        rate = lo + (hi - lo) * rng.random()  # uniform on the mean-rate band
         flows.append(FlowSpec(len(flows), slot, size, rate))
     return flows

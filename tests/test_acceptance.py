@@ -73,8 +73,8 @@ def test_criterion_01_strategy_ranking():
     scores = run_experiment(config)
     elapsed = time.perf_counter() - started
 
-    by_label = {s.label: s.score for s in scores}
-    measured = tuple(s.label for s in scores)
+    by_label = dict(scores)
+    measured = tuple(label for label, _ in scores)
     order_ok = measured == REQUIRED_ORDER
     gaps_ok = all(
         by_label[hi].log_alpt_mean - by_label[lo].log_alpt_mean
@@ -84,8 +84,8 @@ def test_criterion_01_strategy_ranking():
     )
     runtime_ok = elapsed <= 60.0
     table = ", ".join(
-        f"{s.label}={s.score.log_alpt_mean:.3f}±{s.score.log_alpt_std:.3f}"
-        for s in scores
+        f"{label}={score.log_alpt_mean:.3f}±{score.log_alpt_std:.3f}"
+        for label, score in scores
     )
     report(
         1,

@@ -276,6 +276,14 @@ class TestErrors:
         assert "error: config: strategy sectf needs buffer mode 'tcp-refill'" in err
         assert not out.exists()
 
+    def test_replication_without_completions_names_its_seed(self, tmp_path, capsys):
+        # at horizon 5, seed 1 completes a flow and seed 2 generates none
+        code, out = run_cli(tmp_path, "run", extra={"horizon": 5})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: seed 2, strategy tas: ALPT is undefined over zero completed flows" in err
+        assert not out.exists()
+
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
         path.write_bytes(b"horizon: 5\n\xc3\x28\n")

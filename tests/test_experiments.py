@@ -37,7 +37,6 @@ from cellsched.experiments import (
     TABLE_HEADER,
     TRACE_HEADER,
     WORKLOAD_HEADER,
-    StrategyScore,
     from_dict,
     git_blob_sha1,
     replicate,
@@ -159,8 +158,8 @@ class TestSweepGrids:
 
 def score_of(config: ExperimentConfig, spec: StrategySpec):
     """The aggregate score of ``spec`` alone on the config's seeds."""
-    (row,) = run_experiment(replace(config, strategies=(spec,)))
-    return row.score
+    ((_, score),) = run_experiment(replace(config, strategies=(spec,)))
+    return score
 
 
 class TestScoring:
@@ -173,9 +172,9 @@ class TestScoring:
 
     def test_score_strategy_pairs_replications(self):
         config = tiny_config(replications=3, strategies=(StrategySpec(kind="das"),))
-        (row,) = run_experiment(config)
-        assert row.label == "das"
-        assert row.score.replications == 3
+        ((label, score),) = run_experiment(config)
+        assert label == "das"
+        assert score.replications == 3
 
     def test_capability_error_carries_label(self):
         with pytest.raises(ParameterError, match="sectf"):
@@ -188,7 +187,7 @@ class TestScoring:
                         StrategySpec(kind="round_robin")),
         )
         rows = run_experiment(config)
-        means = [row.score.log_alpt_mean for row in rows]
+        means = [score.log_alpt_mean for _, score in rows]
         assert means == sorted(means, reverse=True)
 
 
@@ -224,7 +223,7 @@ class TestOneWorkloadPerSeed:
         config = tiny_config(replications=3, strategies=specs)
         rows = run_experiment(config)
         assert generated_seeds == [1, 2, 3]
-        by_label = {row.label: row.score for row in rows}
+        by_label = dict(rows)
         for spec in specs:
             score = score_of(config, spec)
             assert by_label[spec.label()] == score
@@ -573,8 +572,7 @@ class TestCsvEmission:
         )
 
     def test_ranking_csv_layout(self, tmp_path):
-        score = StrategyScore(label="tas", score=self._aggregate(4.0))
-        data = write_ranking_csv(tmp_path / "ranking.csv", [score])
+        data = write_ranking_csv(tmp_path / "ranking.csv", [("tas", self._aggregate(4.0))])
         lines = data.decode().splitlines()
         assert lines[0] == ",".join(TABLE_HEADER)
         assert lines[1].startswith("tas,")

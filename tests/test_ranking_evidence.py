@@ -2,11 +2,12 @@
 
 The script's studies take about a minute, so only its pieces run here: the
 paired line it prints and the context manager that swaps the T and TK
-index functions.
+index functions, which every index path must see.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -14,6 +15,9 @@ import pytest
 
 from cellsched import strategies
 from cellsched.metrics import MetricsReport
+from cellsched.strategies import StrategySpec, compute_index, select_client
+
+from conftest import make_view
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -50,3 +54,20 @@ def test_never_served_first_restores_index_funcs():
     with pytest.raises(RuntimeError), ranking_evidence.never_served_first():
         raise RuntimeError
     assert strategies._INDEX_FUNCS == saved
+
+
+def test_never_served_first_reaches_every_index_path():
+    # by the T formula a never-served flow of positive age scores 0, so the
+    # served flow wins; the patched entry scores it +inf on every path
+    t = StrategySpec(kind="T")
+    linear = StrategySpec(kind="linear", children=(t,), weights=(1.0,))
+    never, served = make_view(id=0, served=0.0, age=7), make_view(id=1, last_served=9)
+
+    def seen():
+        chosen = select_client(t, [never, served])
+        return compute_index(t, never), compute_index(linear, never), chosen
+
+    assert seen() == (0.0, 0.0, 1)
+    with ranking_evidence.never_served_first():
+        assert seen() == (math.inf, math.inf, 0)
+    assert seen() == (0.0, 0.0, 1)

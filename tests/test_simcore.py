@@ -18,7 +18,7 @@ from cellsched import (
     WorkloadConfig,
     run_simulation,
 )
-from cellsched import seeding, simcore
+from cellsched import seeding, simcore, strategies
 from cellsched.errors import SchedulingError
 from cellsched.simcore import admit_arrivals, make_flow_state, refill_buffers, serve_slot
 
@@ -61,17 +61,16 @@ def _mean_rate_est(state) -> float:
 
 
 def _spy_views(monkeypatch) -> dict[int, dict[int, float]]:
-    """Record {t: {flow id: mean rate estimate}} of the flows select_client gets."""
+    """Record {t: {flow id: mean rate estimate}} of the records max_ci's index reads."""
     seen: dict[int, dict[int, float]] = {}
-    select = simcore.select_client
+    index = strategies._INDEX_FUNCS["max_ci"]
 
-    def spy(spec, views, rng=None):
-        for view in views:
-            t = view.spec.arrival_slot + view.age
-            seen.setdefault(t, {})[view.spec.id] = _mean_rate_est(view)
-        return select(spec, views, rng)
+    def spy(spec, view):
+        t = view.spec.arrival_slot + view.age
+        seen.setdefault(t, {})[view.spec.id] = _mean_rate_est(view)
+        return index(spec, view)
 
-    monkeypatch.setattr(simcore, "select_client", spy)
+    monkeypatch.setitem(strategies._INDEX_FUNCS, "max_ci", spy)
     return seen
 
 
@@ -478,21 +477,17 @@ class TestRunSimulation:
             def stream_for(self, flow):
                 return VaryingStream(flow.id)
 
-        seen = []  # (t, flow id, mean_rate_est, expected mean, chosen)
-        select = simcore.select_client
+        seen = []  # (t, flow id, mean_rate_est, expected mean)
+        index = strategies._INDEX_FUNCS["max_ci"]
 
-        def spy(spec, views, rng=None):
-            chosen = select(spec, views, rng)
-            for view in views:
-                fid = view.spec.id
-                rates = [r for _, r in drawn[fid]]
-                t = view.spec.arrival_slot + view.age
-                seen.append(
-                    (t, fid, _mean_rate_est(view), sum(rates) / len(rates), chosen)
-                )
-            return chosen
+        def spy(spec, view):
+            fid = view.spec.id
+            rates = [r for _, r in drawn[fid]]
+            t = view.spec.arrival_slot + view.age
+            seen.append((t, fid, _mean_rate_est(view), sum(rates) / len(rates)))
+            return index(spec, view)
 
-        monkeypatch.setattr(simcore, "select_client", spy)
+        monkeypatch.setitem(strategies._INDEX_FUNCS, "max_ci", spy)
         model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=20.0)
         flows = [
             make_flow(fid=0, arrival=0, size=60.0),
@@ -503,16 +498,18 @@ class TestRunSimulation:
             sim_config(flows_horizon=40, strategy="max_ci", buffer=model),
             flows=flows,
             rate_source=VaryingSource(),
+            collect_trace=True,
         )
         assert result.unfinished == 0
         for flow, record in zip(flows, sorted(result.records, key=lambda r: r.arrival)):
             # one draw per slot from arrival through the departing slot
             slots = [t for t, _ in drawn[flow.id]]
             assert slots == list(range(flow.arrival_slot, record.departure))
-        for t, fid, estimate, expected, _ in seen:
+        for t, fid, estimate, expected in seen:
             assert estimate == expected, (t, fid)
         # the run covers views of unserved flows and tcp-refill waits
-        assert any(fid != chosen for _, fid, _, _, chosen in seen)
+        chosen = [event.chosen_id for event in result.trace]
+        assert any(fid != chosen[t] for t, fid, *_ in seen)
         eligible = {(t, fid) for t, fid, *_ in seen}
         assert any(
             (t, fid) not in eligible and (t + 1, fid) in eligible

@@ -11,10 +11,10 @@ from scipy import stats
 from cellsched import ParameterError, ParetoMixture, WorkloadConfig, generate_workload
 from cellsched.workload import (
     FlowSpec,
+    mean_rate_band,
     mixture_mean,
     sample_file_size,
     sample_interarrival,
-    sample_mean_rate,
 )
 
 from conftest import StubRng
@@ -80,10 +80,6 @@ class TestSampleInterarrival:
         total = sum(sample_interarrival(rng, 0.09) for _ in range(n))
         assert total / n == pytest.approx(1.0 / 0.09, abs=0.1)
 
-    def test_rejects_non_positive_rate(self):
-        with pytest.raises(ParameterError):
-            sample_interarrival(random.Random(0), 0.0)
-
 
 class TestSampleFileSize:
     def test_pareto_lower_bound(self):
@@ -136,27 +132,19 @@ class TestSampleFileSize:
 
 
 class TestSampleMeanRate:
-    BAND = (WorkloadConfig.rate_lo_mult, WorkloadConfig.rate_hi_mult)  # 1/3 and 3
-
     def test_band_edges(self):
-        lam, a_bar = 0.09, REFERENCE_MIXTURE_MEAN
-        lo = sample_mean_rate(StubRng([0.0]), lam, a_bar, *self.BAND)
-        hi = sample_mean_rate(StubRng([1.0]), lam, a_bar, *self.BAND)
+        # 1/3 and 3 times the offered load 0.09 * REFERENCE_MIXTURE_MEAN
+        lo, hi = mean_rate_band(WorkloadConfig())
         assert lo == pytest.approx(474.83, abs=0.01)
         assert hi == pytest.approx(4273.50, abs=0.01)
 
     def test_empirical_mean_is_band_midpoint(self):
-        rng = random.Random(13)
-        lam, a_bar = 0.09, REFERENCE_MIXTURE_MEAN
-        n = 10**6
-        total = sum(sample_mean_rate(rng, lam, a_bar, *self.BAND) for _ in range(n))
-        assert total / n == pytest.approx(2374.2, rel=0.01)
-
-    def test_rejects_non_positive_inputs(self):
-        with pytest.raises(ParameterError):
-            sample_mean_rate(random.Random(0), 0.0, 100.0, *self.BAND)
-        with pytest.raises(ParameterError):
-            sample_mean_rate(random.Random(0), 0.1, 0.0, *self.BAND)
+        # about 90k flows: 1 % of the midpoint is over six standard errors
+        config = WorkloadConfig(horizon=10**6, seed=13)
+        lo, hi = mean_rate_band(config)
+        rates = [flow.mean_rate for flow in generate_workload(config)]
+        assert all(lo <= r <= hi for r in rates)
+        assert sum(rates) / len(rates) == pytest.approx(2374.2, rel=0.01)
 
 
 class TestGenerateWorkload:
