@@ -143,9 +143,14 @@ def main(argv=None) -> int:
     checkouts = (args.parent, args.change)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    names = [w["name"] for w in spec["workloads"]]
     plan = {}
-    for item in args.plan:
+    for item in args.plan:  # all checked before the first run
         name, _, count = item.partition("=")
+        if name in plan or name not in names or not count.isdigit() or int(count) < 1:
+            print(f"error: --plan {item!r}: need WORKLOAD=N with N >= 1, each WORKLOAD "
+                  f"once and one of {', '.join(names)}", file=sys.stderr)
+            return 2
         plan[name] = int(count)
 
     doc = {

@@ -67,12 +67,12 @@ class SweepSpec:
     def alpha_grid(self) -> tuple[float, ...]:
         """Multiples of ``alpha_step`` from 0 up to the last one not above ``alpha_max``."""
         step = self.alpha_step
-        if not 0.0 <= self.alpha_max < math.inf or not step > 0.0:
-            raise ParameterError("need 0 <= alpha_max < inf and alpha_step > 0")
-        last = (self.alpha_max + 1e-9) / step
+        if not 0.0 <= self.alpha_max < math.inf or not 0.0 < step < math.inf:
+            raise ParameterError("need 0 <= alpha_max < inf and 0 < alpha_step < inf")
+        last = self.alpha_max / step + 1e-9  # a step's billionth absorbs float drift
         if not last < MAX_GRID_POINTS:
             raise ParameterError(f"alpha_step={step} makes over {MAX_GRID_POINTS} grid points")
-        return tuple(round(i * step, 12) for i in range(math.floor(last) + 1))
+        return tuple(float(f"{i * step:.12g}") for i in range(math.floor(last) + 1))
 
     @functools.cached_property
     def simplex_grid(self) -> tuple[tuple[float, float, float], ...]:
@@ -241,10 +241,12 @@ _hints = functools.cache(typing.get_type_hints)  # field annotations of a config
 def _scalar(tp, value, where):
     """Strings and bools pass only as themselves; numbers convert, ints exactly.
 
-    A float must be finite: NaN and ±inf are rejected.
+    A float must be finite: NaN and ±inf are rejected.  An int string in a
+    float's form ("1e3", "10.0") is read as a float and must be whole.
     """
     try:
-        result = tp(value)
+        float_form = tp is int and type(value) is str and any(c in value for c in ".eE")
+        result = tp(float(value) if float_form else value)
         exact = type(value) is tp if tp in (str, bool) else not isinstance(value, bool)
         if tp is float:
             exact = exact and math.isfinite(result)

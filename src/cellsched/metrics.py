@@ -11,33 +11,22 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One completed download: size, arrival slot, and departure slot."""
+class FlowRecord(NamedTuple):
+    """One completed download: size, arrival slot, and departure slot.
+
+    Unchecked: ``FlowSpec`` holds the size positive where it enters, and the
+    slot loop departs a flow at ``t + 1`` from a slot ``t`` at or after its
+    arrival, so every sojourn is at least one slot.
+    """
 
     file_size: float
     arrival: int
     departure: int
-
-    def __post_init__(self):
-        if not self.file_size > 0.0:
-            raise ParameterError(f"file_size={self.file_size} must be positive")
-        if not self.departure > self.arrival:
-            raise ParameterError(
-                f"departure={self.departure} must exceed arrival={self.arrival}"
-            )
-
-    @property
-    def sojourn(self) -> int:
-        return self.departure - self.arrival
-
-    @property
-    def perceived_throughput(self) -> float:
-        return self.file_size / self.sojourn
 
 
 @dataclass(frozen=True)
@@ -50,25 +39,14 @@ class MetricsReport:
     unfinished: int = 0
 
 
-def alpt(records) -> float:
-    """Mean perceived throughput (1/N) * sum A_k / (T_k_end - T_k_0)."""
+def summarize(records, unfinished: int = 0) -> MetricsReport:
+    """ALPT and logALPT: the mean of each A_k / (T_k_end - T_k_0) and of its log."""
     if not records:
         raise ParameterError("ALPT is undefined over zero completed flows")
-    return statistics.fmean(r.perceived_throughput for r in records)
-
-
-def log_alpt(records) -> float:
-    """Mean natural-log perceived throughput."""
-    if not records:
-        raise ParameterError("logALPT is undefined over zero completed flows")
-    return statistics.fmean(math.log(r.perceived_throughput) for r in records)
-
-
-def summarize(records, unfinished: int = 0) -> MetricsReport:
-    """Bundle both metrics over one run's completed flows."""
+    throughputs = [r.file_size / (r.departure - r.arrival) for r in records]
     return MetricsReport(
-        alpt=alpt(records),
-        log_alpt=log_alpt(records),
+        alpt=statistics.fmean(throughputs),
+        log_alpt=statistics.fmean(map(math.log, throughputs)),
         completed=len(records),
         unfinished=unfinished,
     )

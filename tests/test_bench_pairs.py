@@ -94,13 +94,18 @@ def test_trace_medians_take_each_metric_median():
     assert merged["sim_digest"] == ["d1"]
 
 
+def write_benchmark(checkout, workloads):
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": name} for name in workloads],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                       {"name": "slots_per_s", "better": "higher", "bound": 0.2}]}))
+
+
 def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "better": "lower", "bound": 0.25},
-        {"name": "slots_per_s", "better": "higher", "bound": 0.2}]}))
+    write_benchmark(change, ("same", "moved"))
     digests = {("same", parent): "d1", ("same", change): "d1",
                ("moved", parent): "d1", ("moved", change): "d2"}
 
@@ -127,3 +132,19 @@ def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("warning:")]
     assert warnings == ["warning: moved: sim_digest differs, parent ['d1'] -> change ['d2']"]
+
+
+@pytest.mark.parametrize("bad", ["reference_ranking", "short_runs=0", "refrence_ranking=2",
+                                 "short_runs=x", "reference_ranking=3"])
+def test_main_checks_the_plan_before_the_first_run(tmp_path, monkeypatch, capsys, bad):
+    write_benchmark(tmp_path, ("reference_ranking", "short_runs"))
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: runs.append(args))
+    monkeypatch.setattr(bench_pairs, "git_revision", lambda checkout: "abc")
+    out = tmp_path / "pairs.json"
+    code = bench_pairs.main([str(tmp_path), str(tmp_path), "--seed", "1", "--seconds", "1",
+                             "--plan", "reference_ranking=2", bad, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and runs == [] and not out.exists()
+    assert err == [f"error: --plan {bad!r}: need WORKLOAD=N with N >= 1, each WORKLOAD "
+                   "once and one of reference_ranking, short_runs"]

@@ -124,6 +124,12 @@ class TestSweepGrids:
         assert alpha_grid(2.0, 0.3) == (0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
         assert alpha_grid(0.25, 0.1) == (0.0, 0.1, 0.2)
         assert alpha_grid(0.05, 0.1) == (0.0,)
+        # tiny steps: the tolerance scales with the step, the rounding keeps 12 digits
+        assert alpha_grid(1e-11, 3e-12) == (0.0, 3e-12, 6e-12, 9e-12)
+        assert alpha_grid(0.0, 2e-13) == (0.0,)
+        grid = alpha_grid(1e-12, 1e-13)
+        assert len(grid) == 11 and grid[1] == 1e-13 and grid[-1] == 1e-12
+        assert len(set(grid)) == len(grid)
 
     def test_alpha_grid_keeps_steps_that_divide_evenly(self):
         # 0.7 / 0.1 and 0.3 / 0.1 fall just short of a whole number in floats
@@ -136,6 +142,7 @@ class TestSweepGrids:
         grid = alpha_grid(alpha_max, step)
         assert grid[0] == 0.0
         assert grid[-1] <= alpha_max + 1e-9 < grid[-1] + step + 1e-9
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_simplex_grid_covers_all_compositions(self):
         grid = SweepSpec(simplex_step=0.1).simplex_grid
@@ -152,6 +159,8 @@ class TestSweepGrids:
             SweepSpec(kind="grid")
         with pytest.raises(ParameterError):
             SweepSpec(kind="linear", alpha_step=0.0)
+        with pytest.raises(ParameterError):
+            SweepSpec(kind="linear", alpha_step=math.inf)
         with pytest.raises(ParameterError):
             SweepSpec(kind="probabilistic", simplex_step=0.0)
 
@@ -475,6 +484,13 @@ class TestExperimentSerialization:
         )
         assert tuple(s.kind for s in config.strategies) == ("tas", "TK")
 
+    def test_whole_numbers_in_float_form_fill_int_fields(self):
+        # YAML 1.1 reads 1e3 as a string; a YAML float such as 7.0 already loads
+        config = experiment_from_dict({"horizon": "1e3", "replications": "2e0",
+                                       "base_seed": "7.0"})
+        assert config.sim.workload.horizon == 1000
+        assert (config.replications, config.base_seed) == (2, 7)
+
     def test_unknown_keys_rejected_per_section(self):
         for payload in (
             {"mystery": 1},
@@ -530,6 +546,9 @@ class TestExperimentSerialization:
             ),
             ({"buffer": {"mode": "infinite", "rtt": 5}},
              "config.buffer: buffer mode 'infinite' does not take rtt"),
+            ({"horizon": "10.5"}, "config.horizon: '10.5' is not a valid int"),
+            ({"horizon": "1e-3"}, "config.horizon: '1e-3' is not a valid int"),
+            ({"horizon": "inf"}, "config.horizon: 'inf' is not a valid int"),
         ],
     )
     def test_decode_failures_name_the_field(self, payload, where):

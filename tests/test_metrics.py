@@ -15,8 +15,6 @@ from cellsched.metrics import (
     FlowRecord,
     MetricsReport,
     aggregate,
-    alpt,
-    log_alpt,
     paired,
     summarize,
 )
@@ -38,64 +36,54 @@ record_lists = st.lists(
 )
 
 
-class TestFlowRecord:
-    def test_sojourn_and_throughput(self):
-        r = record(100.0, 3, 13)
-        assert r.sojourn == 10
-        assert r.perceived_throughput == 10.0
-
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ParameterError):
-            record(0.0, 0, 10)
-        with pytest.raises(ParameterError):
-            record(100.0, 5, 5)
-
-
 class TestAlpt:
     def test_single_record(self):
-        assert alpt([record(100.0, 0, 10)]) == 10.0
+        assert summarize([record(100.0, 0, 10)]).alpt == 10.0
 
     def test_hand_mean(self):
         records = [record(100.0, 0, 10), record(200.0, 0, 40)]
-        assert alpt(records) == pytest.approx(7.5)
+        assert summarize(records).alpt == pytest.approx(7.5)
 
     def test_unit_duration_contributes_size(self):
-        assert alpt([record(123.25, 9, 10)]) == 123.25
+        assert summarize([record(123.25, 9, 10)]).alpt == 123.25
 
     def test_empty_is_undefined(self):
-        with pytest.raises(ParameterError):
-            alpt([])
+        with pytest.raises(ParameterError, match="^ALPT is undefined over zero"):
+            summarize([])
 
     @given(record_lists)
     def test_permutation_invariant(self, records):
-        assert alpt(records) == pytest.approx(alpt(list(reversed(records))))
+        reversed_alpt = summarize(list(reversed(records))).alpt
+        assert summarize(records).alpt == pytest.approx(reversed_alpt)
 
 
 class TestLogAlpt:
     def test_hand_value(self):
-        assert log_alpt([record(100.0, 0, 10)]) == pytest.approx(math.log(10.0))
+        report = summarize([record(100.0, 0, 10)])
+        assert report.log_alpt == pytest.approx(math.log(10.0))
 
     def test_log_of_one(self):
-        assert log_alpt([record(7.0, 0, 7)]) == 0.0
+        assert summarize([record(7.0, 0, 7)]).log_alpt == 0.0
 
     def test_symmetric_cancellation(self):
         records = [record(10.0, 0, 1), record(0.1, 0, 1)]
-        assert log_alpt(records) == pytest.approx(0.0, abs=1e-12)
+        assert summarize(records).log_alpt == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_is_undefined(self):
         with pytest.raises(ParameterError):
-            log_alpt([])
+            summarize([])
 
     @given(record_lists, st.floats(min_value=1e-3, max_value=1e3))
     def test_log_linearity_under_size_scaling(self, records, c):
         scaled = [record(r.file_size * c, r.arrival, r.departure) for r in records]
-        assert log_alpt(scaled) == pytest.approx(
-            log_alpt(records) + math.log(c), abs=1e-9
+        assert summarize(scaled).log_alpt == pytest.approx(
+            summarize(records).log_alpt + math.log(c), abs=1e-9
         )
 
     @given(record_lists)
     def test_geometric_mean_below_arithmetic(self, records):
-        assert math.exp(log_alpt(records)) <= alpt(records) * (1.0 + 1e-12)
+        report = summarize(records)
+        assert math.exp(report.log_alpt) <= report.alpt * (1.0 + 1e-12)
 
 
 class TestSummarize:
