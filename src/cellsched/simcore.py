@@ -102,19 +102,22 @@ class FlowState:
     feeds tie-breaking; ``refill_due`` is the slot a queued refill lands.
     ``stream``, the flow's channel rate stream or its seed's record of the
     flow's rates keyed by slot, is set at admission.
+
+    The five fields set at admission come first so that ``make_flow_state``
+    passes them positionally, at about half the cost of a keyword call.
     """
 
     spec: FlowSpec
-    served: float = 0.0
     buffer: float = 0.0
     unfetched: float = 0.0
-    refill_due: int | None = None
     congestion_window: float = 0.0
+    stream: FlowRateStream | RateRecord | None = None
+    served: float = 0.0
+    refill_due: int | None = None
     rate: float = 0.0
     rate_sum: float = 0.0
     age: int = 0
     last_served: int | None = None
-    stream: FlowRateStream | RateRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,7 @@ def make_flow_state(spec: FlowSpec, model: BufferModel, stream=None) -> FlowStat
     """Fresh FlowState staging its first window: ``initial_window``, or the whole file."""
     window = model.initial_window if model.mode == BUFFER_TCP_REFILL else math.inf
     staged = spec.file_size if spec.file_size < window else window  # min(), without the call
-    return FlowState(spec, buffer=staged, unfetched=spec.file_size - staged,
-                     congestion_window=window, stream=stream)
+    return FlowState(spec, staged, spec.file_size - staged, window, stream)
 
 
 def admit_arrivals(active, t, pending, model, start, rate_source) -> int:
@@ -217,7 +219,8 @@ def serve_slot(active, t, rate, chosen):
     Only the chosen flow is read or written; ``rate`` is its channel rate
     for this slot.  The chosen flow receives min(rate, buffer); if that
     empties both buffer and unfetched remainder the flow departs at t + 1
-    and is removed from ``active``.
+    and is removed from ``active``; its FlowRecord is built with
+    ``tuple.__new__``, as trace rows are.
     """
     if chosen is None:
         return None, 0.0
@@ -235,7 +238,7 @@ def serve_slot(active, t, rate, chosen):
         spec = state.spec
         state.served = spec.file_size
         del active[chosen]
-        return FlowRecord(spec.file_size, spec.arrival_slot, t + 1), transfer
+        return tuple.__new__(FlowRecord, (spec.file_size, spec.arrival_slot, t + 1)), transfer
     return None, transfer
 
 
@@ -250,8 +253,8 @@ def run_simulation(
 
     All randomness derives from ``config.workload.seed``: the arrival
     stream, one channel stream per flow (so rate draws never depend on
-    scheduling decisions), and a dedicated stream for probabilistic
-    strategy choices, which consumes exactly one draw per slot.
+    scheduling decisions), and a choice stream, made only for a
+    probabilistic strategy, which consumes exactly one draw per slot.
 
     ``flows`` (distinct ids in arrival order, all before the horizon, as
     checked before slot 0) replaces the generated workload, so runs on one
@@ -272,11 +275,11 @@ def run_simulation(
         last = spec.arrival_slot
     if rate_source is None:
         rate_source = ChannelRateSource(config.workload.seed, config.channel)
-    choice_rng = seeding.stream(config.workload.seed, seeding.CHOICE_STREAM)
-
     strategy = config.strategy
     model = config.buffer
     probabilistic = strategy.kind == "probabilistic"
+    choice_rng = (seeding.stream(config.workload.seed, seeding.CHOICE_STREAM)
+                  if probabilistic else None)
     hard_stop = horizon + _DRAIN_SLACK
 
     active: dict[int, FlowState] = {}

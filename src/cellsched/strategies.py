@@ -240,16 +240,13 @@ def select_client(spec: StrategySpec, flows, rng=None):
     """
     if spec.kind == "probabilistic":
         spec = _draw_child(spec, rng)
-    if not flows:
-        return None
-    if len(flows) == 1:
-        return flows[0].spec.id
+    if len(flows) < 2:
+        return flows[0].spec.id if flows else None
     index_fn = _INDEX_FUNCS[spec.kind]
-    best = flows[0]
-    best_v = index_fn(spec, best)
-    for flow in flows[1:]:
+    best = best_v = None
+    for flow in flows:
         v = index_fn(spec, flow)
-        if v > best_v or (v == best_v and _tie_key(flow) < _tie_key(best)):
+        if best is None or v > best_v or (v == best_v and _tie_key(flow) < _tie_key(best)):
             best, best_v = flow, v
     return best.spec.id
 

@@ -20,7 +20,10 @@ from cellsched import (
 )
 from cellsched import seeding, simcore, strategies
 from cellsched.errors import SchedulingError
-from cellsched.simcore import admit_arrivals, make_flow_state, refill_buffers, serve_slot
+from cellsched.metrics import FlowRecord
+from cellsched.simcore import (
+    FlowState, admit_arrivals, make_flow_state, refill_buffers, serve_slot,
+)
 
 from conftest import FixedRateSource, make_flow
 
@@ -129,6 +132,15 @@ class TestMakeFlowState:
         state = make_flow_state(make_flow(size=60.0), TCP)
         assert state.buffer == 60.0
         assert state.unfetched == 0.0
+
+    @pytest.mark.parametrize("model, window", [(INFINITE, math.inf), (TCP, 100.0)])
+    def test_positional_build_equals_keyword_build(self, model, window):
+        spec, stream = make_flow(size=500.0), object()
+        staged = min(spec.file_size, window)
+        assert make_flow_state(spec, model, stream) == FlowState(
+            spec=spec, buffer=staged, unfetched=500.0 - staged,
+            congestion_window=window, stream=stream,
+        )
 
 
 class TestAdmitArrivals:
@@ -252,9 +264,8 @@ class TestServeSlot:
         active = {0: state}
         record, transfer = serve_slot(active, 17, 50.0, 0)
         assert transfer == 10.0
-        assert record is not None
-        assert record.departure == 18
-        assert record.file_size == 100.0
+        assert type(record) is FlowRecord
+        assert record == FlowRecord(100.0, 0, 18)
         assert active == {}
         assert state.served == 100.0  # exact, no float residue
 
@@ -554,6 +565,35 @@ class TestRunSimulation:
         expected += [1 if u < 0.5 else 2 for u in draws[13:]]
         assert [e.chosen_id for e in result.trace] == expected
         assert {1, 2} <= set(expected[13:])
+
+    def test_choice_stream_is_made_only_for_a_probabilistic_strategy(self, monkeypatch):
+        made = []
+        real = seeding.stream
+
+        def spy(base_seed, tag, sub=0):
+            rng = real(base_seed, tag, sub)
+            if tag == seeding.CHOICE_STREAM:
+                made.append(rng)
+            return rng
+
+        monkeypatch.setattr(seeding, "stream", spy)
+        linear = StrategySpec(kind="linear", children=(StrategySpec(kind="tas"),),
+                              weights=(1.0,))
+        for spec in ("round_robin", "tas", linear):
+            run_simulation(sim_config(flows_horizon=300, strategy=spec))
+        assert made == []
+        mixture = StrategySpec(
+            kind="probabilistic",
+            children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
+            weights=(0.5, 0.5),
+        )
+        result = run_simulation(sim_config(flows_horizon=300, strategy=mixture),
+                                collect_trace=True)
+        assert len(made) == 1
+        # the stream ends one uniform per slot past its start, drain included
+        expected = real(1, seeding.CHOICE_STREAM)
+        seeding.skip(expected, len(result.trace))
+        assert made[0].getstate() == expected.getstate()
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10**6),

@@ -18,6 +18,7 @@ from cellsched import (
     WorkloadConfig,
     run_simulation,
 )
+from cellsched import strategies
 from cellsched.simcore import FlowState
 from cellsched.strategies import (
     ATOMIC_KINDS,
@@ -501,6 +502,21 @@ class TestSelectClient:
 
     def test_single_view_fast_path_matches_argmax(self):
         assert select_client(StrategySpec(kind="pf"), [make_view(id=7)]) == 7
+
+    def test_zero_or_one_view_calls_no_index(self, monkeypatch):
+        def refuse(spec, flow):
+            raise AssertionError("index evaluated without a choice to make")
+
+        for kind in ("tas", "das"):
+            monkeypatch.setitem(strategies._INDEX_FUNCS, kind, refuse)
+        mixture = StrategySpec(
+            kind="probabilistic",
+            children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
+            weights=(0.5, 0.5),
+        )
+        for spec in (StrategySpec(kind="tas"), mixture):
+            assert select_client(spec, [], StubRng([0.2])) is None
+            assert select_client(spec, [make_view(id=4)], StubRng([0.7])) == 4
 
     @given(
         kind=st.sampled_from(ATOMIC_KINDS),
