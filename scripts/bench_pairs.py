@@ -11,7 +11,9 @@ of the traced runs it writes the median of every metric, since a single
 traced run's self times swing with the host's speed.  Per workload,
 ``sim_digest_equal`` says whether both sides' runs gave the same
 ``sim_digest``s; a stderr warning names any workload where they did not.
-Standard library only.
+Each side is named by its git revision and by ``source_sha1``, a SHA-1 over
+its ``src/cellsched/*.py``, which also names a checkout that is not
+committed.  Standard library only.
 
 Run from the repository root (about 27 minutes for the default plan):
 
@@ -22,6 +24,7 @@ Run from the repository root (about 27 minutes for the default plan):
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -128,6 +131,17 @@ def git_revision(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
+def source_sha1(checkout: Path) -> str:
+    """SHA-1 over ``src/cellsched/*.py`` in ``checkout``, in sorted path order:
+    each file's path relative to the checkout, its length, then its bytes."""
+    digest = hashlib.sha1()
+    for path in sorted(checkout.glob("src/cellsched/*.py")):
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (path.relative_to(checkout).as_posix().encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -157,6 +171,7 @@ def main(argv=None) -> int:
         "description": args.description,
         "parent": git_revision(args.parent),
         "change": git_revision(args.change),
+        "source_sha1": {name: source_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, "
                 f"Python {platform.python_version()}; times scaled to the nominal "
                 "host speed by bench/hostspeed.py",

@@ -10,15 +10,24 @@ metrics layer.
 
 A slot decides something only when two or more flows could be chosen, and
 only then does the loop build the eligible list and ask the strategy.
-When no flow is active, or one flow is active and has buffered bytes, the
-outcome is forced: the loop runs a tight stretch up to the next arrival or
-the horizon, or until the lone flow departs or empties its buffer, with one
-rate draw and one ``serve_slot`` call per slot and no eligible list or
-``select_client`` call.  A probabilistic strategy's choice stream still
-advances by one draw per slot, skipped in one step at the stretch's end.
-Refills are events: a serve that empties a buffer with bytes still
-unfetched queues the flow's refill for slot t + 1 + rtt, and
-``refill_buffers`` runs only on slots where one is due.
+Otherwise the outcome is forced, and the loop runs one of three stretches
+up to the next arrival or the horizon, with one ``serve_slot`` call per
+slot and no eligible list or ``select_client`` call:
+
+- *idle*: no flow is active;
+- *wait*: every active flow waits on a refill, i.e.
+  ``len(waiting) == len(active)``, since a flow is in ``waiting`` exactly
+  when it is active with an empty buffer, and such a flow still has bytes
+  unfetched, so it cannot depart.  The stretch ends where the first refill
+  lands, and each flow draws the stretch's rates in one loop of its own;
+- *single-flow*: one flow is active and has buffered bytes; the stretch
+  ends early when it departs or empties its buffer.
+
+Every active flow still draws one rate per slot.  A probabilistic
+strategy's choice stream still advances by one draw per slot, skipped in
+one step at the stretch's end.  Refills are events: a serve that empties a
+buffer with bytes still unfetched queues the flow's refill for slot
+t + 1 + rtt, and ``refill_buffers`` runs only on slots where one is due.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
@@ -204,12 +213,15 @@ def refill_buffers(waiting, t, model: BufferModel) -> None:
     window lands.  A delivery adds min(window, unfetched) and doubles the
     window up to the cap.
     """
+    cap = model.max_window
     while waiting and waiting[0].refill_due == t:
         state = waiting.popleft()
-        delta = min(state.congestion_window, state.unfetched)
+        window, unfetched = state.congestion_window, state.unfetched
+        delta = window if window < unfetched else unfetched  # min(), without the call
         state.buffer += delta
-        state.unfetched -= delta
-        state.congestion_window = min(2.0 * state.congestion_window, model.max_window)
+        state.unfetched = unfetched - delta
+        window *= 2.0
+        state.congestion_window = window if window < cap else cap
         state.refill_due = None
 
 
@@ -261,18 +273,19 @@ def run_simulation(
     seed can share its flows; ``rate_source`` replaces the seeded channel
     source.  Both also serve crafted scenarios with known arithmetic.
     """
-    if flows is None:
-        flows = generate_workload(config.workload)
     horizon = config.workload.horizon
-    ids, last = set(), 0
-    for spec in flows:
-        if spec.id in ids or not last <= spec.arrival_slot < horizon:
-            raise SchedulingError(
-                f"flow {spec.id} arrives at slot {spec.arrival_slot}; given flows need "
-                f"distinct ids and arrivals in slot order before the horizon {horizon}"
-            )
-        ids.add(spec.id)
-        last = spec.arrival_slot
+    if flows is None:
+        flows = generate_workload(config.workload)  # ids 0..n-1, in slot order
+    else:
+        ids, last = set(), 0
+        for spec in flows:
+            if spec.id in ids or not last <= spec.arrival_slot < horizon:
+                raise SchedulingError(
+                    f"flow {spec.id} arrives at slot {spec.arrival_slot}; given flows need "
+                    f"distinct ids and arrivals in slot order before the horizon {horizon}"
+                )
+            ids.add(spec.id)
+            last = spec.arrival_slot
     if rate_source is None:
         rate_source = ChannelRateSource(config.workload.seed, config.channel)
     strategy = config.strategy
@@ -307,20 +320,30 @@ def run_simulation(
             refill_buffers(waiting, t, model)
 
         state = record = None
-        if len(active) == 1:
-            (state,) = active.values()
-        if not active or state is not None and state.buffer > 0.0:
-            # A forced stretch: no flow, or one flow with buffered bytes, is
-            # served without a decision until a flow arrives or the lone flow
-            # departs or empties its buffer.
+        n = len(active)
+        if n < 2 or waiting and len(waiting) == n:
+            # A forced stretch, served without a decision until a flow arrives:
+            # no flow is active, every active flow waits on a refill (until the
+            # first lands), or one flow has buffered bytes (until it departs or
+            # empties its buffer).
             start = t
             stop = arrivals[next_pending] if t < horizon else hard_stop
-            if state is None:
+            if waiting or not n:
+                if waiting:
+                    due = waiting[0].refill_due
+                    stop = due if due < stop else stop
+                    for flow in waiting:  # each stream is the flow's own
+                        draw = flow.stream.draw
+                        rate_sum = flow.rate_sum
+                        for s in range(start, stop):
+                            rate_sum += draw(s)
+                        flow.rate_sum = rate_sum
                 for t in range(start, stop):
                     serve_slot(active, t, 0.0, None)
                     if trace is not None:
-                        trace.append(event(TraceEvent, (t, None, 0.0, 0)))
+                        trace.append(event(TraceEvent, (t, None, 0.0, n)))
             else:
+                (state,) = active.values()
                 chosen = state.spec.id
                 draw = state.stream.draw
                 rate_sum = state.rate_sum
@@ -345,12 +368,11 @@ def run_simulation(
             chosen = None
             if eligible or probabilistic:
                 chosen = select_client(strategy, eligible, choice_rng)
-            active_count = len(active)
             state = active.get(chosen)
             rate = state.rate if state is not None else 0.0
             record, transfer = serve_slot(active, t, rate, chosen)
             if trace is not None:
-                trace.append(event(TraceEvent, (t, chosen, transfer, active_count)))
+                trace.append(event(TraceEvent, (t, chosen, transfer, n)))
         if record is not None:
             records.append(record)
         elif state is not None and state.buffer == 0.0:

@@ -134,6 +134,34 @@ def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys
     assert warnings == ["warning: moved: sim_digest differs, parent ['d1'] -> change ['d2']"]
 
 
+def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout, text in ((parent, "x = 1\n"), (change, "x = 2\n")):
+        (checkout / "src" / "cellsched").mkdir(parents=True)
+        (checkout / "src" / "cellsched" / "a.py").write_text(text)
+        (checkout / "src" / "cellsched" / "b.py").write_text("y = 1\n")
+        (checkout / "README.md").write_text(text)  # not a source file
+    write_benchmark(change, ("same",))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: result(2.0, 1.0))
+    monkeypatch.setattr(bench_pairs, "git_revision", lambda checkout: "unknown")
+    out = tmp_path / "pairs.json"
+    bench_pairs.main([str(parent), str(change), "--seed", "1", "--seconds", "1",
+                      "--plan", "same=1", "--out", str(out)])
+    hashes = json.loads(out.read_text())["source_sha1"]
+    assert hashes == {"parent": bench_pairs.source_sha1(parent),
+                      "change": bench_pairs.source_sha1(change)}
+    assert hashes["parent"] != hashes["change"]
+    # the hash follows the sources only: other files and the checkout's place do not move
+    # it, while a renamed source file does
+    (change / "README.md").write_text("other\n")
+    (change / "src" / "cellsched" / "a.py").write_text("x = 1\n")
+    moved = tmp_path / "elsewhere"
+    change.rename(moved)
+    assert bench_pairs.source_sha1(moved) == hashes["parent"]
+    (moved / "src" / "cellsched" / "b.py").rename(moved / "src" / "cellsched" / "c.py")
+    assert bench_pairs.source_sha1(moved) != hashes["parent"]
+
+
 @pytest.mark.parametrize("bad", ["reference_ranking", "short_runs=0", "refrence_ranking=2",
                                  "short_runs=x", "reference_ranking=3"])
 def test_main_checks_the_plan_before_the_first_run(tmp_path, monkeypatch, capsys, bad):

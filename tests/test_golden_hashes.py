@@ -73,6 +73,9 @@ TRACE_CASES = {
     "sectf": StrategySpec(kind="sectf"),
     "linear": StrategySpec(kind="linear", children=(_TAS, _DAS), weights=(1.0, 0.5)),
     "T-assigned": StrategySpec(kind="T", mean_rate_mode="assigned"),
+    "TK-mean": StrategySpec(kind="TK", tk_variant="mean"),  # reads rate_sum after waits
+    "tas-rtt0": _TAS,
+    "tas-rtt1": _TAS,
 }
 
 TRACE_GOLDEN = {
@@ -81,6 +84,9 @@ TRACE_GOLDEN = {
     "sectf": "22a32bc7328104e126aee24243837711049cf75c",
     "linear": "c0076c339a4fd0d015dba6c5d4d205834e7fc8a0",
     "T-assigned": "754a7f6b1435a8ffc82150bdcd5be9b260e41d49",
+    "TK-mean": "92493d6f350a4db5f040e4e27651fb1b22220268",
+    "tas-rtt0": "6b0805ca4e34d49662ca38dfeeef96f8a726ff81",
+    "tas-rtt1": "26010968be92ea0df399118d364bcc981235943b",
 }
 
 
@@ -114,6 +120,10 @@ def trace_config(case: str) -> SimConfig:
             channel=ChannelConfig(envelope_mode="time_varying", envelope_freq=0.01),
             drain_after_horizon=False,
         )
+    if case.startswith("tas-rtt"):
+        # rtt 0: a refill lands on the slot after the buffer empties, before that
+        # slot's decision, so no slot waits; rtt 1: every wait lasts one slot
+        config = replace(config, buffer=replace(TCP, rtt=int(case[-1])))
     return config
 
 

@@ -292,6 +292,32 @@ class TestServeSlot:
         # rates 10, 11, 14, 19, 26: the idle slots' draws are in the mean
         assert views[4][0] == 16.0 and set(views[4]) == {0, 1}
 
+    def test_wait_shared_by_two_flows_updates_both_rate_histories(self, monkeypatch):
+        # flows 0 and 1 empty their windows at t=0 and t=1 and both wait in
+        # 2-3, when nobody is served; their refills land on different slots:
+        # flow 0's at t=4, when flow 2 arrives and takes the slot, and flow
+        # 1's at t=5, when the strategy chooses between flows 0 and 1
+        model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=10.0)
+        views = _spy_views(monkeypatch)
+        result = run_simulation(
+            sim_config(flows_horizon=10, strategy="max_ci", buffer=model),
+            flows=[
+                make_flow(fid=0, arrival=0, size=100.0),
+                make_flow(fid=1, arrival=1, size=100.0),
+                make_flow(fid=2, arrival=4, size=100.0),
+            ],
+            rate_source=_SquareRateSource({0: 10.0, 1: 10.0, 2: 20.0}),
+            collect_trace=True,
+        )
+        trace = result.trace
+        assert [e.t for e in trace] == list(range(len(trace)))  # one row per slot
+        assert [(e.chosen_id, e.active_count) for e in trace[:6]] == [
+            (0, 1), (1, 2), (None, 2), (None, 2), (2, 3), (0, 3),
+        ]
+        # each running mean holds every draw of the wait
+        rates = {fid: [10.0 + t * t for t in range(arrival, 6)] for fid, arrival in ((0, 0), (1, 1))}
+        assert views[5] == {fid: sum(r) / len(r) for fid, r in rates.items()}
+
     def test_unserved_flows_accumulate_rate_history(self, monkeypatch):
         views = _spy_views(monkeypatch)
         result = run_simulation(
@@ -587,13 +613,19 @@ class TestRunSimulation:
             children=(StrategySpec(kind="tas"), StrategySpec(kind="das")),
             weights=(0.5, 0.5),
         )
-        result = run_simulation(sim_config(flows_horizon=300, strategy=mixture),
-                                collect_trace=True)
-        assert len(made) == 1
-        # the stream ends one uniform per slot past its start, drain included
-        expected = real(1, seeding.CHOICE_STREAM)
-        seeding.skip(expected, len(result.trace))
-        assert made[0].getstate() == expected.getstate()
+        for buffer in (INFINITE, TCP):
+            made.clear()
+            result = run_simulation(
+                sim_config(flows_horizon=300, strategy=mixture, buffer=buffer),
+                collect_trace=True,
+            )
+            assert len(made) == 1
+            # the stream ends one uniform per slot past its start, drain included
+            expected = real(1, seeding.CHOICE_STREAM)
+            seeding.skip(expected, len(result.trace))
+            assert made[0].getstate() == expected.getstate()
+        # the tcp-refill run has slots where two flows wait on refills together
+        assert any(e.chosen_id is None and e.active_count == 2 for e in result.trace)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10**6),
