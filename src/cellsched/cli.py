@@ -15,6 +15,7 @@ on success or when the reader of stdout leaves early, 2 on any expected error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -40,13 +41,15 @@ from .experiments import (
 from .simcore import run_simulation
 from .workload import generate_workload
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's scanner, when built in
+
 
 def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return experiment_from_dict({})
     # bytes: PyYAML detects the encoding and rejects invalid text as a YAMLError
     with open(path, "rb") as handle:
-        data = yaml.safe_load(handle)
+        data = yaml.load(handle, Loader=_LOADER)
     return experiment_from_dict({} if data is None else data)  # None: an empty file
 
 
@@ -146,6 +149,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was: build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellsched",

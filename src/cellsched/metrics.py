@@ -46,7 +46,7 @@ def summarize(records, unfinished: int = 0) -> MetricsReport:
     throughputs = [r.file_size / (r.departure - r.arrival) for r in records]
     return MetricsReport(
         alpt=statistics.fmean(throughputs),
-        log_alpt=statistics.fmean(map(math.log, throughputs)),
+        log_alpt=math.fsum(map(math.log, throughputs)) / len(throughputs),  # fmean's own fsum / n
         completed=len(records),
         unfinished=unfinished,
     )

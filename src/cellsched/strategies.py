@@ -14,15 +14,19 @@ running mean rate is ``rate_sum / (age + 1)``), ``last_served`` (None
 before the first service) and ``spec`` (``id``, ``file_size``,
 ``mean_rate``).  Only ``srpt`` reads the true ``file_size``.
 
-Conventions: a zero denominator maps to +inf, indices never evaluate to
-NaN, and argmax ties are broken toward the flow served least recently (a
-never-served flow counts as least recent), then toward the smallest id.
-The +inf rule puts a flow in its arrival slot first under the indices that
-divide by age, and a never-served flow first under das and pf; by their
-formulas, T and TK score a never-served flow of positive age as 0.  The
-repository's documents do not settle which of the two conventions the
-source paper meant.  Each index function writes the +inf rule inline, with
-no helper call per flow; every call looks the function up in ``_INDEX_FUNCS``.
+T = served / (age + served / (C * mean rate)).  C = (hi - lo) / ln(hi / lo) of
+the default band [0.7, 1.3] makes C * mean rate the band's harmonic-mean rate,
+so the second term is the expected remaining time under a shape-2 Pareto
+posterior.  ``c_const`` ignores ``channel``'s band, and T does not hinge on it.
+
+Conventions: a zero denominator maps to +inf, indices never evaluate to NaN,
+and argmax ties go to the flow served least recently (a never-served flow
+counts as least recent), then to the smallest id.  The +inf rule puts a flow in
+its arrival slot first under the indices that divide by age, and a never-served
+flow first under das and pf; by their formulas, T and TK score a never-served
+flow of positive age as 0.  The repository's documents do not settle which
+convention the source paper meant.  Each index function writes the +inf rule
+inline; every call looks the function up in ``_INDEX_FUNCS``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .seeding import choice_bounds
 
 COMBINATOR_KINDS = ("linear", "probabilistic")
 
-#: Default time constant of the T index's remaining-time estimate.
 C_DEFAULT = 0.6 / math.log(13.0 / 7.0)
 
 #: The parameters each kind reads.  Every other kind must leave them at their

@@ -1,9 +1,11 @@
 """Pareto-posterior file-size helpers checked by acceptance criteria 4 and 5.
 
 No strategy reads them: T and TK estimate remaining time from the served
-bytes and the observed rates.  They stay here with their checks, because the
-repository's documents do not settle whether the source paper derived T
-from this posterior.
+bytes and the observed rates.  As far as the formula goes, T matches this
+posterior at shape 2: ``expected_file_size(s, 2) == 2 * s``, so ``served``
+more bytes remain, and T's constant turns them into time at the harmonic
+mean of the default channel band (README, Strategies).  Whether the source
+paper derived T this way, its abstract does not say.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
 
 from cellsched import (
     ExperimentConfig,
+    experiment_to_dict,
     SimConfig,
     StrategySpec,
     WorkloadConfig,
@@ -24,7 +26,12 @@ from cellsched import (
 )
 from cellsched.cli import load_config, main
 from cellsched.experiments import RANKING_KINDS, write_trace_csv
+from test_golden_hashes import CLI_CONFIG
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import LoadedSweep, ReferenceRanking, ShortRuns  # noqa: E402
 
 BASE_CONFIG = {
     "horizon": 400,
@@ -330,6 +337,62 @@ class TestErrors:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; no call may leave a trace in it."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_call_carries_nothing_into_the_next(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["run", "--config", cfg, "--seed", "7", "--replications", "3", "--out", str(a)]
+        assert main(argv) == 0
+        assert main(["run", "--config", cfg, "--out", str(b)]) == 0
+        seeds = [json.loads((out / "manifest.json").read_text())["seeds"] for out in (a, b)]
+        assert seeds == [[7, 8, 9], [1, 2]]  # the second run keeps the config's own seeds
+        with pytest.raises(SystemExit):
+            main(["no-such-command", "--config", cfg])
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+
+
+def _readme_yaml() -> str:
+    return (ROOT / "README.md").read_text().split("```yaml\n")[1].split("```")[0]
+
+
+def config_texts(tmp_path) -> list[bytes]:
+    """Config files as the loader meets them: the README example, the golden CLI
+    configs and the benchmark's, and a sample of ``short_runs`` with their echoes."""
+    prob = dict(CLI_CONFIG, sweep={"kind": "probabilistic", "simplex_step": 0.5})
+    texts = [_readme_yaml(), json.dumps(CLI_CONFIG), json.dumps(prob)]
+    texts += [json.dumps(w.mapping, indent=2) + "\n" for w in (ReferenceRanking, LoadedSweep)]
+    for mapping in ShortRuns(1, tmp_path).config_mappings[::40]:
+        echo = experiment_to_dict(experiment_from_dict(mapping))
+        texts += [yaml.safe_dump(mapping), yaml.safe_dump(echo)]
+    return [text.encode() for text in texts]
+
+
+class TestYamlLoaders:
+    @pytest.mark.skipif(
+        not hasattr(yaml, "CSafeLoader"), reason="this PyYAML is built without libyaml"
+    )
+    def test_both_loaders_read_every_config_alike(self, tmp_path):
+        texts = config_texts(tmp_path)
+        assert len(texts) == 105
+        for text in texts:
+            pure = yaml.load(text, Loader=yaml.SafeLoader)
+            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert pure == fast and repr(pure) == repr(fast)  # repr: 1 and 1.0 differ
+
+    def test_pure_python_loader_gives_the_same_config(self, tmp_path, monkeypatch):
+        path = tmp_path / "readme.yaml"
+        path.write_text(_readme_yaml())
+        config = load_config(str(path))
+        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        assert load_config(str(path)) == config
+        assert len(config.strategies) == 6
 
 
 class _ClosedPipe(io.StringIO):

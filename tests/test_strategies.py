@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cellsched import (
+    ChannelConfig,
     ParameterError,
     SimConfig,
     StrategySpec,
@@ -125,6 +126,18 @@ class TestStrategySpecValidation:
     def test_default_c_constant(self):
         assert C_DEFAULT == pytest.approx(0.6 / math.log(13.0 / 7.0), rel=1e-15)
         assert StrategySpec(kind="T").c_const == C_DEFAULT
+
+    def test_c_times_mean_rate_is_the_default_bands_harmonic_mean(self):
+        # C = (hi - lo) / ln(hi / lo) = 1 / E[1/U] for U uniform on the default band
+        lo, hi = ChannelConfig().lo_coeff, ChannelConfig().hi_coeff
+        assert C_DEFAULT == pytest.approx((hi - lo) / math.log(hi / lo), rel=1e-15)
+        mean_inverse, _ = integrate.quad(lambda u: 1.0 / u / (hi - lo), lo, hi)
+        assert C_DEFAULT == pytest.approx(1.0 / mean_inverse, rel=1e-12)
+
+    @pytest.mark.parametrize("served", [0.5, 1.0, 500.0, 15827.8, 1e9])
+    def test_shape_two_posterior_expects_served_bytes_more(self, served):
+        # so served / (C * mean rate) is T's expected remaining time
+        assert expected_file_size(served, 2.0) == 2.0 * served
 
 
 class TestOwnedParameters:
