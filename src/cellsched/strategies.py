@@ -14,10 +14,9 @@ running mean rate is ``rate_sum / (age + 1)``), ``last_served`` (None
 before the first service) and ``spec`` (``id``, ``file_size``,
 ``mean_rate``).  Only ``srpt`` reads the true ``file_size``.
 
-T = served / (age + served / (C * mean rate)).  C = (hi - lo) / ln(hi / lo) of
-the default band [0.7, 1.3] makes C * mean rate the band's harmonic-mean rate,
-so the second term is the expected remaining time under a shape-2 Pareto
-posterior.  ``c_const`` ignores ``channel``'s band, and T does not hinge on it.
+T = served / (age + served / (C * mean rate)).  ``C_DEFAULT`` fits the default
+band whatever ``channel`` sets: C * mean rate is that band's harmonic-mean
+rate, and the second term a shape-2 Pareto posterior's expected remaining time.
 
 Conventions: a zero denominator maps to +inf, indices never evaluate to NaN,
 and argmax ties go to the flow served least recently (a never-served flow
@@ -41,6 +40,7 @@ from .seeding import choice_bounds
 
 COMBINATOR_KINDS = ("linear", "probabilistic")
 
+#: T's default C: (hi - lo) / ln(hi / lo) of the default channel band [0.7, 1.3].
 C_DEFAULT = 0.6 / math.log(13.0 / 7.0)
 
 #: The parameters each kind reads.  Every other kind must leave them at their

@@ -15,12 +15,12 @@ import yaml
 
 from cellsched import (
     ExperimentConfig,
-    experiment_to_dict,
     SimConfig,
     StrategySpec,
     WorkloadConfig,
     cli,
     experiment_from_dict,
+    experiment_to_dict,
     generate_workload,
     run_simulation,
 )
@@ -362,7 +362,7 @@ def _readme_yaml() -> str:
     return (ROOT / "README.md").read_text().split("```yaml\n")[1].split("```")[0]
 
 
-def config_texts(tmp_path) -> list[bytes]:
+def _config_texts(tmp_path) -> list[bytes]:
     """Config files as the loader meets them: the README example, the golden CLI
     configs and the benchmark's, and a sample of ``short_runs`` with their echoes."""
     prob = dict(CLI_CONFIG, sweep={"kind": "probabilistic", "simplex_step": 0.5})
@@ -379,7 +379,7 @@ class TestYamlLoaders:
         not hasattr(yaml, "CSafeLoader"), reason="this PyYAML is built without libyaml"
     )
     def test_both_loaders_read_every_config_alike(self, tmp_path):
-        texts = config_texts(tmp_path)
+        texts = _config_texts(tmp_path)
         assert len(texts) == 105
         for text in texts:
             pure = yaml.load(text, Loader=yaml.SafeLoader)
