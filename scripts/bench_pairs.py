@@ -13,7 +13,8 @@ traced run's self times swing with the host's speed.  Per workload,
 ``sim_digest``s; a stderr warning names any workload where they did not.
 Each side is named by its git revision and by ``source_sha1``, a SHA-1 over
 its ``src/cellsched/*.py``, which also names a checkout that is not
-committed.  Standard library only.
+committed; ``source_lines`` gives the non-blank line count of those files.
+Standard library only.
 
 Run from the repository root (about 27 minutes for the default plan):
 
@@ -142,6 +143,12 @@ def source_sha1(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def source_lines(checkout: Path) -> int:
+    """The number of non-blank lines in ``src/cellsched/*.py`` in ``checkout``."""
+    return sum(1 for path in checkout.glob("src/cellsched/*.py")
+               for line in path.read_text().splitlines() if line.strip())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -172,6 +179,7 @@ def main(argv=None) -> int:
         "parent": git_revision(args.parent),
         "change": git_revision(args.change),
         "source_sha1": {name: source_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
+        "source_lines": {name: source_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, "
                 f"Python {platform.python_version()}; times scaled to the nominal "
                 "host speed by bench/hostspeed.py",

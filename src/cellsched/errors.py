@@ -16,4 +16,4 @@ class ParameterError(CellschedError, ValueError):
 
 
 class SchedulingError(CellschedError, RuntimeError):
-    """The scheduling contract was violated (bad chosen id, broken invariant)."""
+    """A scheduling invariant of the slot loop was broken."""

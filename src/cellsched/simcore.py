@@ -8,7 +8,8 @@ A flow departs on the slot after the transfer that empties both its buffer
 and its unfetched remainder; completed flows yield FlowRecords for the
 metrics layer.
 
-A slot decides something only when two or more flows could be chosen, and
+A slot is contended when two or more flows are active and not all of them
+wait on a refill (see *wait* below), so at least one has buffered bytes;
 only then does the loop build the eligible list and ask the strategy.
 Otherwise the outcome is forced, and the loop runs one of three stretches
 up to the next arrival or the horizon, with one ``serve_slot`` call per
@@ -63,9 +64,9 @@ class BufferModel:
     """Base-station buffering discipline for staged file bytes.
 
     ``tcp-refill`` stages ``initial_window``, waits ``rtt`` slots after the
-    buffer empties, then delivers the next window, doubling it up to
-    ``max_window`` (slow-start growth with saturation).  ``infinite`` stages
-    one window that holds the whole file, so it takes none of those three.
+    buffer empties, then delivers ``initial_window`` again, then twice the
+    last window each time, up to ``max_window`` (slow-start with saturation).
+    ``infinite`` stages the whole file at once, so it takes none of the three.
     """
 
     mode: str = BUFFER_INFINITE
@@ -225,22 +226,19 @@ def refill_buffers(waiting, t, model: BufferModel) -> None:
         state.refill_due = None
 
 
-def serve_slot(active, t, rate, chosen):
-    """Serve ``chosen`` for one slot; returns (record-or-None, transfer).
+def serve_slot(active, t, rate, state):
+    """Serve the chosen record ``state`` for one slot; returns (record-or-None, transfer).
 
-    Only the chosen flow is read or written; ``rate`` is its channel rate
-    for this slot.  The chosen flow receives min(rate, buffer); if that
-    empties both buffer and unfetched remainder the flow departs at t + 1
-    and is removed from ``active``; its FlowRecord is built with
-    ``tuple.__new__``, as trace rows are.
+    ``state`` comes from ``active``, or is None on an idle or wait slot, and
+    ``rate`` is its channel rate for this slot.  Only it is read or written:
+    it receives min(rate, buffer); if that empties both buffer and unfetched
+    remainder the flow departs at t + 1 and is removed from ``active``; its
+    FlowRecord is built with ``tuple.__new__``, as trace rows are.
     """
-    if chosen is None:
-        return None, 0.0
-    state = active.get(chosen)
     if state is None:
-        raise SchedulingError(f"chosen flow {chosen} is not active at slot {t}")
+        return None, 0.0
     if not state.buffer > 0.0:
-        raise SchedulingError(f"chosen flow {chosen} has an empty buffer at slot {t}")
+        raise SchedulingError(f"chosen flow {state.spec.id} has an empty buffer at slot {t}")
     buffer = state.buffer
     transfer = buffer if buffer < rate else rate  # the operand min(rate, buffer) gives
     state.buffer = buffer - transfer
@@ -249,7 +247,7 @@ def serve_slot(active, t, rate, chosen):
     if state.buffer == 0.0 and state.unfetched == 0.0:
         spec = state.spec
         state.served = spec.file_size
-        del active[chosen]
+        del active[spec.id]
         return tuple.__new__(FlowRecord, (spec.file_size, spec.arrival_slot, t + 1)), transfer
     return None, transfer
 
@@ -280,7 +278,7 @@ def run_simulation(
         ids, last = set(), 0
         for spec in flows:
             if spec.id in ids or not last <= spec.arrival_slot < horizon:
-                raise SchedulingError(
+                raise ParameterError(
                     f"flow {spec.id} arrives at slot {spec.arrival_slot}; given flows need "
                     f"distinct ids and arrivals in slot order before the horizon {horizon}"
                 )
@@ -349,7 +347,7 @@ def run_simulation(
                 rate_sum = state.rate_sum
                 for t in range(start, stop):
                     rate_sum += (rate := draw(t))
-                    record, transfer = serve_slot(active, t, rate, chosen)
+                    record, transfer = serve_slot(active, t, rate, state)
                     if trace is not None:
                         trace.append(event(TraceEvent, (t, chosen, transfer, 1)))
                     if state.buffer == 0.0:
@@ -365,12 +363,9 @@ def run_simulation(
                 flow.age = t - flow.spec.arrival_slot
                 if flow.buffer > 0.0:
                     eligible.append(flow)
-            chosen = None
-            if eligible or probabilistic:
-                chosen = select_client(strategy, eligible, choice_rng)
-            state = active.get(chosen)
-            rate = state.rate if state is not None else 0.0
-            record, transfer = serve_slot(active, t, rate, chosen)
+            chosen = select_client(strategy, eligible, choice_rng)
+            state = active[chosen]
+            record, transfer = serve_slot(active, t, state.rate, state)
             if trace is not None:
                 trace.append(event(TraceEvent, (t, chosen, transfer, n)))
         if record is not None:

@@ -141,13 +141,17 @@ def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
         (checkout / "src" / "cellsched" / "a.py").write_text(text)
         (checkout / "src" / "cellsched" / "b.py").write_text("y = 1\n")
         (checkout / "README.md").write_text(text)  # not a source file
+    (change / "src" / "cellsched" / "b.py").write_text("\ny = 1\n  \nz = 2\n")
     write_benchmark(change, ("same",))
     monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: result(2.0, 1.0))
     monkeypatch.setattr(bench_pairs, "git_revision", lambda checkout: "unknown")
     out = tmp_path / "pairs.json"
     bench_pairs.main([str(parent), str(change), "--seed", "1", "--seconds", "1",
                       "--plan", "same=1", "--out", str(out)])
-    hashes = json.loads(out.read_text())["source_sha1"]
+    doc = json.loads(out.read_text())
+    hashes = doc["source_sha1"]
+    # non-blank lines of src/cellsched/*.py: README.md and blank lines do not count
+    assert doc["source_lines"] == {"parent": 2, "change": 3}
     assert hashes == {"parent": bench_pairs.source_sha1(parent),
                       "change": bench_pairs.source_sha1(change)}
     assert hashes["parent"] != hashes["change"]
@@ -155,6 +159,7 @@ def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
     # it, while a renamed source file does
     (change / "README.md").write_text("other\n")
     (change / "src" / "cellsched" / "a.py").write_text("x = 1\n")
+    (change / "src" / "cellsched" / "b.py").write_text("y = 1\n")
     moved = tmp_path / "elsewhere"
     change.rename(moved)
     assert bench_pairs.source_sha1(moved) == hashes["parent"]

@@ -246,14 +246,14 @@ class TestRefillBuffers:
 class TestServeSlot:
     def test_rate_limited_transfer(self):
         state = make_flow_state(make_flow(size=250.0), INFINITE)
-        record, transfer = serve_slot({0: state}, 0, 100.0, 0)
+        record, transfer = serve_slot({0: state}, 0, 100.0, state)
         assert record is None and transfer == 100.0
         assert state.served == 100.0 and state.buffer == 150.0
 
     def test_buffer_limited_transfer(self):
         state = make_flow_state(make_flow(size=500.0), TCP)
         state.buffer = 40.0
-        record, transfer = serve_slot({0: state}, 0, 100.0, 0)
+        record, transfer = serve_slot({0: state}, 0, 100.0, state)
         assert record is None and transfer == 40.0
         assert state.buffer == 0.0
 
@@ -262,7 +262,7 @@ class TestServeSlot:
         state.served = 90.0
         state.buffer = 10.0
         active = {0: state}
-        record, transfer = serve_slot(active, 17, 50.0, 0)
+        record, transfer = serve_slot(active, 17, 50.0, state)
         assert transfer == 10.0
         assert type(record) is FlowRecord
         assert record == FlowRecord(100.0, 0, 18)
@@ -336,11 +336,9 @@ class TestServeSlot:
 
     def test_invalid_chosen_is_contract_violation(self):
         state = make_flow_state(make_flow(size=100.0), INFINITE)
-        with pytest.raises(SchedulingError):
-            serve_slot({0: state}, 0, 5.0, 3)
         state.buffer = 0.0
-        with pytest.raises(SchedulingError):
-            serve_slot({0: state}, 0, 5.0, 0)
+        with pytest.raises(SchedulingError, match="flow 0 has an empty buffer at slot 0"):
+            serve_slot({0: state}, 0, 5.0, state)
 
 
 class TestRunSimulation:
@@ -350,12 +348,12 @@ class TestRunSimulation:
 
     def test_arrival_at_or_after_horizon_is_rejected(self):
         flows = [make_flow(fid=0, arrival=3), make_flow(fid=1, arrival=12)]
-        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 12.*10"):
+        with pytest.raises(ParameterError, match="flow 1 arrives at slot 12.*10"):
             run_simulation(
                 sim_config(flows_horizon=10), flows=flows, rate_source=FixedRateSource()
             )
         flows = [make_flow(fid=0, arrival=3), make_flow(fid=1, arrival=10)]
-        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 10"):
+        with pytest.raises(ParameterError, match="flow 1 arrives at slot 10"):
             run_simulation(
                 sim_config(flows_horizon=10), flows=flows, rate_source=FixedRateSource()
             )
@@ -368,7 +366,7 @@ class TestRunSimulation:
 
         admitted = []
         flows = [make_flow(fid=0, arrival=0), make_flow(fid=1, arrival=10_000)]
-        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 10000"):
+        with pytest.raises(ParameterError, match="flow 1 arrives at slot 10000"):
             run_simulation(
                 sim_config(flows_horizon=100), flows=flows, rate_source=RecordingSource()
             )
@@ -384,20 +382,20 @@ class TestRunSimulation:
 
         monkeypatch.setattr(simcore, "admit_arrivals", spy)
         flows = [make_flow(fid=0, arrival=4), make_flow(fid=1, arrival=2)]
-        with pytest.raises(SchedulingError, match="flow 1 arrives at slot 2"):
+        with pytest.raises(ParameterError, match="flow 1 arrives at slot 2"):
             run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
         assert calls == []
 
     def test_duplicate_id_rejected(self):
         flows = [make_flow(fid=0, arrival=0), make_flow(fid=0, arrival=0)]
-        with pytest.raises(SchedulingError, match="flow 0 arrives at slot 0"):
+        with pytest.raises(ParameterError, match="flow 0 arrives at slot 0"):
             run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
 
     def test_non_overlapping_duplicate_ids_are_rejected(self):
         # the first flow 7 is long gone when the second arrives; both would
         # be served, and seeded, as flow 7
         flows = [make_flow(fid=7, arrival=0, size=10.0), make_flow(fid=7, arrival=20)]
-        with pytest.raises(SchedulingError, match="flow 7 arrives at slot 20.*distinct ids"):
+        with pytest.raises(ParameterError, match="flow 7 arrives at slot 20.*distinct ids"):
             run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
 
     def test_single_flow_hand_trace(self):
