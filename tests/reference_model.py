@@ -1,20 +1,26 @@
 """Independent reference of the documented slot model, for checking the simulator.
 
-Written from the README's description of the slot loop and its strategy
-table, and from the ``strategies`` module docstring; it shares no code with
-``cellsched.simcore`` or ``cellsched.strategies``.  It covers the infinite
-buffer, the literal channel envelope and the seven ranking indices.  Per
-slot t:
+Written from the README's description of the slot loop, its buffers and
+its strategy table, and from the ``strategies`` module docstring; it shares
+no code with ``cellsched.simcore`` or ``cellsched.strategies``.  It covers
+the infinite and the ``tcp-refill`` buffer, the literal channel envelope,
+the seven ranking indices and ``sectf``.  Per slot t:
 
-- flows arriving at slot t join with their whole file buffered;
+- flows arriving at slot t join with min(file size, window) buffered; the
+  infinite buffer's window is unbounded, ``tcp-refill``'s is
+  ``initial_window``;
+- a refill due at t lands before the draws: it buffers min(window, bytes
+  still unfetched), then the window doubles, up to ``max_window``;
 - every active flow draws its rate r_k(t) from its own channel stream
   ``seeding.stream(seed, CHANNEL_STREAM, id)`` as lo + (hi - lo) * u, with
   [lo, hi] = [lo_coeff, hi_coeff] x envelope x the flow's mean rate;
 - r̄_k is the mean of the flow's rates since arrival, this slot included;
-- the flow with the largest index is served min(r_k(t), buffer); a zero
-  denominator scores +inf, and ties go to the flow served least recently
-  (a never-served flow counts as least recent), then to the smallest id;
-- a flow departs on the slot after its last byte.
+- only flows with buffered bytes are eligible; the one with the largest
+  index is served min(r_k(t), buffer); a zero denominator scores +inf, and
+  ties go to the flow served least recently (a never-served flow counts as
+  least recent), then to the smallest id;
+- a flow departs on the slot after its last byte; a serve that empties the
+  buffer with bytes still unfetched books a refill for slot t + 1 + rtt.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ INDICES = {
     "T": lambda r, age, served, mean: _ratio(served, age + _ratio(served, C * mean)),
     "TK": lambda r, age, served, mean: _ratio(r * served, age),
 }
+# sectf reads the buffered bytes, which only the tcp-refill buffer keeps below the file
+BUFFER_INDICES = {"sectf": lambda r, buffer: _ratio(r, buffer)}
 
 
 @dataclass
@@ -51,10 +59,11 @@ class Replay:
     records: list = field(default_factory=list)  # (file_size, arrival, departure)
     served: list = field(default_factory=list)  # (slot, flow id) of busy slots
     contested: int = 0  # slots with two or more flows to choose from
+    all_wait: int = 0  # slots with active flows that all wait on a refill
 
 
 class _Flow:
-    def __init__(self, spec, seed, channel):
+    def __init__(self, spec, seed, channel, window):
         envelope = channel.envelope_amplitude * (
             math.sin(channel.envelope_freq + channel.envelope_phase) + 1.0
         )
@@ -62,7 +71,10 @@ class _Flow:
         self.rng = seeding.stream(seed, seeding.CHANNEL_STREAM, spec.id)
         self.lo = channel.lo_coeff * envelope * spec.mean_rate
         self.hi = channel.hi_coeff * envelope * spec.mean_rate
-        self.remaining = spec.file_size
+        self.window = window
+        self.buffer = min(spec.file_size, window)
+        self.unfetched = spec.file_size - self.buffer
+        self.refill_due = None
         self.served = 0.0
         self.rate_sum = 0.0
         self.draws = 0
@@ -75,42 +87,58 @@ class _Flow:
         return rate
 
 
-def simulate(flows, seed: int, kind: str) -> Replay:
+def simulate(flows, seed: int, kind: str, tcp=None) -> Replay:
     """Replay ``flows`` (sorted by arrival) under the index ``kind`` until all depart.
 
-    The channel is the default ``ChannelConfig``, whose envelope is literal.
+    ``tcp`` is None for the infinite buffer, or the ``tcp-refill`` buffer's
+    (rtt, initial_window, max_window) as plain numbers.  The channel is the
+    default ``ChannelConfig``, whose envelope is literal.
     """
     channel = ChannelConfig()
-    index = INDICES[kind]
+    rtt, first_window, max_window = tcp if tcp is not None else (0, math.inf, math.inf)
     out = Replay()
     pending = list(reversed(flows))
     active: dict[int, _Flow] = {}
     t = 0
+
+    def index(flow, r):
+        if kind in BUFFER_INDICES:
+            return BUFFER_INDICES[kind](r, flow.buffer)
+        return INDICES[kind](r, t - flow.spec.arrival_slot, flow.served,
+                             flow.rate_sum / flow.draws)
+
+    def key(flow):
+        recency = math.inf if flow.last_served is None else t - flow.last_served
+        return index(flow, rates[flow.spec.id]), recency, -flow.spec.id
+
     while pending or active:
         while pending and pending[-1].arrival_slot == t:
             spec = pending.pop()
-            active[spec.id] = _Flow(spec, seed, channel)
+            active[spec.id] = _Flow(spec, seed, channel, first_window)
+        for flow in active.values():
+            if flow.refill_due == t:
+                delta = min(flow.window, flow.unfetched)
+                flow.buffer += delta
+                flow.unfetched -= delta
+                flow.window = min(2.0 * flow.window, max_window)
+                flow.refill_due = None
         rates = {fid: flow.draw() for fid, flow in active.items()}
-        if active:
-            out.contested += len(active) > 1
-
-            def key(flow):
-                r = rates[flow.spec.id]
-                value = index(r, t - flow.spec.arrival_slot, flow.served,
-                              flow.rate_sum / flow.draws)
-                recency = math.inf if flow.last_served is None else t - flow.last_served
-                return value, recency, -flow.spec.id
-
-            flow = max(active.values(), key=key)
-            transfer = min(rates[flow.spec.id], flow.remaining)
-            flow.remaining -= transfer
+        eligible = [flow for flow in active.values() if flow.buffer > 0.0]
+        out.contested += len(eligible) > 1
+        out.all_wait += bool(active) and not eligible
+        if eligible:
+            flow = max(eligible, key=key)
+            transfer = min(rates[flow.spec.id], flow.buffer)
+            flow.buffer -= transfer
             flow.served += transfer
             flow.last_served = t
             out.served.append((t, flow.spec.id))
-            if flow.remaining == 0.0:
+            if flow.buffer == 0.0 and flow.unfetched == 0.0:
                 del active[flow.spec.id]
                 out.records.append(
                     (flow.spec.file_size, flow.spec.arrival_slot, t + 1)
                 )
+            elif flow.buffer == 0.0:
+                flow.refill_due = t + 1 + rtt
         t += 1
     return out

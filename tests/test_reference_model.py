@@ -1,20 +1,27 @@
 """The simulator against the independent reference of the documented slot model.
 
 Both replay the same generated workloads with the same per-flow channel
-streams, so for every ranking index the served sequence and the completed
-flow records must agree exactly, slot for slot.
+streams, so for every ranking index, under the infinite and the
+``tcp-refill`` buffer, the served sequence and the completed flow records
+must agree exactly, slot for slot.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from cellsched import SimConfig, StrategySpec, WorkloadConfig, generate_workload, run_simulation
+from cellsched import (
+    BufferModel, SimConfig, StrategySpec, WorkloadConfig, generate_workload, run_simulation,
+)
 
-from reference_model import INDICES, simulate
+from reference_model import BUFFER_INDICES, INDICES, simulate
 
 SEEDS = (1, 2, 3)
 HORIZON = 4000
+# tcp-refill (rtt, initial_window, max_window): refills that land on the next
+# slot or after a wait, and windows that reach the cap or stay below it
+TCP_BUFFERS = tuple((rtt, initial, top) for rtt in (0, 1, 3)
+                    for initial, top in ((1000.0, 64000.0), (500.0, 2000.0)))
 
 
 def _first_difference(got, want) -> int:
@@ -24,24 +31,45 @@ def _first_difference(got, want) -> int:
     )
 
 
+def _check_match(workload, kind, tcp=None):
+    """Run both on ``workload``; returns the reference's replay once they agree."""
+    buffer = BufferModel() if tcp is None else BufferModel("tcp-refill", *tcp)
+    expected = simulate(generate_workload(workload), workload.seed, kind, tcp)
+    result = run_simulation(
+        SimConfig(workload=workload, strategy=StrategySpec(kind=kind), buffer=buffer),
+        collect_trace=True,
+    )
+    served = [(e.t, e.chosen_id) for e in result.trace if e.chosen_id is not None]
+    i = _first_difference(served, expected.served)
+    assert served == expected.served, (
+        f"{kind}, seed {workload.seed}, tcp {tcp}: service diverges at busy slot {i}: "
+        f"simulator {served[i:i + 3]}, reference {expected.served[i:i + 3]}"
+    )
+    records = [(r.file_size, r.arrival, r.departure) for r in result.records]
+    assert records == expected.records and result.unfinished == 0
+    return expected
+
+
 @pytest.mark.parametrize("kind", sorted(INDICES))
 def test_simulator_matches_reference(kind):
     contested = 0
     for seed in SEEDS:
         workload = WorkloadConfig(arrival_rate=0.09, horizon=HORIZON, seed=seed)
-        expected = simulate(generate_workload(workload), seed, kind)
-        result = run_simulation(
-            SimConfig(workload=workload, strategy=StrategySpec(kind=kind)),
-            collect_trace=True,
-        )
-        served = [(e.t, e.chosen_id) for e in result.trace if e.chosen_id is not None]
-        i = _first_difference(served, expected.served)
-        assert served == expected.served, (
-            f"{kind}, seed {seed}: service diverges at busy slot {i}: "
-            f"simulator {served[i:i + 3]}, reference {expected.served[i:i + 3]}"
-        )
-        records = [(r.file_size, r.arrival, r.departure) for r in result.records]
-        assert records == expected.records and result.unfinished == 0
-        contested += expected.contested
+        contested += _check_match(workload, kind).contested
     # the match must cover real decisions, not only slots with one flow
     assert contested >= 100 * len(SEEDS), f"only {contested} contested slots"
+
+
+@pytest.mark.parametrize("kind", sorted(INDICES) + sorted(BUFFER_INDICES))
+def test_simulator_matches_reference_under_tcp_refill(kind):
+    # about six flows a seed, so each run drains within a few hundred slots
+    contested = all_wait = 0
+    for tcp in TCP_BUFFERS:
+        for seed in SEEDS:
+            workload = WorkloadConfig(arrival_rate=0.02, horizon=300, seed=seed)
+            replay = _check_match(workload, kind, tcp)
+            contested += replay.contested
+            all_wait += replay.all_wait
+    # real decisions, and waits where every active flow's rates still add up
+    assert contested >= 100 * len(TCP_BUFFERS), f"only {contested} contested slots"
+    assert all_wait >= 20 * len(TCP_BUFFERS), f"only {all_wait} slots where every flow waits"

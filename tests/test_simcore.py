@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cellsched import (
     BufferModel,
+    ChannelConfig,
     ParameterError,
     SimConfig,
     StrategySpec,
@@ -624,6 +626,54 @@ class TestRunSimulation:
             assert made[0].getstate() == expected.getstate()
         # the tcp-refill run has slots where two flows wait on refills together
         assert any(e.chosen_id is None and e.active_count == 2 for e in result.trace)
+
+    def test_a_contended_slot_always_has_an_eligible_flow(self, monkeypatch):
+        # A flow waits exactly when it is active with an empty buffer, and a slot
+        # where every active flow waits runs as a wait stretch; so a contended
+        # slot hands select_client at least one record and serves one of them.
+        # With one record it is the tcp-refill shortcut: an infinite buffer never
+        # empties before its flow departs, so there every active flow is eligible.
+        calls = []  # (tcp-refill run, number of records, chosen among them)
+        select = simcore.select_client
+
+        def spy(spec, flows, rng=None):
+            chosen = select(spec, flows, rng)
+            calls.append((tcp, len(flows), any(f.spec.id == chosen for f in flows)))
+            return chosen
+
+        monkeypatch.setattr(simcore, "select_client", spy)
+        rng = random.Random(27)
+        atomic = [kind for kind in strategies.ATOMIC_KINDS if kind != "sectf"]
+        for case in range(300):
+            tcp = rng.random() < 0.5
+            buffer = INFINITE
+            kinds = atomic
+            if tcp:
+                low, high = sorted(rng.uniform(50.0, 800.0) for _ in range(2))
+                buffer = BufferModel(mode="tcp-refill", rtt=rng.randint(0, 8),
+                                     initial_window=low, max_window=high)
+                kinds = atomic + ["sectf"] * 3
+            children = tuple(StrategySpec(kind=rng.choice(kinds)) for _ in range(2))
+            combinator = rng.choice(("linear", "probabilistic", None, None))
+            strategy = children[0]
+            if combinator is not None:
+                share = rng.uniform(0.1, 0.9)
+                strategy = StrategySpec(kind=combinator, children=children,
+                                        weights=(share, 1.0 - share))
+            channel = ChannelConfig()
+            if rng.random() < 0.3:
+                channel = ChannelConfig(envelope_mode="time_varying",
+                                        envelope_freq=rng.uniform(0.01, 0.5))
+            config = SimConfig(
+                workload=WorkloadConfig(arrival_rate=rng.uniform(0.05, 0.3),
+                                        horizon=rng.randint(10, 40), seed=case),
+                strategy=strategy, channel=channel, buffer=buffer,
+                drain_after_horizon=rng.random() < 0.7,
+            )
+            run_simulation(config)
+        assert calls and all(n >= 1 and chosen for _, n, chosen in calls)
+        assert not any(n == 1 for tcp, n, _ in calls if not tcp)
+        assert sum(n == 1 for tcp, n, _ in calls if tcp) >= 100
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10**6),
