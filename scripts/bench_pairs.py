@@ -5,8 +5,10 @@ the script runs ``bench/run.py`` in both checkouts, N pairs of runs with the
 parent first on odd pairs and the change first on even pairs, then
 ``TRACE_RUNS`` alternated ``--trace 1`` runs on each side.  It writes, per
 workload and end-to-end metric, each side's runs, median and quartiles, the
-number of pairs the change won, the change of the median in percent and a
-verdict against the metric's relative ``bound`` in BENCHMARK.json; per side
+number of pairs the change won, the change of the median in percent, a
+verdict against the metric's relative ``bound`` in BENCHMARK.json and
+``gain_resolved``, which says whether the change won every pair with its
+median beyond the parent's quartile on the better side; per side
 of the traced runs it writes the median of every metric, since a single
 traced run's self times swing with the host's speed.  Per workload,
 ``sim_digest_equal`` says whether both sides' runs gave the same
@@ -81,6 +83,14 @@ def verdict(parent: dict, change: dict, better: str, bound: float) -> str:
     return "within bound" if worse <= bound else "outside bound"
 
 
+def gain_resolved(parent: dict, change: dict, better: str, won: int, pairs: int) -> bool:
+    """Whether the change won all ``pairs`` and its median lies beyond the parent's
+    first quartile (lower is better) or third quartile (higher is better)."""
+    if better == "lower":
+        return won == pairs and change["median"] < parent["q1"]
+    return won == pairs and change["median"] > parent["q3"]
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     """Summary of alternated (parent, change) result lines of one workload.
 
@@ -94,12 +104,14 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
         values = [[side["metrics"][metric]["value"] for side in pair] for pair in pairs]
         sign = -1.0 if spec["better"] == "lower" else 1.0
         parent, change = (_spread([v[i] for v in values]) for i in range(len(SIDES)))
+        won = sum(sign * (c - p) > 0.0 for p, c in values)
         summary[metric] = {
             "parent": parent,
             "change": change,
-            "change_better_pairs": sum(sign * (c - p) > 0.0 for p, c in values),
+            "change_better_pairs": won,
             "median_change_pct": 100.0 * (change["median"] / parent["median"] - 1.0),
             "verdict": verdict(parent, change, spec["better"], spec["bound"]),
+            "gain_resolved": gain_resolved(parent, change, spec["better"], won, len(pairs)),
         }
     for key in ("failed", "attempted"):
         summary[key] = {name: sum(pair[i][key] for pair in pairs)

@@ -108,6 +108,11 @@ class FlowRateStream:
         lo, hi = rate_bounds(self._mean_rate, t, self._config)
         return lo + (hi - lo) * u
 
+    def skip(self, start: int, stop: int) -> None:
+        """Pass over the rates of slots ``start`` to ``stop - 1`` without drawing them;
+        each draw takes one uniform in either envelope mode, so this leaves the same state."""
+        seeding.skip(self._rng, stop - start)
+
 
 class ChannelRateSource:
     """Factory handing each flow its own deterministic rate stream."""
@@ -125,9 +130,10 @@ class RateRecord(dict):
 
     ``draw`` is ``dict.__getitem__``, so reading a recorded rate is one C
     call.  A missing slot is drawn from the flow's :class:`FlowRateStream`,
-    which the record keeps, and stored.  Every run reads its flow's slots in
-    order from the arrival on, so the missing slot is always the one after
-    the last recorded, and the stream's next draw is its rate.  A record
+    which the record keeps, and stored.  Every run reads or skips its flow's
+    slots in order from the arrival on, and ``skip`` records the slots it
+    passes, so the missing slot is always the one after the last recorded,
+    and the stream's next draw is its rate.  A record
     holds no reference to its :class:`SharedRateSource`: that cycle would
     leave each seed's records to the cyclic garbage collector.
     """
@@ -143,6 +149,13 @@ class RateRecord(dict):
     def __missing__(self, t: int) -> float:
         rate = self[t] = self._stream.draw(t)
         return rate
+
+    def skip(self, start: int, stop: int) -> None:
+        """Record the slots below ``stop`` not yet drawn, so a later run on the seed can
+        read them; a run that skips them reads none."""
+        draw = self._stream.draw
+        for t in range(self.flow.arrival_slot + len(self), stop):
+            self[t] = draw(t)
 
 
 class SharedRateSource:

@@ -1,9 +1,10 @@
 """Slot-by-slot downlink simulation of one base station.
 
-Each slot: admit arrivals, deliver the buffer refills due, reveal every
-active flow's channel rate, ask the strategy for one client, transfer
-min(rate, buffer) to it.  Each active flow has one FlowState record, which
-holds its channel stream from admission on and is what the strategy reads.
+Each slot: admit arrivals, deliver the buffer refills due, reveal the
+channel rate of every flow with buffered bytes, ask the strategy for one
+client, transfer min(rate, buffer) to it.  Each active flow has one
+FlowState record, which holds its channel stream from admission on and is
+what the strategy reads.
 A flow departs on the slot after the transfer that empties both its buffer
 and its unfetched remainder; completed flows yield FlowRecords for the
 metrics layer.
@@ -20,15 +21,18 @@ slot and no eligible list or ``select_client`` call:
   ``len(waiting) == len(active)``, since a flow is in ``waiting`` exactly
   when it is active with an empty buffer, and such a flow still has bytes
   unfetched, so it cannot depart.  The stretch ends where the first refill
-  lands, and each flow draws the stretch's rates in one loop of its own;
+  lands;
 - *single-flow*: one flow is active and has buffered bytes; the stretch
   ends early when it departs or empties its buffer.
 
-Every active flow still draws one rate per slot.  A probabilistic
-strategy's choice stream still advances by one draw per slot, skipped in
-one step at the stretch's end.  Refills are events: a serve that empties a
-buffer with bytes still unfetched queues the flow's refill for slot
-t + 1 + rtt, and ``refill_buffers`` runs only on slots where one is due.
+A flow with buffered bytes draws one rate per slot.  Refills are events: a
+serve that empties a buffer with bytes still unfetched queues the flow's
+refill for slot t + 1 + rtt, and ``refill_buffers`` runs only on slots
+where one is due.  The rates of the slots the flow then waits are handled
+there, once: drawn into ``rate_sum`` in slot order if the strategy reads
+the running mean rate, else passed over by one ``stream.skip`` call, which
+keeps the stream on slot.  A probabilistic strategy's choice stream still
+advances by one draw per slot, skipped in one step at a stretch's end.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
@@ -105,10 +109,12 @@ class FlowState:
     ``buffer`` holds bytes staged for transmission; ``unfetched`` holds
     bytes still at the origin server (always 0 in infinite mode), so
     ``served + buffer + unfetched == file_size`` up to accumulated float
-    rounding in ``served``.  Every slot's draw is added to ``rate_sum``;
-    before the strategy reads the record the loop also writes ``rate``
-    (this slot's draw) and ``age`` (slots since arrival), so
-    ``rate_sum / (age + 1)`` is the running mean rate.  ``last_served``
+    rounding in ``served``.  Each draw is added to ``rate_sum``, and when
+    the strategy reads the running mean rate (``reads_mean_rate``) so is
+    each slot's rate of a refill wait, so ``rate_sum`` holds every rate
+    since arrival; before the strategy reads the record the loop writes
+    ``rate`` (this slot's draw) and ``age`` (slots since arrival), so
+    ``rate_sum / (age + 1)`` is then the running mean rate.  ``last_served``
     feeds tie-breaking; ``refill_due`` is the slot a queued refill lands.
     ``stream``, the flow's channel rate stream or its seed's record of the
     flow's rates keyed by slot, is set at admission.
@@ -289,6 +295,7 @@ def run_simulation(
     strategy = config.strategy
     model = config.buffer
     probabilistic = strategy.kind == "probabilistic"
+    reads_mean = strategy.reads_mean_rate
     choice_rng = (seeding.stream(config.workload.seed, seeding.CHOICE_STREAM)
                   if probabilistic else None)
     hard_stop = horizon + _DRAIN_SLACK
@@ -330,12 +337,6 @@ def run_simulation(
                 if waiting:
                     due = waiting[0].refill_due
                     stop = due if due < stop else stop
-                    for flow in waiting:  # each stream is the flow's own
-                        draw = flow.stream.draw
-                        rate_sum = flow.rate_sum
-                        for s in range(start, stop):
-                            rate_sum += draw(s)
-                        flow.rate_sum = rate_sum
                 for t in range(start, stop):
                     serve_slot(active, t, 0.0, None)
                     if trace is not None:
@@ -358,21 +359,33 @@ def run_simulation(
         else:
             eligible = []
             for flow in active.values():
-                flow.rate = r = flow.stream.draw(t)
-                flow.rate_sum += r
-                flow.age = t - flow.spec.arrival_slot
-                if flow.buffer > 0.0:
+                if flow.buffer > 0.0:  # a waiting flow's rates were handled as it began
+                    flow.rate = r = flow.stream.draw(t)
+                    flow.rate_sum += r
+                    flow.age = t - flow.spec.arrival_slot
                     eligible.append(flow)
             chosen = select_client(strategy, eligible, choice_rng)
-            state = active[chosen]
+            try:
+                state = active[chosen]
+            except KeyError:
+                raise SchedulingError(f"no active flow chosen on contended slot {t}; "
+                                      "invariant broken") from None
             record, transfer = serve_slot(active, t, state.rate, state)
             if trace is not None:
                 trace.append(event(TraceEvent, (t, chosen, transfer, n)))
         if record is not None:
             records.append(record)
         elif state is not None and state.buffer == 0.0:
-            state.refill_due = t + 1 + model.rtt
+            state.refill_due = due = t + 1 + model.rtt
             waiting.append(state)
+            if reads_mean:  # the wait's rates, slot by slot, as the mean reads them
+                draw = state.stream.draw
+                rate_sum = state.rate_sum
+                for s in range(t + 1, due):
+                    rate_sum += draw(s)
+                state.rate_sum = rate_sum
+            else:
+                state.stream.skip(t + 1, due)
         t += 1
 
     return SimResult(

@@ -30,7 +30,6 @@ inline; every call looks the function up in ``_INDEX_FUNCS``.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
@@ -100,8 +99,8 @@ class StrategySpec:
         for child in self.children:
             if child.kind not in ATOMIC_KINDS:
                 raise ParameterError("combinator children must be atomic kinds")
-        if self.kind == "probabilistic":
-            self._choice_bounds  # built on loading; checks the weights
+        if self.kind == "probabilistic":  # checks the weights
+            object.__setattr__(self, "_choice_bounds", choice_bounds(self.weights))
         elif not all(0.0 <= w < _INF for w in self.weights) or not any(self.weights):
             raise ParameterError("linear weights must be finite and non-negative, one positive")
 
@@ -111,9 +110,12 @@ class StrategySpec:
             return True
         return any(c.uses_buffer for c in self.children)
 
-    @functools.cached_property
-    def _choice_bounds(self) -> list[float]:
-        return choice_bounds(self.weights)
+    @property
+    def reads_mean_rate(self) -> bool:
+        """Whether an index reads the running mean rate ``rate_sum / (age + 1)``."""
+        if self.kind == "T" or self.kind == "TK" and self.tk_variant == "mean":
+            return self.mean_rate_mode == "empirical"
+        return any(c.reads_mean_rate for c in self.children)
 
     def label(self) -> str:
         """The kind, with every owned parameter that differs from its default."""

@@ -7,7 +7,6 @@ channel rate drawn uniformly from a band proportional to the offered load.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -44,13 +43,10 @@ class ParetoMixture:
         object.__setattr__(self, "components", comps)
         if not all(m > 0.0 for _, m in comps):
             raise ParameterError(f"component scales {[m for _, m in comps]} must be positive")
-        self._choice_bounds  # built on loading; checks the weights
+        bounds = seeding.choice_bounds([w for w, _ in comps])  # checks the weights
+        object.__setattr__(self, "_choice_bounds", bounds)
         if not self.alpha > 1.0:
             raise ParameterError(f"shape alpha={self.alpha} must exceed 1")
-
-    @functools.cached_property
-    def _choice_bounds(self) -> list[float]:
-        return seeding.choice_bounds([w for w, _ in self.components])
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,9 @@ class _FixedStream:
     def draw(self, t: float) -> float:
         return self._rate
 
+    def skip(self, start: int, stop: int) -> None:
+        pass  # every slot's rate is the same
+
 
 @pytest.fixture
 def stub_rng():

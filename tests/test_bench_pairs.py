@@ -49,6 +49,7 @@ def test_summary_of_alternated_pairs():
     assert wall["median_change_pct"] == pytest.approx(100.0 * (1.9 / 2.1 - 1.0))
     # quartiles 0.35 apart, 17 % of the median: inside the 25 % bound
     assert wall["verdict"] == "within bound"
+    assert wall["gain_resolved"] is False  # the third pair went to the parent
     rate = summary["slots_per_s"]
     assert rate["change_better_pairs"] == 3
     assert rate["median_change_pct"] == pytest.approx(100.0 * (105.0 / 95.0 - 1.0))
@@ -83,6 +84,32 @@ def test_wide_spread_resolves_when_every_change_run_wins():
     summary = bench_pairs.summarize(pairs, {"wall_s": {"better": "lower", "bound": 0.25}})
     assert summary["wall_s"]["median_change_pct"] == 100.0 * (1.5 / 3.0 - 1.0)
     assert summary["wall_s"]["verdict"] == "within bound"
+
+
+def test_gain_resolved_needs_every_pair_and_a_median_past_the_quartile():
+    metrics = {"wall_s": {"better": "lower", "bound": 0.25},
+               "slots_per_s": {"better": "higher", "bound": 0.2}}
+
+    def resolved(pairs):
+        summary = bench_pairs.summarize(
+            [(result(p, ps), result(c, cs)) for (p, ps), (c, cs) in pairs], metrics)
+        return summary["wall_s"]["gain_resolved"], summary["slots_per_s"]["gain_resolved"]
+
+    # parent wall_s 3.6, 3.7, 3.8, 3.65, 3.75: quartiles 3.625 and 3.775;
+    # slots_per_s quartiles 91.5 and 98.5
+    parent = [(3.6, 100.0), (3.7, 95.0), (3.8, 90.0), (3.65, 97.0), (3.75, 93.0)]
+    # a 12 % gain in every pair: resolved on both metrics
+    change = [(w * 0.88, s * 1.12) for w, s in parent]
+    assert resolved(zip(parent, change)) == (True, True)
+    # every pair won, but the medians 3.69 and 96.0 stay inside the quartiles
+    change = [(w - 0.01, s + 1.0) for w, s in parent]
+    assert resolved(zip(parent, change)) == (False, False)
+    # a median far past the quartile, but one pair lost
+    change = [(3.2, 110.0), (3.2, 110.0), (3.9, 80.0), (3.2, 110.0), (3.2, 110.0)]
+    assert resolved(zip(parent, change)) == (False, False)
+    # a loss on the wrong side never resolves
+    change = [(w * 1.2, s * 0.8) for w, s in parent]
+    assert resolved(zip(parent, change)) == (False, False)
 
 
 def test_trace_medians_take_each_metric_median():

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellsched import (
+    BufferModel,
     ChannelConfig,
     ExperimentConfig,
     ParameterError,
@@ -18,11 +19,13 @@ from cellsched import (
     StrategySpec,
     WorkloadConfig,
     generate_workload,
+    run_simulation,
 )
 from cellsched.channel import (
     ENVELOPE_TIME_VARYING,
     ChannelRateSource,
     FlowRateStream,
+    RateRecord,
     SharedRateSource,
     envelope_factor,
     envelope_max,
@@ -219,6 +222,20 @@ class TestFlowRateStream:
             lo, hi = rate_bounds(flow.mean_rate, t, config)
             assert lo <= stream.draw(t) <= hi
 
+    @pytest.mark.parametrize("mode", ["literal", "time_varying"])
+    @pytest.mark.parametrize("start, stop", [(3, 3), (3, 4), (3, 40), (0, 700)])
+    def test_skip_leaves_the_stream_where_drawing_would(self, mode, start, stop):
+        config = ChannelConfig(envelope_mode=mode)
+        flow = make_flow(fid=6, mean_rate=90.0)
+        skipped, drawn = FlowRateStream(13, flow, config), FlowRateStream(13, flow, config)
+        assert skipped.draw(start - 1) == drawn.draw(start - 1)
+        skipped.skip(start, stop)
+        for t in range(start, stop):
+            drawn.draw(t)
+        assert [skipped.draw(t) for t in range(stop, stop + 5)] == [
+            drawn.draw(t) for t in range(stop, stop + 5)
+        ]
+
 
 class TestSharedRateSource:
     @staticmethod
@@ -246,6 +263,60 @@ class TestSharedRateSource:
         got_b = self.read(b, flow, 0, 26)
         got_a += self.read(a, flow, 22, 8)
         assert got_a == expected and got_b == expected[:26]
+
+    def test_skip_records_the_slots_it_passes(self):
+        config = ChannelConfig()
+        flow = make_flow(fid=4, arrival=300, mean_rate=100.0)
+        expected = self.fresh(flow, config, 30)
+        record = RateRecord(flow, FlowRateStream(5, flow, config))
+        assert self.read(record, flow, 0, 3) == expected[:3]
+        record.skip(303, 310)  # slots 303-309 are recorded, none is returned
+        assert list(record.values()) == expected[:10]
+        record.skip(305, 308)  # already recorded: nothing to draw
+        record.skip(310, 310)
+        assert self.read(record, flow, 10, 5) == expected[10:15]
+        # a later run on the seed replays the skipped slots as its own
+        assert self.read(record, flow, 0, 30) == expected
+
+    MEAN_READERS = [StrategySpec(kind="T"), StrategySpec(kind="TK", tk_variant="mean")]
+
+    @pytest.mark.parametrize("reader", MEAN_READERS, ids=lambda spec: spec.label())
+    def test_a_run_after_skips_on_the_seed_sees_fresh_rates(self, reader):
+        # tas never reads the running mean, so it skips its waits' rates; the
+        # reader, run next on the same records, reads every one of them
+        buffer = BufferModel(mode="tcp-refill", rtt=4, initial_window=60.0, max_window=240.0)
+        workload = WorkloadConfig(arrival_rate=0.2, horizon=150, seed=8)
+        flows = generate_workload(workload)
+        tas = StrategySpec(kind="tas")
+        assert not tas.reads_mean_rate and reader.reads_mean_rate
+
+        def run(spec, source):
+            config = SimConfig(workload=workload, strategy=spec, buffer=buffer)
+            return run_simulation(config, flows=flows, rate_source=source, collect_trace=True)
+
+        shared = SharedRateSource(5, ChannelConfig())  # the seed of `fresh`
+        first = run(tas, shared)
+        assert any(e.chosen_id is None and e.active_count > 0 for e in first.trace)
+        # every record holds its flow's own rates, slot by slot from the arrival
+        for flow in flows:
+            record = shared.stream_for(flow)
+            assert list(record) == list(range(flow.arrival_slot, flow.arrival_slot + len(record)))
+            assert list(record.values()) == self.fresh(flow, ChannelConfig(), len(record))
+        replayed = run(reader, shared)
+        fresh = run(reader, ChannelRateSource(5, ChannelConfig()))
+        assert replayed.records == fresh.records and replayed.trace == fresh.trace
+        assert run(tas, shared).trace == first.trace
+
+    @pytest.mark.parametrize("reader", MEAN_READERS, ids=lambda spec: spec.label())
+    def test_replicate_gives_a_kind_the_same_reports_after_one_that_skips(self, reader):
+        buffer = BufferModel(mode="tcp-refill", rtt=3, initial_window=80.0, max_window=320.0)
+        tas = StrategySpec(kind="tas")
+        sim = SimConfig(workload=WorkloadConfig(arrival_rate=0.15, horizon=120),
+                        strategy=tas, buffer=buffer)
+        config = ExperimentConfig(sim, (tas, reader), replications=3, base_seed=6)
+        both = replicate(config, (tas, reader))
+        assert both[1] == replicate(config, (reader,))[0]
+        assert both[0] == replicate(config, (tas,))[0]
 
     @pytest.fixture
     def seeded(self, monkeypatch):

@@ -21,6 +21,7 @@ from cellsched import (
     run_simulation,
 )
 from cellsched import seeding, simcore, strategies
+from cellsched.channel import ChannelRateSource
 from cellsched.errors import SchedulingError
 from cellsched.metrics import FlowRecord
 from cellsched.simcore import (
@@ -59,23 +60,52 @@ class _SquareStream:
     def draw(self, t):
         return self.base + t * t
 
+    def skip(self, start, stop):
+        pass  # a slot's rate depends on the slot alone
+
+
+class _DrawingSkipSource:
+    """The seeded channel source, but a stream's ``skip`` draws each slot and drops it."""
+
+    def __init__(self, seed: int, channel: ChannelConfig):
+        self._source = ChannelRateSource(seed, channel)
+        self.skipped = 0
+
+    def stream_for(self, flow):
+        draw = self._source.stream_for(flow).draw
+        source = self
+
+        class DrawingSkip:
+            def skip(self, start, stop):
+                source.skipped += stop - start
+                for t in range(start, stop):
+                    draw(t)
+
+        stream = DrawingSkip()
+        stream.draw = draw
+        return stream
+
 
 def _mean_rate_est(state) -> float:
     """The running mean rate a strategy reads from a flow record."""
     return state.rate_sum / (state.age + 1)
 
 
+# reads the running mean rate, so the loop adds every rate of a refill wait to it
+TK_MEAN = StrategySpec(kind="TK", tk_variant="mean")
+
+
 def _spy_views(monkeypatch) -> dict[int, dict[int, float]]:
-    """Record {t: {flow id: mean rate estimate}} of the records max_ci's index reads."""
+    """Record {t: {flow id: mean rate estimate}} of the records TK's index reads."""
     seen: dict[int, dict[int, float]] = {}
-    index = strategies._INDEX_FUNCS["max_ci"]
+    index = strategies._INDEX_FUNCS["TK"]
 
     def spy(spec, view):
         t = view.spec.arrival_slot + view.age
         seen.setdefault(t, {})[view.spec.id] = _mean_rate_est(view)
         return index(spec, view)
 
-    monkeypatch.setitem(strategies._INDEX_FUNCS, "max_ci", spy)
+    monkeypatch.setitem(strategies._INDEX_FUNCS, "TK", spy)
     return seen
 
 
@@ -271,18 +301,20 @@ class TestServeSlot:
         assert active == {}
         assert state.served == 100.0  # exact, no float residue
 
-    # The rate history grows in the draw loop of run_simulation, for every
-    # active flow whether or not serve_slot serves it; these two tests watch
-    # the slot loop around serve_slot through the records the strategy reads.
+    # Under a strategy that reads the running mean rate, the rate history
+    # grows for every active flow whether or not serve_slot serves it, a
+    # refill wait's slots included; these tests watch the slot loop around
+    # serve_slot through the records the strategy reads.
 
     def test_idle_slot_still_updates_rate_history(self, monkeypatch):
         # t=0 empties the first window; slots 1-3 wait out the rtt with no
         # eligible flow, so nobody is served; the refill lands at t=4, when
-        # flow 1 arrives and the strategy has two flows to choose from
+        # flow 1 arrives and the strategy has two flows to choose from (TK
+        # puts a flow first in its arrival slot)
         model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=10.0)
         views = _spy_views(monkeypatch)
         result = run_simulation(
-            sim_config(flows_horizon=10, strategy="max_ci", buffer=model),
+            sim_config(flows_horizon=10, strategy=TK_MEAN, buffer=model),
             flows=[
                 make_flow(fid=0, arrival=0, size=20.0),
                 make_flow(fid=1, arrival=4, size=5.0),
@@ -290,7 +322,7 @@ class TestServeSlot:
             rate_source=_SquareRateSource({0: 10.0, 1: 1.0}),
             collect_trace=True,
         )
-        assert [e.chosen_id for e in result.trace[:5]] == [0, None, None, None, 0]
+        assert [e.chosen_id for e in result.trace[:5]] == [0, None, None, None, 1]
         # rates 10, 11, 14, 19, 26: the idle slots' draws are in the mean
         assert views[4][0] == 16.0 and set(views[4]) == {0, 1}
 
@@ -298,11 +330,12 @@ class TestServeSlot:
         # flows 0 and 1 empty their windows at t=0 and t=1 and both wait in
         # 2-3, when nobody is served; their refills land on different slots:
         # flow 0's at t=4, when flow 2 arrives and takes the slot, and flow
-        # 1's at t=5, when the strategy chooses between flows 0 and 1
+        # 1's at t=5, when the strategy chooses between flows 0 and 1: TK
+        # gives flow 0 19.17 * 10 / 5 and flow 1 21 * 10 / 4
         model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=10.0)
         views = _spy_views(monkeypatch)
         result = run_simulation(
-            sim_config(flows_horizon=10, strategy="max_ci", buffer=model),
+            sim_config(flows_horizon=10, strategy=TK_MEAN, buffer=model),
             flows=[
                 make_flow(fid=0, arrival=0, size=100.0),
                 make_flow(fid=1, arrival=1, size=100.0),
@@ -314,7 +347,7 @@ class TestServeSlot:
         trace = result.trace
         assert [e.t for e in trace] == list(range(len(trace)))  # one row per slot
         assert [(e.chosen_id, e.active_count) for e in trace[:6]] == [
-            (0, 1), (1, 2), (None, 2), (None, 2), (2, 3), (0, 3),
+            (0, 1), (1, 2), (None, 2), (None, 2), (2, 3), (1, 3),
         ]
         # each running mean holds every draw of the wait
         rates = {fid: [10.0 + t * t for t in range(arrival, 6)] for fid, arrival in ((0, 0), (1, 1))}
@@ -323,7 +356,7 @@ class TestServeSlot:
     def test_unserved_flows_accumulate_rate_history(self, monkeypatch):
         views = _spy_views(monkeypatch)
         result = run_simulation(
-            sim_config(flows_horizon=10, strategy="max_ci"),
+            sim_config(flows_horizon=10, strategy=TK_MEAN),
             flows=[
                 make_flow(fid=0, arrival=0, size=1000.0),
                 make_flow(fid=1, arrival=0, size=1000.0),
@@ -510,12 +543,16 @@ class TestRunSimulation:
                 drawn[self.fid].append((t, r))
                 return r
 
+            def skip(self, start, stop):  # advances the draw count as drawing would
+                for t in range(start, stop):
+                    self.draw(t)
+
         class VaryingSource:
             def stream_for(self, flow):
                 return VaryingStream(flow.id)
 
         seen = []  # (t, flow id, mean_rate_est, expected mean)
-        index = strategies._INDEX_FUNCS["max_ci"]
+        index = strategies._INDEX_FUNCS["TK"]
 
         def spy(spec, view):
             fid = view.spec.id
@@ -524,7 +561,7 @@ class TestRunSimulation:
             seen.append((t, fid, _mean_rate_est(view), sum(rates) / len(rates)))
             return index(spec, view)
 
-        monkeypatch.setitem(strategies._INDEX_FUNCS, "max_ci", spy)
+        monkeypatch.setitem(strategies._INDEX_FUNCS, "TK", spy)
         model = BufferModel(mode="tcp-refill", rtt=3, initial_window=10.0, max_window=20.0)
         flows = [
             make_flow(fid=0, arrival=0, size=60.0),
@@ -532,7 +569,7 @@ class TestRunSimulation:
             make_flow(fid=2, arrival=5, size=30.0),
         ]
         result = run_simulation(
-            sim_config(flows_horizon=40, strategy="max_ci", buffer=model),
+            sim_config(flows_horizon=40, strategy=TK_MEAN, buffer=model),
             flows=flows,
             rate_source=VaryingSource(),
             collect_trace=True,
@@ -674,6 +711,55 @@ class TestRunSimulation:
         assert calls and all(n >= 1 and chosen for _, n, chosen in calls)
         assert not any(n == 1 for tcp, n, _ in calls if not tcp)
         assert sum(n == 1 for tcp, n, _ in calls if tcp) >= 100
+
+    def test_a_contended_slot_without_a_chosen_flow_names_the_slot(self, monkeypatch):
+        monkeypatch.setattr(simcore, "select_client", lambda spec, flows, rng=None: None)
+        flows = [make_flow(fid=0, arrival=0), make_flow(fid=1, arrival=2)]
+        with pytest.raises(SchedulingError, match="no active flow chosen on contended slot 2"):
+            run_simulation(sim_config(), flows=flows, rate_source=FixedRateSource())
+
+    def test_skipping_the_rates_no_index_reads_changes_no_result(self, monkeypatch):
+        # Criterion-9-style tcp-refill configs, each run three ways: as is (a
+        # waiting flow's stream skips the wait), with a skip that draws every
+        # slot, and as if the strategy read the mean rate (every rate drawn
+        # into rate_sum), which is how every strategy ran before skips.
+        rng = random.Random(28)
+        blind = [StrategySpec(kind=k) for k in strategies.ATOMIC_KINDS if k not in ("T", "TK")]
+        blind += [StrategySpec(kind="TK"), StrategySpec(kind="T", mean_rate_mode="assigned"),
+                  StrategySpec(kind="TK", tk_variant="mean", mean_rate_mode="assigned")]
+        runs, skipped = [], 0
+        for case in range(200):
+            initial = rng.uniform(50.0, 200.0)
+            buffer = BufferModel(mode="tcp-refill", rtt=rng.randint(0, 8),
+                                 initial_window=initial,
+                                 max_window=initial * rng.uniform(1.0, 4.0))
+            strategy = rng.choice(blind)
+            combinator = rng.choice(("linear", "probabilistic", None, None))
+            if combinator is not None:
+                share = rng.uniform(0.1, 0.9)
+                strategy = StrategySpec(kind=combinator, children=(strategy, rng.choice(blind)),
+                                        weights=(share, 1.0 - share))
+            channel = ChannelConfig()
+            if rng.random() < 0.3:
+                channel = ChannelConfig(envelope_mode="time_varying",
+                                        envelope_freq=rng.uniform(0.01, 0.5))
+            config = SimConfig(
+                workload=WorkloadConfig(arrival_rate=rng.uniform(0.05, 0.2),
+                                        horizon=rng.randint(20, 40), seed=case),
+                strategy=strategy, channel=channel, buffer=buffer,
+            )
+            assert not strategy.reads_mean_rate
+            result = run_simulation(config, collect_trace=True)
+            source = _DrawingSkipSource(case, channel)
+            drawn = run_simulation(config, rate_source=source, collect_trace=True)
+            assert (drawn.records, drawn.trace) == (result.records, result.trace), case
+            skipped += source.skipped
+            runs.append((config, result))
+        assert skipped >= 100_000  # slots of refill waits, over all cases
+        monkeypatch.setattr(StrategySpec, "reads_mean_rate", property(lambda spec: True))
+        for case, (config, result) in enumerate(runs):
+            drawn = run_simulation(config, collect_trace=True)
+            assert (drawn.records, drawn.trace) == (result.records, result.trace), case
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10**6),

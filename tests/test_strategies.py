@@ -108,6 +108,29 @@ class TestStrategySpecValidation:
         )
         assert combo.uses_buffer
 
+    def test_reads_mean_rate_truth_table(self):
+        def spec(kind, **params):
+            return StrategySpec(kind=kind, **params)
+
+        table = [(spec(kind), False) for kind in ATOMIC_KINDS if kind not in ("T", "TK")]
+        table += [
+            (spec("T"), True),
+            (spec("T", c_const=2.0), True),
+            (spec("T", mean_rate_mode="assigned"), False),
+            (spec("TK"), False),
+            (spec("TK", tk_variant="mean"), True),
+            (spec("TK", tk_variant="mean", mean_rate_mode="assigned"), False),
+        ]
+        atomic = list(table)
+        for combinator in ("linear", "probabilistic"):
+            for (a, reads_a), (b, reads_b) in itertools.product(atomic, repeat=2):
+                combo = spec(combinator, children=(a, b), weights=(0.5, 0.5))
+                table.append((combo, reads_a or reads_b))
+        # a zero weight still counts: the loop then draws what it need not
+        masked = spec("linear", children=(spec("tas"), spec("T")), weights=(1.0, 0.0))
+        table.append((masked, True))
+        assert [s.reads_mean_rate for s, _ in table] == [want for _, want in table]
+
     def test_labels(self):
         assert StrategySpec(kind="T").label() == "T"
         lin = StrategySpec(
