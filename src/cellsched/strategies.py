@@ -10,7 +10,8 @@ An index reads the simulator's per-flow record (``simcore.FlowState``) as
 it stands in the slot: ``rate`` (this slot's channel rate), ``age`` (slots
 since arrival), ``served`` (bytes delivered before this slot), ``buffer``,
 ``rate_sum`` (every rate since arrival, this slot's included, so the
-running mean rate is ``rate_sum / (age + 1)``), ``last_served`` (None
+running mean rate is ``rate_sum / (age + 1)``; kept whole only for a spec
+whose ``reads_mean_rate`` is true), ``last_served`` (None
 before the first service) and ``spec`` (``id``, ``file_size``,
 ``mean_rate``).  Only ``srpt`` reads the true ``file_size``.
 

@@ -72,18 +72,18 @@ class _DrawingSkipSource:
         self.skipped = 0
 
     def stream_for(self, flow):
-        draw = self._source.stream_for(flow).draw
-        source = self
+        return _DrawingSkip(self._source.stream_for(flow).draw, self)
 
-        class DrawingSkip:
-            def skip(self, start, stop):
-                source.skipped += stop - start
-                for t in range(start, stop):
-                    draw(t)
 
-        stream = DrawingSkip()
-        stream.draw = draw
-        return stream
+class _DrawingSkip:
+    def __init__(self, draw, source: _DrawingSkipSource):
+        self.draw = draw
+        self._source = source
+
+    def skip(self, start, stop):
+        self._source.skipped += stop - start
+        for t in range(start, stop):
+            self.draw(t)
 
 
 def _mean_rate_est(state) -> float:
