@@ -15,8 +15,9 @@ traced run's self times swing with the host's speed.  Per workload,
 ``sim_digest``s; a stderr warning names any workload where they did not.
 Each side is named by its git revision and by ``source_sha1``, a SHA-1 over
 its ``src/cellsched/*.py``, which also names a checkout that is not
-committed; ``source_lines`` gives the non-blank line count of those files.
-Standard library only.
+committed; ``source_lines`` gives the non-blank line count of those files,
+and ``code_lines`` the count of those lines that hold code, not a docstring
+or a ``#`` comment.  Standard library only.
 
 Run from the repository root (about 27 minutes for the default plan):
 
@@ -27,7 +28,9 @@ Run from the repository root (about 27 minutes for the default plan):
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -35,6 +38,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -45,6 +49,9 @@ COMMAND = "python3 bench/run.py --workload W --seed S --seconds T --trace 0|1"
 TRACE_SECONDS = 5.0
 TRACE_RUNS = 3
 _DIGEST = re.compile(r"^sim_digest: (\S+)", re.MULTILINE)
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -161,6 +168,27 @@ def source_lines(checkout: Path) -> int:
                for line in path.read_text().splitlines() if line.strip())
 
 
+def code_lines(checkout: Path) -> int:
+    """The number of non-blank lines in ``src/cellsched/*.py`` in ``checkout``
+    that hold a token other than a docstring or a ``#`` comment."""
+    total = 0
+    for path in checkout.glob("src/cellsched/*.py"):
+        text = path.read_text()
+        docstrings = {  # where each module, class and function docstring starts
+            (body[0].lineno, body[0].col_offset)
+            for node in ast.walk(ast.parse(text)) if isinstance(node, _SCOPES)
+            if (body := node.body) and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+        }
+        rows = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in _NOT_CODE and token.start not in docstrings:
+                rows.update(range(token.start[0], token.end[0] + 1))
+        lines = text.splitlines()
+        total += sum(1 for row in rows if lines[row - 1].strip())
+    return total
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -192,6 +220,7 @@ def main(argv=None) -> int:
         "change": git_revision(args.change),
         "source_sha1": {name: source_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
         "source_lines": {name: source_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
+        "code_lines": {name: code_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, "
                 f"Python {platform.python_version()}; times scaled to the nominal "
                 "host speed by bench/hostspeed.py",

@@ -3,8 +3,8 @@
 Each slot: admit arrivals, deliver the buffer refills due, reveal the
 channel rate of every flow with buffered bytes, ask the strategy for one
 client, transfer min(rate, buffer) to it.  Each active flow has one
-FlowState record, which holds its channel stream from admission on and is
-what the strategy reads.
+FlowState record, which holds its channel stream from admission on, is
+what the strategy reads and what it hands back as its pick.
 A flow departs on the slot after the transfer that empties both its buffer
 and its unfetched remainder; completed flows yield FlowRecords for the
 metrics layer.
@@ -235,11 +235,11 @@ def refill_buffers(waiting, t, model: BufferModel) -> None:
 def serve_slot(active, t, rate, state):
     """Serve the chosen record ``state`` for one slot; returns (record-or-None, transfer).
 
-    ``state`` comes from ``active``, or is None on an idle or wait slot, and
-    ``rate`` is its channel rate for this slot.  Only it is read or written:
-    it receives min(rate, buffer); if that empties both buffer and unfetched
-    remainder the flow departs at t + 1 and is removed from ``active``; its
-    FlowRecord is built with ``tuple.__new__``, as trace rows are.
+    ``state`` is ``select_client``'s pick or the one active flow's record, or
+    None on an idle or wait slot; ``rate`` is its channel rate for this slot.
+    Only it is read or written: it receives min(rate, buffer); if that empties
+    buffer and unfetched remainder the flow departs at t + 1, leaving
+    ``active``; its FlowRecord is built with ``tuple.__new__``, as trace rows are.
     """
     if state is None:
         return None, 0.0
@@ -364,15 +364,13 @@ def run_simulation(
                     flow.rate_sum += r
                     flow.age = t - flow.spec.arrival_slot
                     eligible.append(flow)
-            chosen = select_client(strategy, eligible, choice_rng)
-            try:
-                state = active[chosen]
-            except KeyError:
+            state = select_client(strategy, eligible, choice_rng)
+            if state is None:
                 raise SchedulingError(f"no active flow chosen on contended slot {t}; "
-                                      "invariant broken") from None
+                                      "invariant broken")
             record, transfer = serve_slot(active, t, state.rate, state)
             if trace is not None:
-                trace.append(event(TraceEvent, (t, chosen, transfer, n)))
+                trace.append(event(TraceEvent, (t, state.spec.id, transfer, n)))
         if record is not None:
             records.append(record)
         elif state is not None and state.buffer == 0.0:

@@ -1,10 +1,11 @@
 """Index scheduling strategies and the per-slot client selection rule.
 
 Every strategy assigns each eligible flow a scalar index from its observable
-history and the station serves the argmax.  Atomic kinds cover the classic
-rules (round robin, max-rate, age- and service-normalized variants, oracle
-SRPT, buffer-draining) plus the two completion-time-estimate indices ``T``
-and ``TK``; ``linear`` and ``probabilistic`` combine atomic kinds.
+history; ``select_client`` returns the argmax flow's record, which is served.
+Atomic kinds cover the classic rules (round robin, max-rate, age- and
+service-normalized variants, oracle SRPT, buffer-draining) plus the two
+completion-time-estimate indices ``T`` and ``TK``; ``linear`` and
+``probabilistic`` combine atomic kinds.
 
 An index reads the simulator's per-flow record (``simcore.FlowState``) as
 it stands in the slot: ``rate`` (this slot's channel rate), ``age`` (slots
@@ -231,30 +232,25 @@ def compute_index(spec: StrategySpec, flow) -> float:
     return fn(spec, flow)
 
 
-def _draw_child(spec: StrategySpec, rng) -> StrategySpec:
-    # one uniform is consumed per call, even for a single-child mixture
-    return spec.children[bisect_right(spec._choice_bounds, rng.random())]
-
-
 def select_client(spec: StrategySpec, flows, rng=None):
-    """Pick the flow id to serve this slot, or None when no flow is eligible.
+    """Pick the record to serve this slot, one of ``flows``, or None when it is empty.
 
-    ``flows`` are the records of the eligible flows.  A probabilistic spec
-    first draws which child decides (consuming exactly one uniform from
-    ``rng``), then the chosen rule's argmax applies.  Ties go to the flow
-    served least recently, a never-served flow first, then to the smallest id.
+    ``flows`` are the eligible flows' records.  A probabilistic spec first
+    draws which child decides (exactly one uniform from ``rng`` per call),
+    then the chosen rule's argmax applies.  Ties go to the flow served least
+    recently, a never-served flow first, then to the smallest id.
     """
     if spec.kind == "probabilistic":
-        spec = _draw_child(spec, rng)
+        spec = spec.children[bisect_right(spec._choice_bounds, rng.random())]
     if len(flows) < 2:
-        return flows[0].spec.id if flows else None
+        return flows[0] if flows else None
     index_fn = _INDEX_FUNCS[spec.kind]
     best = best_v = None
     for flow in flows:
         v = index_fn(spec, flow)
         if best is None or v > best_v or (v == best_v and _tie_key(flow) < _tie_key(best)):
             best, best_v = flow, v
-    return best.spec.id
+    return best
 
 
 def _tie_key(flow):

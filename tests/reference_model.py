@@ -4,7 +4,9 @@ Written from the README's description of the slot loop, its buffers and
 its strategy table, and from the ``strategies`` module docstring; it shares
 no code with ``cellsched.simcore`` or ``cellsched.strategies``.  It covers
 the infinite and the ``tcp-refill`` buffer, the literal channel envelope,
-the seven ranking indices and ``sectf``.  Per slot t:
+the seven ranking indices, ``sectf``, ``srpt``, T and TK with the other
+parameters of the README's table, and ``probabilistic`` mixtures of them.
+Per slot t:
 
 - flows arriving at slot t join with min(file size, window) buffered; the
   infinite buffer's window is unbounded, ``tcp-refill``'s is
@@ -15,6 +17,11 @@ the seven ranking indices and ``sectf``.  Per slot t:
   ``seeding.stream(seed, CHANNEL_STREAM, id)`` as lo + (hi - lo) * u, with
   [lo, hi] = [lo_coeff, hi_coeff] x envelope x the flow's mean rate;
 - r̄_k is the mean of the flow's rates since arrival, this slot included;
+- a probabilistic mixture draws one uniform u from
+  ``seeding.stream(seed, CHOICE_STREAM)`` on every slot from 0 on, whether
+  or not a flow is eligible; child i decides when u lies in
+  [w_1 + ... + w_(i-1), w_1 + ... + w_i), and a u at or above the sum goes
+  to the last child with a positive weight;
 - only flows with buffered bytes are eligible; the one with the largest
   index is served min(r_k(t), buffer); a zero denominator scores +inf, and
   ties go to the flow served least recently (a never-served flow counts as
@@ -50,6 +57,18 @@ INDICES = {
 }
 # sectf reads the buffered bytes, which only the tcp-refill buffer keeps below the file
 BUFFER_INDICES = {"sectf": lambda r, buffer: _ratio(r, buffer)}
+# indices that read the flow's true size or assigned mean rate, or a C of their own,
+# keyed by the label the README gives the strategy
+SPEC_INDICES = {
+    "srpt": lambda r, age, served, mean, spec: _ratio(r, spec.file_size - served),
+    "TK(tk_variant=mean)": lambda r, age, served, mean, spec: _ratio(mean * served, age),
+    "TK(tk_variant=mean,mean_rate_mode=assigned)":
+        lambda r, age, served, mean, spec: _ratio(spec.mean_rate * served, age),
+    "T(mean_rate_mode=assigned)": lambda r, age, served, mean, spec: _ratio(
+        served, age + _ratio(served, C * spec.mean_rate)),
+    "T(c_const=20)": lambda r, age, served, mean, spec: _ratio(
+        served, age + _ratio(served, 20.0 * mean)),
+}
 
 
 @dataclass
@@ -87,25 +106,41 @@ class _Flow:
         return rate
 
 
-def simulate(flows, seed: int, kind: str, tcp=None) -> Replay:
-    """Replay ``flows`` (sorted by arrival) under the index ``kind`` until all depart.
+def _child(weights, u) -> int:
+    """The mixture child that the uniform ``u`` picks."""
+    total = 0.0
+    for i, w in enumerate(weights):
+        total += w
+        if u < total:
+            return i
+    return max(i for i, w in enumerate(weights) if w > 0.0)
 
-    ``tcp`` is None for the infinite buffer, or the ``tcp-refill`` buffer's
-    (rtt, initial_window, max_window) as plain numbers.  The channel is the
-    default ``ChannelConfig``, whose envelope is literal.
+
+def simulate(flows, seed: int, rule, tcp=None) -> Replay:
+    """Replay ``flows`` (sorted by arrival) under ``rule`` until all depart.
+
+    ``rule`` names an index of the tables above, or is a probabilistic
+    mixture's (name, weight) pairs.  ``tcp`` is None for the infinite
+    buffer, or the ``tcp-refill`` buffer's (rtt, initial_window, max_window)
+    as plain numbers.  The channel is the default ``ChannelConfig``, whose
+    envelope is literal.
     """
     channel = ChannelConfig()
     rtt, first_window, max_window = tcp if tcp is not None else (0, math.inf, math.inf)
+    mixture = isinstance(rule, tuple)
+    choice = seeding.stream(seed, seeding.CHOICE_STREAM)
     out = Replay()
     pending = list(reversed(flows))
     active: dict[int, _Flow] = {}
     t = 0
 
     def index(flow, r):
-        if kind in BUFFER_INDICES:
-            return BUFFER_INDICES[kind](r, flow.buffer)
-        return INDICES[kind](r, t - flow.spec.arrival_slot, flow.served,
-                             flow.rate_sum / flow.draws)
+        if name in BUFFER_INDICES:
+            return BUFFER_INDICES[name](r, flow.buffer)
+        age, mean = t - flow.spec.arrival_slot, flow.rate_sum / flow.draws
+        if name in SPEC_INDICES:
+            return SPEC_INDICES[name](r, age, flow.served, mean, flow.spec)
+        return INDICES[name](r, age, flow.served, mean)
 
     def key(flow):
         recency = math.inf if flow.last_served is None else t - flow.last_served
@@ -123,6 +158,9 @@ def simulate(flows, seed: int, kind: str, tcp=None) -> Replay:
                 flow.window = min(2.0 * flow.window, max_window)
                 flow.refill_due = None
         rates = {fid: flow.draw() for fid, flow in active.items()}
+        name = rule
+        if mixture:
+            name = rule[_child([w for _, w in rule], choice.random())][0]
         eligible = [flow for flow in active.values() if flow.buffer > 0.0]
         out.contested += len(eligible) > 1
         out.all_wait += bool(active) and not eligible

@@ -288,7 +288,7 @@ def test_criterion_07_argmax_scale_invariance():
                 )
             )
         values = [compute_index(spec, v) for v in views]
-        chosen = select_client(spec, views, rng)
+        chosen = select_client(spec, views, rng).spec.id
         for c in _SCALES:
             scaled_pick = _argmax_with_tiebreak(
                 views, [c * v for v in values], t

@@ -179,6 +179,7 @@ def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
     hashes = doc["source_sha1"]
     # non-blank lines of src/cellsched/*.py: README.md and blank lines do not count
     assert doc["source_lines"] == {"parent": 2, "change": 3}
+    assert doc["code_lines"] == {"parent": 2, "change": 3}
     assert hashes == {"parent": bench_pairs.source_sha1(parent),
                       "change": bench_pairs.source_sha1(change)}
     assert hashes["parent"] != hashes["change"]
@@ -192,6 +193,37 @@ def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
     assert bench_pairs.source_sha1(moved) == hashes["parent"]
     (moved / "src" / "cellsched" / "b.py").rename(moved / "src" / "cellsched" / "c.py")
     assert bench_pairs.source_sha1(moved) != hashes["parent"]
+
+
+CODE_AND_DOCS = '''"""Module docstring,
+
+on three lines."""
+# a comment
+
+class K:
+    """Class docstring."""
+    x = 1  # a trailing comment
+
+    def f(self):
+        """Function
+        docstring."""
+        "a string statement after the docstring"
+        return """a string
+
+of code"""
+'''
+
+
+def test_code_lines_leave_out_docstrings_and_comments(tmp_path):
+    source = tmp_path / "src" / "cellsched"
+    source.mkdir(parents=True)
+    (source / "a.py").write_text(CODE_AND_DOCS)
+    (source / "b.py").write_text("y = (1,\n     # inside\n     2)\n")
+    (tmp_path / "c.py").write_text("z = 3\n")  # not a source file
+    # class K, x = 1, def f, the string statement, the returned string's two
+    # non-blank lines, and b.py's two lines of code
+    assert bench_pairs.code_lines(tmp_path) == 8
+    assert bench_pairs.source_lines(tmp_path) == 15
 
 
 @pytest.mark.parametrize("bad", ["reference_ranking", "short_runs=0", "refrence_ranking=2",

@@ -64,7 +64,7 @@ def test_never_served_first_reaches_every_index_path():
     never, served = make_view(id=0, served=0.0, age=7), make_view(id=1, last_served=9)
 
     def seen():
-        chosen = select_client(t, [never, served])
+        chosen = select_client(t, [never, served]).spec.id
         return compute_index(t, never), compute_index(linear, never), chosen
 
     assert seen() == (0.0, 0.0, 1)

@@ -667,7 +667,7 @@ class TestRunSimulation:
     def test_a_contended_slot_always_has_an_eligible_flow(self, monkeypatch):
         # A flow waits exactly when it is active with an empty buffer, and a slot
         # where every active flow waits runs as a wait stretch; so a contended
-        # slot hands select_client at least one record and serves one of them.
+        # slot hands select_client at least one record and gets one of them back.
         # With one record it is the tcp-refill shortcut: an infinite buffer never
         # empties before its flow departs, so there every active flow is eligible.
         calls = []  # (tcp-refill run, number of records, chosen among them)
@@ -675,7 +675,7 @@ class TestRunSimulation:
 
         def spy(spec, flows, rng=None):
             chosen = select(spec, flows, rng)
-            calls.append((tcp, len(flows), any(f.spec.id == chosen for f in flows)))
+            calls.append((tcp, len(flows), any(f is chosen for f in flows)))
             return chosen
 
         monkeypatch.setattr(simcore, "select_client", spy)

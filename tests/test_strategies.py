@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import struct
 
 import pytest
@@ -24,7 +25,6 @@ from cellsched.simcore import FlowState
 from cellsched.strategies import (
     ATOMIC_KINDS,
     C_DEFAULT,
-    _draw_child,
     compute_index,
     select_client,
 )
@@ -457,9 +457,15 @@ class TestDrawChild:
             (0.5, 0.0, 0.4999999995, 0.0, 0.0),
         ],
     )
-    def test_uniform_at_and_around_each_running_sum(self, weights):
+    def test_uniform_at_and_around_each_running_sum(self, weights, monkeypatch):
         children = tuple(StrategySpec(kind="tas") for _ in weights)  # told apart by identity
         spec = StrategySpec(kind="probabilistic", children=children, weights=weights)
+
+        def drawn(child, flow):  # the record with child i's position as its id wins
+            return float(flow.spec.id == next(i for i, c in enumerate(children) if c is child))
+
+        monkeypatch.setitem(strategies._INDEX_FUNCS, "tas", drawn)
+        flows = [make_view(id=i) for i in range(len(weights) + 1)]  # never fewer than two
         sums = list(itertools.accumulate(weights))
         uniforms = {0.0, 1.0 - 2.0**-53, math.nextafter(sums[-1], INF)}
         for s in sums:
@@ -467,7 +473,7 @@ class TestDrawChild:
         for u in sorted(u for u in uniforms if u >= 0.0):  # random() gives [0, 1)
             i = self.expected(weights, u)
             assert weights[i] > 0.0
-            assert _draw_child(spec, StubRng([u])) is children[i], u
+            assert select_client(spec, flows, StubRng([u])) is flows[i], u
 
 
 class TestSelectClient:
@@ -476,35 +482,35 @@ class TestSelectClient:
 
     def test_direct_argmax(self):
         views = [make_view(id=0, rate=5.0), make_view(id=1, rate=9.0)]
-        assert select_client(StrategySpec(kind="max_ci"), views) == 1
+        assert select_client(StrategySpec(kind="max_ci"), views).spec.id == 1
 
     def test_brand_new_tie_goes_to_smaller_id(self):
         views = [
             make_view(id=3, age=0, served=0.0),
             make_view(id=1, age=0, served=0.0),
         ]
-        assert select_client(StrategySpec(kind="tas"), views) == 1
+        assert select_client(StrategySpec(kind="tas"), views).spec.id == 1
 
     def test_tie_prefers_least_recently_served(self):
         views = [
             make_view(id=0, t=10, rate=10.0, age=5, last_served=9),
             make_view(id=1, t=10, rate=10.0, age=5, last_served=4),
         ]
-        assert select_client(StrategySpec(kind="tas"), views) == 1
+        assert select_client(StrategySpec(kind="tas"), views).spec.id == 1
 
     def test_tie_prefers_never_served(self):
         views = [
             make_view(id=0, t=10, rate=10.0, age=5, last_served=4),
             make_view(id=2, t=10, rate=10.0, age=5, last_served=None),
         ]
-        assert select_client(StrategySpec(kind="tas"), views) == 2
+        assert select_client(StrategySpec(kind="tas"), views).spec.id == 2
 
     def test_value_beats_recency(self):
         views = [
             make_view(id=0, rate=11.0, age=1, last_served=9),
             make_view(id=1, rate=10.0, age=1, last_served=None),
         ]
-        assert select_client(StrategySpec(kind="tas"), views) == 0
+        assert select_client(StrategySpec(kind="tas"), views).spec.id == 0
 
     def test_probabilistic_consumes_one_draw_per_call(self):
         spec = StrategySpec(
@@ -533,11 +539,26 @@ class TestSelectClient:
         young_slow = make_view(id=0, rate=1.0, age=1)
         old_fast = make_view(id=1, rate=9.0, age=9)
         views = [young_slow, old_fast]
-        assert select_client(spec, views, StubRng([0.29])) == 1  # max rate
-        assert select_client(spec, views, StubRng([0.31])) == 0  # min age
+        assert select_client(spec, views, StubRng([0.29])).spec.id == 1  # max rate
+        assert select_client(spec, views, StubRng([0.31])).spec.id == 0  # min age
+
+    def test_returns_one_of_the_given_records(self):
+        rng = random.Random(29)
+        children = (StrategySpec(kind="tas"), StrategySpec(kind="srpt"))
+        for kind in strategies.KINDS:
+            combinator = kind in strategies.COMBINATOR_KINDS
+            spec = StrategySpec(kind=kind, children=children if combinator else (),
+                                weights=(0.5, 0.5) if combinator else ())
+            for n in range(6):
+                flows = [make_view(id=i, rate=rng.choice((5.0, 10.0)), age=rng.randint(0, 3),
+                                   served=rng.choice((0.0, 50.0)),
+                                   last_served=rng.choice((None, 2, 4)))
+                         for i in range(n)]
+                chosen = select_client(spec, flows, CountingRng(n))
+                assert any(f is chosen for f in flows) if flows else chosen is None, kind
 
     def test_single_view_fast_path_matches_argmax(self):
-        assert select_client(StrategySpec(kind="pf"), [make_view(id=7)]) == 7
+        assert select_client(StrategySpec(kind="pf"), [make_view(id=7)]).spec.id == 7
 
     def test_zero_or_one_view_calls_no_index(self, monkeypatch):
         def refuse(spec, flow):
@@ -552,7 +573,7 @@ class TestSelectClient:
         )
         for spec in (StrategySpec(kind="tas"), mixture):
             assert select_client(spec, [], StubRng([0.2])) is None
-            assert select_client(spec, [make_view(id=4)], StubRng([0.7])) == 4
+            assert select_client(spec, [make_view(id=4)], StubRng([0.7])).spec.id == 4
 
     @given(
         kind=st.sampled_from(ATOMIC_KINDS),
@@ -581,4 +602,4 @@ class TestSelectClient:
 
         expected = max(flows, key=rank).spec.id
         for order in itertools.permutations(flows):
-            assert select_client(spec, list(order)) == expected
+            assert select_client(spec, list(order)).spec.id == expected
