@@ -16,8 +16,9 @@ traced run's self times swing with the host's speed.  Per workload,
 Each side is named by its git revision and by ``source_sha1``, a SHA-1 over
 its ``src/cellsched/*.py``, which also names a checkout that is not
 committed; ``source_lines`` gives the non-blank line count of those files,
-and ``code_lines`` the count of those lines that hold code, not a docstring
-or a ``#`` comment.  Standard library only.
+``code_lines`` the count of those lines that hold code, not a docstring
+or a ``#`` comment, and ``code_lines_by_module`` that count per file, so a
+move between modules shows as a move.  Standard library only.
 
 Run from the repository root (about 27 minutes for the default plan):
 
@@ -171,8 +172,14 @@ def source_lines(checkout: Path) -> int:
 def code_lines(checkout: Path) -> int:
     """The number of non-blank lines in ``src/cellsched/*.py`` in ``checkout``
     that hold a token other than a docstring or a ``#`` comment."""
-    total = 0
-    for path in checkout.glob("src/cellsched/*.py"):
+    return sum(code_lines_by_module(checkout).values())
+
+
+def code_lines_by_module(checkout: Path) -> dict[str, int]:
+    """:func:`code_lines` of each file of ``src/cellsched/*.py``, keyed by file name
+    in sorted order, so that code moved between modules shows as a move."""
+    counts = {}
+    for path in sorted(checkout.glob("src/cellsched/*.py")):
         text = path.read_text()
         docstrings = {  # where each module, class and function docstring starts
             (body[0].lineno, body[0].col_offset)
@@ -185,8 +192,8 @@ def code_lines(checkout: Path) -> int:
             if token.type not in _NOT_CODE and token.start not in docstrings:
                 rows.update(range(token.start[0], token.end[0] + 1))
         lines = text.splitlines()
-        total += sum(1 for row in rows if lines[row - 1].strip())
-    return total
+        counts[path.name] = sum(1 for row in rows if lines[row - 1].strip())
+    return counts
 
 
 def main(argv=None) -> int:
@@ -221,6 +228,8 @@ def main(argv=None) -> int:
         "source_sha1": {name: source_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
         "source_lines": {name: source_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
         "code_lines": {name: code_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
+        "code_lines_by_module": {name: code_lines_by_module(checkout)
+                                 for name, checkout in zip(SIDES, checkouts)},
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, "
                 f"Python {platform.python_version()}; times scaled to the nominal "
                 "host speed by bench/hostspeed.py",

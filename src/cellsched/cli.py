@@ -1,4 +1,4 @@
-"""Command-line entry point for running the scheduling experiments.
+"""Command-line entry point: runs the experiments, writes each one's CSV and manifest.
 
 Subcommands:
   run            strategy ranking table (logALPT/ALPT mean +/- std per strategy)
@@ -15,7 +15,11 @@ on success or when the reader of stdout leaves early, 2 on any expected error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import hashlib
+import io
+import json
 import os
 import sys
 from dataclasses import replace
@@ -27,21 +31,30 @@ from .errors import CellschedError
 from .experiments import (
     ExperimentConfig,
     experiment_from_dict,
-    git_blob_sha1,
+    experiment_to_dict,
     run_experiment,
     sweep_linear,
     sweep_probabilistic,
-    write_curve_csv,
-    write_manifest,
-    write_ranking_csv,
-    write_surface_csv,
-    write_trace_csv,
-    write_workload_csv,
 )
 from .simcore import run_simulation
 from .workload import generate_workload
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's scanner, when built in
+
+TABLE_HEADER = (
+    "strategy",
+    "logalpt_mean",
+    "logalpt_std",
+    "alpt_mean",
+    "alpt_std",
+    "replications",
+    "completed",
+    "unfinished",
+)
+CURVE_HEADER = ("alpha", "logalpt_mean", "logalpt_std")
+SURFACE_HEADER = ("p_t", "p_tas", "p_das", "logalpt_mean", "logalpt_std")
+WORKLOAD_HEADER = ("id", "arrival_slot", "file_size_kb", "mean_rate_kbps")
+TRACE_HEADER = ("t", "chosen_id", "transfer_kb", "active_count")
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -67,6 +80,76 @@ def _emit(config: ExperimentConfig, name: str, filename: str, write, rows) -> Pa
     data = write(out / filename, rows)
     write_manifest(out, name, config, {filename: git_blob_sha1(data)})
     return out / filename
+
+
+def _write_csv(path: Path, header, rows) -> bytes:
+    """Write the CSV in one go and return the bytes written."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = text.getvalue().encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return data
+
+
+def write_ranking_csv(path, scores) -> bytes:
+    rows = [
+        (
+            label,
+            agg.log_alpt_mean,
+            agg.log_alpt_std,
+            agg.alpt_mean,
+            agg.alpt_std,
+            agg.replications,
+            agg.completed_total,
+            agg.unfinished_total,
+        )
+        for label, agg in scores
+    ]
+    return _write_csv(Path(path), TABLE_HEADER, rows)
+
+
+def write_curve_csv(path, curve) -> bytes:
+    rows = [(a, agg.log_alpt_mean, agg.log_alpt_std) for a, agg in curve]
+    return _write_csv(Path(path), CURVE_HEADER, rows)
+
+
+def write_surface_csv(path, surface) -> bytes:
+    rows = [
+        (p[0], p[1], p[2], agg.log_alpt_mean, agg.log_alpt_std)
+        for p, agg in surface
+    ]
+    return _write_csv(Path(path), SURFACE_HEADER, rows)
+
+
+def write_workload_csv(path, flows) -> bytes:
+    rows = [(f.id, f.arrival_slot, f.file_size, f.mean_rate) for f in flows]
+    return _write_csv(Path(path), WORKLOAD_HEADER, rows)
+
+
+def write_trace_csv(path, events) -> bytes:
+    return _write_csv(Path(path), TRACE_HEADER, events)  # csv writes a None id as ""
+
+
+def git_blob_sha1(data: bytes) -> str:
+    return hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
+
+
+def write_manifest(out_dir, name: str, config: ExperimentConfig, outputs: dict) -> Path:
+    """Write <out_dir>/manifest.json echoing the config, seeds, and file hashes."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "experiment": name,
+        "seeds": list(config.seeds),
+        "config": experiment_to_dict(config),
+        "outputs": outputs,
+    }
+    path = out_dir / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _pm(mean: float, std: float) -> str:

@@ -1,25 +1,20 @@
-"""Replicated experiments: strategy ranking tables and parameter sweeps.
+"""Replicated experiments: strategy ranking tables and parameter sweeps, and the config codec.
 
 Every strategy is evaluated on the config's replication seeds, so each
 one sees identical arrival streams and identical per-flow channel draws
 (made once per seed and replayed to every strategy) — score differences
 are paired, reflecting only the scheduling rule.
-Results aggregate to mean +/- sample std and serialize to CSV plus a JSON
-manifest carrying the config echo, the seeds, and content hashes.
+Results aggregate to mean +/- sample std; ``cli`` writes them to CSV and
+the manifest, whose config echo is :func:`experiment_to_dict`.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import hashlib
-import io
-import json
 import math
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
-from pathlib import Path
 
 from .channel import SharedRateSource
 from .errors import ParameterError
@@ -27,21 +22,6 @@ from .metrics import AggregateReport, aggregate, summarize
 from .simcore import SimConfig, check_serves, run_simulation
 from .strategies import OWNED_PARAMS, StrategySpec
 from .workload import generate_workload
-
-TABLE_HEADER = (
-    "strategy",
-    "logalpt_mean",
-    "logalpt_std",
-    "alpt_mean",
-    "alpt_std",
-    "replications",
-    "completed",
-    "unfinished",
-)
-CURVE_HEADER = ("alpha", "logalpt_mean", "logalpt_std")
-SURFACE_HEADER = ("p_t", "p_tas", "p_das", "logalpt_mean", "logalpt_std")
-WORKLOAD_HEADER = ("id", "arrival_slot", "file_size_kb", "mean_rate_kbps")
-TRACE_HEADER = ("t", "chosen_id", "transfer_kb", "active_count")
 
 #: Strategy lineup of the ranking experiment, in the paper's reported order.
 RANKING_KINDS = ("T", "TK", "round_robin", "tas", "max_ci", "das", "pf")
@@ -296,76 +276,3 @@ def experiment_from_dict(data) -> ExperimentConfig:
         raise ParameterError("config.strategies: the list is empty")
     sim = from_dict(SimConfig, {**sim, "workload": workload}, strategy=strategies[0])
     return from_dict(ExperimentConfig, top, sim=sim, strategies=strategies)
-
-
-# --- emission ------------------------------------------------------------
-
-
-def _write_csv(path: Path, header, rows) -> bytes:
-    """Write the CSV in one go and return the bytes written."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    data = text.getvalue().encode()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return data
-
-
-def write_ranking_csv(path, scores) -> bytes:
-    rows = [
-        (
-            label,
-            agg.log_alpt_mean,
-            agg.log_alpt_std,
-            agg.alpt_mean,
-            agg.alpt_std,
-            agg.replications,
-            agg.completed_total,
-            agg.unfinished_total,
-        )
-        for label, agg in scores
-    ]
-    return _write_csv(Path(path), TABLE_HEADER, rows)
-
-
-def write_curve_csv(path, curve) -> bytes:
-    rows = [(a, agg.log_alpt_mean, agg.log_alpt_std) for a, agg in curve]
-    return _write_csv(Path(path), CURVE_HEADER, rows)
-
-
-def write_surface_csv(path, surface) -> bytes:
-    rows = [
-        (p[0], p[1], p[2], agg.log_alpt_mean, agg.log_alpt_std)
-        for p, agg in surface
-    ]
-    return _write_csv(Path(path), SURFACE_HEADER, rows)
-
-
-def write_workload_csv(path, flows) -> bytes:
-    rows = [(f.id, f.arrival_slot, f.file_size, f.mean_rate) for f in flows]
-    return _write_csv(Path(path), WORKLOAD_HEADER, rows)
-
-
-def write_trace_csv(path, events) -> bytes:
-    return _write_csv(Path(path), TRACE_HEADER, events)  # csv writes a None id as ""
-
-
-def git_blob_sha1(data: bytes) -> str:
-    return hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
-
-
-def write_manifest(out_dir, name: str, config: ExperimentConfig, outputs: dict) -> Path:
-    """Write <out_dir>/manifest.json echoing the config, seeds, and file hashes."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "experiment": name,
-        "seeds": list(config.seeds),
-        "config": experiment_to_dict(config),
-        "outputs": outputs,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path

@@ -3,9 +3,10 @@
 Written from the README's description of the slot loop, its buffers and
 its strategy table, and from the ``strategies`` module docstring; it shares
 no code with ``cellsched.simcore`` or ``cellsched.strategies``.  It covers
-the infinite and the ``tcp-refill`` buffer, the literal channel envelope,
-the seven ranking indices, ``sectf``, ``srpt``, T and TK with the other
-parameters of the README's table, and ``probabilistic`` mixtures of them.
+the infinite and the ``tcp-refill`` buffer, both channel envelope modes,
+the drain phase and a run stopped at the horizon, the seven ranking
+indices, ``sectf``, ``srpt``, T and TK with the other parameters of the
+README's table, and ``linear`` sums and ``probabilistic`` mixtures of them.
 Per slot t:
 
 - flows arriving at slot t join with min(file size, window) buffered; the
@@ -15,8 +16,12 @@ Per slot t:
   still unfetched), then the window doubles, up to ``max_window``;
 - every active flow draws its rate r_k(t) from its own channel stream
   ``seeding.stream(seed, CHANNEL_STREAM, id)`` as lo + (hi - lo) * u, with
-  [lo, hi] = [lo_coeff, hi_coeff] x envelope x the flow's mean rate;
+  [lo, hi] = [lo_coeff, hi_coeff] x E(t) x the flow's mean rate, where
+  E(t) = A * (sin(freq * t + phase) + 1) in ``time_varying`` mode and
+  A * (sin(freq + phase) + 1) on every slot in ``literal`` mode;
 - r̄_k is the mean of the flow's rates since arrival, this slot included;
+- a ``linear`` index is the sum of w_i * I_i over its children, in order;
+  a child of zero weight is left out, even where it scores +inf;
 - a probabilistic mixture draws one uniform u from
   ``seeding.stream(seed, CHOICE_STREAM)`` on every slot from 0 on, whether
   or not a flow is eligible; child i decides when u lies in
@@ -28,6 +33,9 @@ Per slot t:
   least recent), then to the smallest id;
 - a flow departs on the slot after its last byte; a serve that empties the
   buffer with bytes still unfetched books a refill for slot t + 1 + rtt.
+
+With the drain, the run goes on until every flow has departed; without it,
+the run stops at the horizon, and the flows still active are unfinished.
 """
 
 from __future__ import annotations
@@ -71,6 +79,21 @@ SPEC_INDICES = {
 }
 
 
+@dataclass(frozen=True)
+class Linear:
+    """A ``linear`` rule: its children's names and weights, as (name, weight) pairs."""
+
+    terms: tuple
+
+
+def envelope(channel: ChannelConfig, t: int) -> float:
+    """E(t) = A * (sin(freq * t + phase) + 1), its argument held at freq + phase in
+    ``literal`` mode."""
+    moving = channel.envelope_mode == "time_varying"
+    arg = (channel.envelope_freq * t if moving else channel.envelope_freq) + channel.envelope_phase
+    return channel.envelope_amplitude * (math.sin(arg) + 1.0)
+
+
 @dataclass
 class Replay:
     """What the reference produced for one run."""
@@ -79,17 +102,14 @@ class Replay:
     served: list = field(default_factory=list)  # (slot, flow id) of busy slots
     contested: int = 0  # slots with two or more flows to choose from
     all_wait: int = 0  # slots with active flows that all wait on a refill
+    unfinished: int = 0  # flows still active when a run without the drain stops
 
 
 class _Flow:
     def __init__(self, spec, seed, channel, window):
-        envelope = channel.envelope_amplitude * (
-            math.sin(channel.envelope_freq + channel.envelope_phase) + 1.0
-        )
         self.spec = spec
         self.rng = seeding.stream(seed, seeding.CHANNEL_STREAM, spec.id)
-        self.lo = channel.lo_coeff * envelope * spec.mean_rate
-        self.hi = channel.hi_coeff * envelope * spec.mean_rate
+        self.channel = channel
         self.window = window
         self.buffer = min(spec.file_size, window)
         self.unfetched = spec.file_size - self.buffer
@@ -99,8 +119,10 @@ class _Flow:
         self.draws = 0
         self.last_served = None
 
-    def draw(self) -> float:
-        rate = self.lo + (self.hi - self.lo) * self.rng.random()
+    def draw(self, t) -> float:
+        channel, e, mean_rate = self.channel, envelope(self.channel, t), self.spec.mean_rate
+        lo, hi = channel.lo_coeff * e * mean_rate, channel.hi_coeff * e * mean_rate
+        rate = lo + (hi - lo) * self.rng.random()
         self.rate_sum += rate
         self.draws += 1
         return rate
@@ -116,16 +138,16 @@ def _child(weights, u) -> int:
     return max(i for i, w in enumerate(weights) if w > 0.0)
 
 
-def simulate(flows, seed: int, rule, tcp=None) -> Replay:
-    """Replay ``flows`` (sorted by arrival) under ``rule`` until all depart.
+def simulate(flows, seed: int, rule, tcp=None, channel=ChannelConfig(), horizon=None) -> Replay:
+    """Replay ``flows`` (sorted by arrival) under ``rule`` on ``channel``.
 
-    ``rule`` names an index of the tables above, or is a probabilistic
-    mixture's (name, weight) pairs.  ``tcp`` is None for the infinite
-    buffer, or the ``tcp-refill`` buffer's (rtt, initial_window, max_window)
-    as plain numbers.  The channel is the default ``ChannelConfig``, whose
-    envelope is literal.
+    ``rule`` names an index of the tables above, is a :class:`Linear` of
+    such names, or is a probabilistic mixture's (name, weight) pairs.
+    ``tcp`` is None for the infinite buffer, or the ``tcp-refill`` buffer's
+    (rtt, initial_window, max_window) as plain numbers.  ``horizon`` is the
+    drain flag: None runs until every flow departs, and a run with the drain
+    off stops at the horizon it gives.
     """
-    channel = ChannelConfig()
     rtt, first_window, max_window = tcp if tcp is not None else (0, math.inf, math.inf)
     mixture = isinstance(rule, tuple)
     choice = seeding.stream(seed, seeding.CHOICE_STREAM)
@@ -134,7 +156,9 @@ def simulate(flows, seed: int, rule, tcp=None) -> Replay:
     active: dict[int, _Flow] = {}
     t = 0
 
-    def index(flow, r):
+    def index(flow, r, name):
+        if isinstance(name, Linear):
+            return sum(w * index(flow, r, child) for child, w in name.terms if w != 0.0)
         if name in BUFFER_INDICES:
             return BUFFER_INDICES[name](r, flow.buffer)
         age, mean = t - flow.spec.arrival_slot, flow.rate_sum / flow.draws
@@ -144,9 +168,9 @@ def simulate(flows, seed: int, rule, tcp=None) -> Replay:
 
     def key(flow):
         recency = math.inf if flow.last_served is None else t - flow.last_served
-        return index(flow, rates[flow.spec.id]), recency, -flow.spec.id
+        return index(flow, rates[flow.spec.id], name), recency, -flow.spec.id
 
-    while pending or active:
+    while (pending or active) and (horizon is None or t < horizon):
         while pending and pending[-1].arrival_slot == t:
             spec = pending.pop()
             active[spec.id] = _Flow(spec, seed, channel, first_window)
@@ -157,7 +181,7 @@ def simulate(flows, seed: int, rule, tcp=None) -> Replay:
                 flow.unfetched -= delta
                 flow.window = min(2.0 * flow.window, max_window)
                 flow.refill_due = None
-        rates = {fid: flow.draw() for fid, flow in active.items()}
+        rates = {fid: flow.draw(t) for fid, flow in active.items()}
         name = rule
         if mixture:
             name = rule[_child([w for _, w in rule], choice.random())][0]
@@ -179,4 +203,5 @@ def simulate(flows, seed: int, rule, tcp=None) -> Replay:
             elif flow.buffer == 0.0:
                 flow.refill_due = t + 1 + rtt
         t += 1
+    out.unfinished = len(active)
     return out

@@ -226,6 +226,21 @@ def test_code_lines_leave_out_docstrings_and_comments(tmp_path):
     assert bench_pairs.source_lines(tmp_path) == 15
 
 
+def test_a_moved_function_shifts_the_counts_per_module(tmp_path):
+    source = tmp_path / "src" / "cellsched"
+    source.mkdir(parents=True)
+    moved = 'def f(x):\n    """Docstring."""\n    return x + 1  # comment\n'
+    (source / "a.py").write_text("import os\n\n" + moved)
+    (source / "b.py").write_text("y = 1\n")
+    before = bench_pairs.code_lines_by_module(tmp_path)
+    (source / "a.py").write_text("import os\n")
+    (source / "b.py").write_text("y = 1\n\n\n" + moved)
+    after = bench_pairs.code_lines_by_module(tmp_path)
+    # def f and its return are code; the docstring and the comment are not
+    assert (before, after) == ({"a.py": 3, "b.py": 1}, {"a.py": 1, "b.py": 3})
+    assert bench_pairs.code_lines(tmp_path) == sum(before.values()) == 4
+
+
 @pytest.mark.parametrize("bad", ["reference_ranking", "short_runs=0", "refrence_ranking=2",
                                  "short_runs=x", "reference_ranking=3"])
 def test_main_checks_the_plan_before_the_first_run(tmp_path, monkeypatch, capsys, bad):

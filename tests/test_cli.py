@@ -24,8 +24,8 @@ from cellsched import (
     generate_workload,
     run_simulation,
 )
-from cellsched.cli import load_config, main
-from cellsched.experiments import RANKING_KINDS, write_trace_csv
+from cellsched.cli import load_config, main, write_trace_csv
+from cellsched.experiments import RANKING_KINDS
 from test_golden_hashes import CLI_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]

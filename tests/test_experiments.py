@@ -30,17 +30,13 @@ from cellsched import (
     sweep_probabilistic,
 )
 from cellsched import channel, experiments
-from cellsched.experiments import (
+from cellsched.cli import (
     CURVE_HEADER,
-    RANKING_KINDS,
     SURFACE_HEADER,
     TABLE_HEADER,
     TRACE_HEADER,
     WORKLOAD_HEADER,
-    from_dict,
     git_blob_sha1,
-    replicate,
-    to_dict,
     write_curve_csv,
     write_manifest,
     write_ranking_csv,
@@ -48,6 +44,7 @@ from cellsched.experiments import (
     write_trace_csv,
     write_workload_csv,
 )
+from cellsched.experiments import RANKING_KINDS, from_dict, replicate, to_dict
 from cellsched.metrics import AggregateReport, aggregate, summarize
 from cellsched.simcore import TraceEvent
 from cellsched.workload import Component

@@ -22,8 +22,7 @@ from cellsched import (
     WorkloadConfig,
     run_simulation,
 )
-from cellsched.cli import main
-from cellsched.experiments import git_blob_sha1
+from cellsched.cli import git_blob_sha1, main
 
 CLI_CONFIG = {
     "horizon": 2000,
