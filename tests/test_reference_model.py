@@ -64,12 +64,12 @@ def _first_difference(got, want) -> int:
 
 
 def _rule(spec):
-    """The reference's name of ``spec``, its label, or a mixture's (label, weight) pairs."""
-    if spec.kind == "probabilistic":
-        return tuple((child.label(), w) for child, w in zip(spec.children, spec.weights))
+    """The reference's name of ``spec``: its label, or its children's (label, weight)
+    pairs, as they are for a mixture and in a :class:`Linear` for a linear sum."""
+    pairs = tuple((child.label(), w) for child, w in zip(spec.children, spec.weights))
     if spec.kind == "linear":
-        return Linear(tuple((child.label(), w) for child, w in zip(spec.children, spec.weights)))
-    return spec.label()
+        return Linear(pairs)
+    return pairs if spec.kind == "probabilistic" else spec.label()
 
 
 def _check_match(workload, spec, tcp=None):
