@@ -3,7 +3,7 @@
 Every strategy runs on the same seeds, so all of them see the same arrivals
 and the same channel draws (common random numbers).  The evidence is
 therefore the per-seed difference between two strategies, not the overlap of
-their separate spreads.  Four studies are printed:
+their separate spreads.  Five studies are printed:
 
 1. the seven reference strategies at the reference setup (10^5 slots) on two
    disjoint blocks of ten seeds: each one's mean logALPT, and the mean,
@@ -16,7 +16,11 @@ their separate spreads.  Four studies are printed:
    formula's 0, next to tas (3*10^4 slots, 5 seeds);
 4. the linear combination I_tas + alpha * I_das of acceptance criterion 2
    at alpha = 0, 0.5, 1 and 2 (2*10^4 slots, seeds 1-20): the paired gain
-   of each alpha > 0 over alpha = 0, and the paired gaps among them.
+   of each alpha > 0 over alpha = 0, and the paired gaps among them;
+5. round_robin read as a cycle: a constant index, so the tie rule alone
+   serves the flow served least recently, against tas and against the
+   documented 1/age index, which serves the youngest flow (10^5 slots,
+   seeds 1-10).
 
 Run from the repository root (30-60 s on two cores):
 
@@ -76,24 +80,40 @@ def mixture_surface():
 
 
 @contextlib.contextmanager
+def patched_indices(wrappers):
+    """Replace each kind's index function ``fn`` by ``wrappers[kind](fn)`` for the duration.
+
+    The simulator looks its index functions up each slot, so every index path
+    sees the replacements; the table is restored on exit, also on an exception.
+    """
+    saved = {k: strategies._INDEX_FUNCS[k] for k in wrappers}
+    try:
+        for k, wrap in wrappers.items():
+            strategies._INDEX_FUNCS[k] = wrap(saved[k])
+        yield
+    finally:
+        strategies._INDEX_FUNCS.update(saved)
+
+
 def never_served_first():
     """Score a never-served flow +inf under T and TK for the duration.
 
     The README's T and TK formulas give such a flow 0 once its age is
-    positive; this is the alternative reading, applied by wrapping the
-    index functions the simulator looks up each slot.
+    positive; this is the alternative reading.
     """
-    saved = {k: strategies._INDEX_FUNCS[k] for k in ("T", "TK")}
-
     def lifted(fn):
         return lambda spec, view: math.inf if view.served == 0.0 else fn(spec, view)
 
-    try:
-        for k, fn in saved.items():
-            strategies._INDEX_FUNCS[k] = lifted(fn)
-        yield
-    finally:
-        strategies._INDEX_FUNCS.update(saved)
+    return patched_indices({"T": lifted, "TK": lifted})
+
+
+def cyclic_round_robin():
+    """Give every flow the same round_robin index for the duration.
+
+    The tie rule alone then decides: a never-served flow first, else the flow
+    served least recently.  The README's index 1/age serves the youngest flow.
+    """
+    return patched_indices({"round_robin": lambda fn: lambda spec, view: 0.0})
 
 
 def never_served_alternative():
@@ -133,9 +153,26 @@ def linear_alphas():
         print_pair(f"alpha={a:g} - alpha={b:g}", scores[a], scores[b], digits=5)
 
 
+def cyclic_reading():
+    config = experiment_from_dict({"base_seed": 1})
+    kinds = ("round_robin", "tas")
+    specs = [StrategySpec(kind=k) for k in kinds]
+    youngest, tas = replicate(config, specs)
+    with cyclic_round_robin():
+        (cyclic,) = replicate(config, specs[:1])
+    seeds = config.seeds
+    print(f"round_robin read as a cycle (constant index, tie rule alone), "
+          f"seeds {seeds[0]}-{seeds[-1]}, h={config.sim.workload.horizon}:")
+    agg = aggregate(cyclic)
+    print(f"  cyclic       {agg.log_alpt_mean:.4f} ± {agg.log_alpt_std:.4f}")
+    print_pair("cyclic - tas", cyclic, tas)
+    print_pair("cyclic - round_robin", cyclic, youngest)
+
+
 if __name__ == "__main__":
     ranking_block(base_seed=1)
     ranking_block(base_seed=11)
     mixture_surface()
     never_served_alternative()
     linear_alphas()
+    cyclic_reading()

@@ -221,17 +221,6 @@ ATOMIC_KINDS = tuple(kind for kind in _INDEX_FUNCS if kind not in COMBINATOR_KIN
 KINDS = ATOMIC_KINDS + COMBINATOR_KINDS
 
 
-def compute_index(spec: StrategySpec, flow) -> float:
-    """Index of one flow record under ``spec``; +inf on zero denominators, never NaN."""
-    try:
-        fn = _INDEX_FUNCS[spec.kind]
-    except KeyError:
-        raise ParameterError(
-            f"{spec.kind!r} has no per-flow index; use select_client"
-        ) from None
-    return fn(spec, flow)
-
-
 def select_client(spec: StrategySpec, flows, rng=None):
     """Pick the record to serve this slot, one of ``flows``, or None when it is empty.
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cellsched import strategies
 from cellsched.simcore import FlowState
 from cellsched.workload import FlowSpec
 
@@ -69,6 +70,14 @@ def make_view(**kwargs) -> FlowState:
         age=d["age"],
         last_served=d["last_served"],
     )
+
+
+def index_of(spec, flow) -> float:
+    """``flow``'s index under ``spec``, read from the table the simulator reads.
+
+    The entry is looked up at call time, so a patched table entry is seen.
+    """
+    return strategies._INDEX_FUNCS[spec.kind](spec, flow)
 
 
 def make_flow(fid=0, arrival=0, size=100.0, mean_rate=10.0) -> FlowSpec:

@@ -38,9 +38,9 @@ from cellsched import (
 )
 from cellsched.experiments import replicate
 from cellsched.metrics import paired
-from cellsched.strategies import compute_index, select_client
+from cellsched.strategies import select_client
 
-from conftest import FixedRateSource, make_flow, make_view
+from conftest import FixedRateSource, index_of, make_flow, make_view
 from pareto_posterior import expected_file_size, pareto_posterior_density
 
 
@@ -287,7 +287,7 @@ def test_criterion_07_argmax_scale_invariance():
                     last_served=rng.choice([None, rng.randint(0, t - 1)]),
                 )
             )
-        values = [compute_index(spec, v) for v in views]
+        values = [index_of(spec, v) for v in views]
         chosen = select_client(spec, views, rng).spec.id
         for c in _SCALES:
             scaled_pick = _argmax_with_tiebreak(

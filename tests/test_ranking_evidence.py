@@ -1,8 +1,9 @@
 """Smoke test of ``scripts/ranking_evidence.py``, which no other test imports.
 
 The script's studies take about a minute, so only its pieces run here: the
-paired line it prints and the context manager that swaps the T and TK
-index functions, which every index path must see.
+paired line it prints and the context managers that swap index functions
+(T and TK, or round_robin), which every index path must see and which
+restore the table on exit.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import pytest
 
 from cellsched import strategies
 from cellsched.metrics import MetricsReport
-from cellsched.strategies import StrategySpec, compute_index, select_client
+from cellsched.strategies import StrategySpec, select_client
 
-from conftest import make_view
+from conftest import index_of, make_view
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -65,9 +66,32 @@ def test_never_served_first_reaches_every_index_path():
 
     def seen():
         chosen = select_client(t, [never, served]).spec.id
-        return compute_index(t, never), compute_index(linear, never), chosen
+        return index_of(t, never), index_of(linear, never), chosen
 
     assert seen() == (0.0, 0.0, 1)
     with ranking_evidence.never_served_first():
         assert seen() == (math.inf, math.inf, 0)
     assert seen() == (0.0, 0.0, 1)
+
+
+def test_cyclic_round_robin_restores_index_funcs():
+    saved = dict(strategies._INDEX_FUNCS)
+    with ranking_evidence.cyclic_round_robin():
+        changed = {k for k, fn in strategies._INDEX_FUNCS.items() if fn is not saved[k]}
+        assert changed == {"round_robin"}
+    assert strategies._INDEX_FUNCS == saved
+    with pytest.raises(RuntimeError), ranking_evidence.cyclic_round_robin():
+        raise RuntimeError
+    assert strategies._INDEX_FUNCS == saved
+
+
+def test_cyclic_round_robin_serves_the_least_recently_served_flow():
+    # 1/age serves the younger flow; a constant index leaves it to the tie rule,
+    # which serves the flow served longer ago
+    rr = StrategySpec(kind="round_robin")
+    older, younger = make_view(id=0, age=9, last_served=3), make_view(id=1, age=2, last_served=8)
+    assert select_client(rr, [older, younger]) is younger
+    with ranking_evidence.cyclic_round_robin():
+        assert index_of(rr, older) == index_of(rr, younger)
+        assert select_client(rr, [older, younger]) is older
+    assert select_client(rr, [older, younger]) is younger

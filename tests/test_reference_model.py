@@ -18,8 +18,8 @@ import random
 import pytest
 
 from cellsched import (
-    BufferModel, ChannelConfig, SimConfig, StrategySpec, WorkloadConfig, generate_workload,
-    run_simulation,
+    BufferModel, ChannelConfig, ParetoMixture, SimConfig, StrategySpec, WorkloadConfig,
+    generate_workload, run_simulation,
 )
 
 from reference_model import BUFFER_INDICES, INDICES, Linear, simulate
@@ -184,28 +184,42 @@ def _random_spec(rng, tcp: bool) -> StrategySpec:
     return StrategySpec(kind=kind, children=children, weights=weights)
 
 
+def _random_mixture(rng) -> ParetoMixture:
+    """One to four size classes with random weights and scales, and a random shape."""
+    weights = [rng.uniform(0.1, 1.0) for _ in range(rng.randint(1, 4))]
+    scales = [10.0 ** rng.uniform(2.0, 5.0) for _ in weights]
+    components = tuple((w / sum(weights), m) for w, m in zip(weights, scales))
+    return ParetoMixture(components, alpha=rng.uniform(1.2, 10.0))
+
+
 def test_simulator_matches_reference_on_random_configs():
-    # configs drawn like acceptance criterion 9's, with both envelopes and the drain off
+    # configs drawn like acceptance criterion 9's, with both envelopes, the drain off,
+    # and the channel band, the envelope's amplitude, the size mixture and the
+    # mean-rate band drawn too
     rng = random.Random(6)
     contested = {"infinite": 0, "tcp-refill": 0}
     for case in range(300):
         workload = WorkloadConfig(
-            arrival_rate=rng.uniform(0.05, 0.4), horizon=rng.randint(20, 80), seed=case
+            arrival_rate=rng.uniform(0.05, 0.4), horizon=rng.randint(20, 80), seed=case,
+            size_mixture=_random_mixture(rng), rate_lo_mult=rng.uniform(0.1, 1.0),
+            rate_hi_mult=rng.uniform(1.2, 5.0),
         )
         buffer = BufferModel()
         if rng.random() < 0.5:
             initial = rng.uniform(50.0, 200.0)
             buffer = BufferModel("tcp-refill", rng.randint(0, 8), initial,
                                  initial * rng.uniform(1.0, 4.0))
-        channel = ChannelConfig()
+        band = dict(lo_coeff=rng.uniform(0.2, 0.95), hi_coeff=rng.uniform(1.05, 3.0),
+                    envelope_amplitude=rng.uniform(0.5, 3.0))
+        channel = ChannelConfig(**band)
         if rng.random() < 0.3:
             channel = ChannelConfig(envelope_mode="time_varying",
                                     envelope_freq=rng.uniform(0.01, 0.2),
-                                    envelope_phase=rng.uniform(0.0, 2.0 * math.pi))
+                                    envelope_phase=rng.uniform(0.0, 2.0 * math.pi), **band)
         config = SimConfig(
             workload=workload, strategy=_random_spec(rng, buffer.mode == "tcp-refill"),
             channel=channel, buffer=buffer, drain_after_horizon=rng.random() < 0.7,
         )
         contested[buffer.mode] += _check_config(config).contested
-    # about 2800 infinite and 43000 tcp-refill contested slots on these 300 configs
+    # about 2200 infinite and 64000 tcp-refill contested slots on these 300 configs
     assert min(contested.values()) >= 1000, contested

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cellsched import (
+    BufferModel,
     ChannelConfig,
     ParameterError,
     SimConfig,
@@ -20,17 +21,12 @@ from cellsched import (
     WorkloadConfig,
     run_simulation,
 )
-from cellsched import strategies
+from cellsched import simcore, strategies
 from cellsched.simcore import FlowState
-from cellsched.strategies import (
-    ATOMIC_KINDS,
-    C_DEFAULT,
-    compute_index,
-    select_client,
-)
+from cellsched.strategies import ATOMIC_KINDS, C_DEFAULT, select_client
 from cellsched.workload import FlowSpec
 
-from conftest import CountingRng, StubRng, make_view
+from conftest import CountingRng, StubRng, index_of, make_view
 from pareto_posterior import expected_file_size, pareto_posterior_density
 from reference_model import INDICES
 
@@ -234,47 +230,47 @@ class TestOwnedParameters:
 
 class TestComputeIndex:
     def test_round_robin_is_inverse_age(self):
-        assert compute_index(StrategySpec(kind="round_robin"), make_view(age=5)) == 0.2
-        assert compute_index(StrategySpec(kind="round_robin"), make_view(age=0)) == INF
+        assert index_of(StrategySpec(kind="round_robin"), make_view(age=5)) == 0.2
+        assert index_of(StrategySpec(kind="round_robin"), make_view(age=0)) == INF
 
     def test_max_ci_is_rate(self):
-        assert compute_index(StrategySpec(kind="max_ci"), make_view(rate=9.5)) == 9.5
+        assert index_of(StrategySpec(kind="max_ci"), make_view(rate=9.5)) == 9.5
 
     def test_tas_hand_value(self):
         view = make_view(rate=10.0, age=5)
-        assert compute_index(StrategySpec(kind="tas"), view) == 2.0
+        assert index_of(StrategySpec(kind="tas"), view) == 2.0
 
     def test_das_and_zero_denominator(self):
         das = StrategySpec(kind="das")
-        assert compute_index(das, make_view(rate=10.0, served=4.0)) == 2.5
-        assert compute_index(das, make_view(served=0.0)) == INF
+        assert index_of(das, make_view(rate=10.0, served=4.0)) == 2.5
+        assert index_of(das, make_view(served=0.0)) == INF
 
     def test_pf_formula(self):
         view = make_view(rate=10.0, age=5, served=50.0)
-        assert compute_index(StrategySpec(kind="pf"), view) == 1.0
-        assert compute_index(StrategySpec(kind="pf"), make_view(served=0.0)) == INF
+        assert index_of(StrategySpec(kind="pf"), view) == 1.0
+        assert index_of(StrategySpec(kind="pf"), make_view(served=0.0)) == INF
 
     def test_srpt_hand_value_and_capability(self):
         view = make_view(rate=10.0, served=90.0, true_size=100.0)
         srpt = StrategySpec(kind="srpt")
-        assert compute_index(srpt, view) == 1.0
-        assert compute_index(srpt, make_view(true_size=50.0, served=50.0)) == INF
+        assert index_of(srpt, view) == 1.0
+        assert index_of(srpt, make_view(true_size=50.0, served=50.0)) == INF
 
     def test_sectf_is_rate_over_buffer(self):
         sectf = StrategySpec(kind="sectf")
-        assert compute_index(sectf, make_view(rate=10.0, buffer=4.0)) == 2.5
-        assert compute_index(sectf, make_view(buffer=0.0)) == INF
+        assert index_of(sectf, make_view(rate=10.0, buffer=4.0)) == 2.5
+        assert index_of(sectf, make_view(buffer=0.0)) == INF
 
     def test_t_hand_value(self):
         view = make_view(served=1000.0, age=50, mean_rate_est=100.0)
-        value = compute_index(StrategySpec(kind="T"), view)
+        value = index_of(StrategySpec(kind="T"), view)
         assert value == pytest.approx(1000.0 / (50.0 + 1000.0 / (C_DEFAULT * 100.0)))
         assert value == pytest.approx(16.57, abs=0.02)
 
     def test_t_zero_cases(self):
         t = StrategySpec(kind="T")
-        assert compute_index(t, make_view(served=0.0, age=7)) == 0.0
-        assert compute_index(t, make_view(served=0.0, age=0)) == INF
+        assert index_of(t, make_view(served=0.0, age=7)) == 0.0
+        assert index_of(t, make_view(served=0.0, age=0)) == INF
 
     def test_t_and_tk_read_the_assigned_mean_rate(self):
         view = make_view(served=100.0, age=10, mean_rate_est=10.0, mean_rate=40.0)
@@ -282,22 +278,22 @@ class TestComputeIndex:
         for kind, params in (("T", {}), ("TK", {"tk_variant": "mean"})):
             empirical = StrategySpec(kind=kind, **params)
             assigned = StrategySpec(kind=kind, mean_rate_mode="assigned", **params)
-            value = compute_index(assigned, view)
-            assert value == compute_index(empirical, as_if_assigned)
-            assert value != compute_index(empirical, view)
+            value = index_of(assigned, view)
+            assert value == index_of(empirical, as_if_assigned)
+            assert value != index_of(empirical, view)
 
     def test_t_respects_c_const(self):
         view = make_view(served=100.0, age=10, mean_rate_est=10.0)
-        loose = compute_index(StrategySpec(kind="T", c_const=100.0), view)
-        tight = compute_index(StrategySpec(kind="T", c_const=0.1), view)
+        loose = index_of(StrategySpec(kind="T", c_const=100.0), view)
+        tight = index_of(StrategySpec(kind="T", c_const=0.1), view)
         assert loose > tight
 
     def test_tk_variants(self):
         view = make_view(rate=8.0, served=10.0, age=4, mean_rate_est=6.0)
         tk = StrategySpec(kind="TK")
-        assert compute_index(tk, view) == 20.0  # instantaneous default
-        assert compute_index(StrategySpec(kind="TK", tk_variant="mean"), view) == 15.0
-        assert compute_index(StrategySpec(kind="TK"), make_view(age=0)) == INF
+        assert index_of(tk, view) == 20.0  # instantaneous default
+        assert index_of(StrategySpec(kind="TK", tk_variant="mean"), view) == 15.0
+        assert index_of(StrategySpec(kind="TK"), make_view(age=0)) == INF
 
     def test_linear_kind_combines_children(self):
         spec = StrategySpec(
@@ -306,14 +302,7 @@ class TestComputeIndex:
             weights=(2.0, 1.0),
         )
         view = make_view(rate=10.0, age=5)
-        assert compute_index(spec, view) == 2.0 * 10.0 + 2.0
-
-    def test_probabilistic_has_no_single_index(self):
-        spec = StrategySpec(
-            kind="probabilistic", children=(StrategySpec(kind="tas"),), weights=(1.0,)
-        )
-        with pytest.raises(ParameterError):
-            compute_index(spec, make_view())
+        assert index_of(spec, view) == 2.0 * 10.0 + 2.0
 
     @given(
         kind=st.sampled_from(ATOMIC_KINDS),
@@ -334,7 +323,7 @@ class TestComputeIndex:
             mean_rate_est=mean_est,
             true_size=served + extra,
         )
-        value = compute_index(StrategySpec(kind=kind), view)
+        value = index_of(StrategySpec(kind=kind), view)
         assert not math.isnan(value)
 
     # zero, negative zero, subnormal and huge values, as numerators and denominators
@@ -359,7 +348,7 @@ class TestComputeIndex:
             rate_sum=rate_sum,
             age=age,
         )
-        got = compute_index(StrategySpec(kind=kind), flow)
+        got = index_of(StrategySpec(kind=kind), flow)
         want = INDICES[kind](rate, age, served, rate_sum / (age + 1))
         assert struct.pack("<d", got) == struct.pack("<d", want)  # -0.0 != 0.0 here
 
@@ -415,21 +404,21 @@ class TestLinearCombine:
     def test_zero_weight_masks_value(self):
         # pf = 99 * 1 / 33 = 3, max_ci = 99
         view = make_view(rate=99.0, age=1, served=33.0)
-        assert compute_index(linear_spec(("pf", "max_ci"), (1.0, 0.0)), view) == 3.0
+        assert index_of(linear_spec(("pf", "max_ci"), (1.0, 0.0)), view) == 3.0
         # max_ci = 3, round_robin = 1 / 0 = +inf
         view = make_view(rate=3.0, age=0)
         spec = linear_spec(("max_ci", "round_robin"), (1.0, 0.0))
-        assert compute_index(spec, view) == 3.0
+        assert index_of(spec, view) == 3.0
 
     def test_weighted_sum(self):
         # pf = 12 * 3 / 12 = 3, tas = 12 / 3 = 4
         view = make_view(rate=12.0, age=3, served=12.0)
-        assert compute_index(linear_spec(("pf", "tas"), (1.0, 2.0)), view) == 11.0
+        assert index_of(linear_spec(("pf", "tas"), (1.0, 2.0)), view) == 11.0
 
     def test_infinity_propagates_through_positive_weight(self):
         # das = 5 / 0 = +inf, max_ci = 5
         view = make_view(rate=5.0, served=0.0)
-        assert compute_index(linear_spec(("das", "max_ci"), (1.0, 1.0)), view) == INF
+        assert index_of(linear_spec(("das", "max_ci"), (1.0, 1.0)), view) == INF
 
 
 class TestDrawChild:
@@ -598,8 +587,45 @@ class TestSelectClient:
 
         def rank(f):  # larger first: index, least recently served, smallest id
             never = f.last_served is None
-            return (compute_index(spec, f), never, -(f.last_served or 0), -f.spec.id)
+            return (index_of(spec, f), never, -(f.last_served or 0), -f.spec.id)
 
         expected = max(flows, key=rank).spec.id
         for order in itertools.permutations(flows):
             assert select_client(spec, list(order)).spec.id == expected
+
+
+class TestRoundRobin:
+    def test_serves_the_youngest_eligible_flow(self, monkeypatch):
+        # the index 1/age is largest for the flow that arrived last, so round_robin
+        # is preemptive last-come-first-served: on configs drawn like acceptance
+        # criterion 9's, every contended pick is among the latest arrivals it was
+        # handed, and flows that arrived in the same slot go to the tie rule
+        picks = {"infinite": [], "tcp-refill": []}  # per pick: was it a latest arrival?
+        select = simcore.select_client
+
+        def spy(spec, flows, rng=None):
+            chosen = select(spec, flows, rng)
+            if len(flows) > 1:
+                latest = max(f.spec.arrival_slot for f in flows)
+                picks[mode].append(chosen.spec.arrival_slot == latest)
+            return chosen
+
+        monkeypatch.setattr(simcore, "select_client", spy)
+        rng = random.Random(10)
+        for case in range(200):
+            workload = WorkloadConfig(
+                arrival_rate=rng.uniform(0.05, 0.4), horizon=rng.randint(20, 80), seed=case
+            )
+            buffer = BufferModel()
+            if rng.random() < 0.5:
+                initial = rng.uniform(50.0, 200.0)
+                buffer = BufferModel(mode="tcp-refill", rtt=rng.randint(0, 8),
+                                     initial_window=initial,
+                                     max_window=initial * rng.uniform(1.0, 4.0))
+            mode = buffer.mode
+            run_simulation(SimConfig(workload=workload, buffer=buffer,
+                                     strategy=StrategySpec(kind="round_robin")))
+        # about 1400 infinite and 36000 tcp-refill contested picks
+        for mode, seen in picks.items():
+            assert len(seen) >= 1000, (mode, len(seen))
+            assert all(seen), mode
