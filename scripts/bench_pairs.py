@@ -15,7 +15,10 @@ traced run's self times swing with the host's speed.  Per workload,
 ``sim_digest``s; a stderr warning names any workload where they did not.
 Each side is named by its git revision and by ``source_sha1``, a SHA-1 over
 its ``src/cellsched/*.py``, which also names a checkout that is not
-committed; ``source_lines`` gives the non-blank line count of those files,
+committed; ``bench_sha1`` hashes its ``BENCHMARK.json`` and the files under
+``bench/`` the same way, and a stderr warning says when the two sides'
+differ, since a change that leaves the benchmark alone must give one hash;
+``source_lines`` gives the non-blank line count of those files,
 ``code_lines`` the count of those lines that hold code, not a docstring
 or a ``#`` comment, and ``code_lines_by_module`` that count per file, so a
 move between modules shows as a move.  Standard library only.
@@ -152,15 +155,28 @@ def git_revision(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def source_sha1(checkout: Path) -> str:
-    """SHA-1 over ``src/cellsched/*.py`` in ``checkout``, in sorted path order:
-    each file's path relative to the checkout, its length, then its bytes."""
+def _sha1(checkout: Path, paths) -> str:
+    """SHA-1 over the files ``paths`` in ``checkout``, in sorted path order: each
+    file's path relative to the checkout, its length, then its bytes."""
     digest = hashlib.sha1()
-    for path in sorted(checkout.glob("src/cellsched/*.py")):
+    for path in sorted(paths):
         data = path.read_bytes()
         digest.update(b"%s\0%d\0" % (path.relative_to(checkout).as_posix().encode(), len(data)))
         digest.update(data)
     return digest.hexdigest()
+
+
+def source_sha1(checkout: Path) -> str:
+    """:func:`_sha1` over ``src/cellsched/*.py`` in ``checkout``."""
+    return _sha1(checkout, checkout.glob("src/cellsched/*.py"))
+
+
+def bench_sha1(checkout: Path) -> str:
+    """:func:`_sha1` over ``BENCHMARK.json`` and every file under ``bench/`` in
+    ``checkout``, leaving out the ``__pycache__`` that running the benchmark writes."""
+    files = [path for path in checkout.glob("bench/**/*")
+             if path.is_file() and "__pycache__" not in path.parts]
+    return _sha1(checkout, files + list(checkout.glob("BENCHMARK.json")))
 
 
 def source_lines(checkout: Path) -> int:
@@ -226,6 +242,7 @@ def main(argv=None) -> int:
         "parent": git_revision(args.parent),
         "change": git_revision(args.change),
         "source_sha1": {name: source_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
+        "bench_sha1": {name: bench_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
         "source_lines": {name: source_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
         "code_lines": {name: code_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
         "code_lines_by_module": {name: code_lines_by_module(checkout)
@@ -241,6 +258,10 @@ def main(argv=None) -> int:
         "pairs": {},
         "trace": {},
     }
+    bench = doc["bench_sha1"]
+    if bench["parent"] != bench["change"]:
+        print(f"warning: bench_sha1 differs, parent {bench['parent']} -> "
+              f"change {bench['change']}", file=sys.stderr)
     for workload, count in plan.items():
         pairs = []
         for k in range(count):

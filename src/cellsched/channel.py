@@ -91,13 +91,13 @@ class FlowRateStream:
 
     def __init__(self, base_seed: int, flow: FlowSpec, config: ChannelConfig):
         self._rng = seeding.stream(base_seed, seeding.CHANNEL_STREAM, flow.id)
-        self._config = config
-        self._mean_rate = flow.mean_rate
         if config.envelope_mode == ENVELOPE_LITERAL:
             lo, hi = rate_bounds(flow.mean_rate, 0, config)
             self._lo = lo
             self._span = hi - lo
-        else:
+        else:  # only a moving envelope reads the config and the mean rate again
+            self._config = config
+            self._mean_rate = flow.mean_rate
             self._lo = None
             self._span = None
 

@@ -222,7 +222,9 @@ def _scalar(tp, value, where):
     """Strings and bools pass only as themselves; numbers convert, ints exactly.
 
     A float must be finite: NaN and ±inf are rejected.  An int string in a
-    float's form ("1e3", "10.0") is read as a float and must be whole.
+    float's form ("1e3", "10.0") is read as a float; for an int field it,
+    like a float, must be whole.  An int or a plain int string is taken
+    exactly, even one that no float can hold.
     """
     try:
         float_form = tp is int and type(value) is str and any(c in value for c in ".eE")
@@ -230,7 +232,7 @@ def _scalar(tp, value, where):
         exact = type(value) is tp if tp in (str, bool) else not isinstance(value, bool)
         if tp is float:
             exact = exact and math.isfinite(result)
-        if exact and (tp is not int or result == float(value)):
+        if exact and (type(value) in (int, str) and not float_form or result == float(value)):
             return result
     except (TypeError, ValueError, OverflowError):
         pass

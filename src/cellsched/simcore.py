@@ -36,8 +36,7 @@ advances by one draw per slot, skipped in one step at a stretch's end.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
-flow ever gets stuck behind a rounding residue.  The ``served`` accumulator
-is set to the exact file size on departure.
+flow ever gets stuck behind a rounding residue.
 """
 
 from __future__ import annotations
@@ -115,7 +114,8 @@ class FlowState:
     since arrival; before the strategy reads the record the loop writes
     ``rate`` (this slot's draw) and ``age`` (slots since arrival), so
     ``rate_sum / (age + 1)`` is then the running mean rate.  ``last_served``
-    feeds tie-breaking; ``refill_due`` is the slot a queued refill lands.
+    feeds tie-breaking; ``refill_due`` is the slot a queued refill lands,
+    read only while the record waits in the refill queue.
     ``stream``, the flow's channel rate stream or its seed's record of the
     flow's rates keyed by slot, is set at admission.
 
@@ -229,7 +229,6 @@ def refill_buffers(waiting, t, model: BufferModel) -> None:
         state.unfetched = unfetched - delta
         window *= 2.0
         state.congestion_window = window if window < cap else cap
-        state.refill_due = None
 
 
 def serve_slot(active, t, rate, state):
@@ -252,7 +251,6 @@ def serve_slot(active, t, rate, state):
     state.last_served = t
     if state.buffer == 0.0 and state.unfetched == 0.0:
         spec = state.spec
-        state.served = spec.file_size
         del active[spec.id]
         return tuple.__new__(FlowRecord, (spec.file_size, spec.arrival_slot, t + 1)), transfer
     return None, transfer
@@ -294,10 +292,9 @@ def run_simulation(
         rate_source = ChannelRateSource(config.workload.seed, config.channel)
     strategy = config.strategy
     model = config.buffer
-    probabilistic = strategy.kind == "probabilistic"
     reads_mean = strategy.reads_mean_rate
     choice_rng = (seeding.stream(config.workload.seed, seeding.CHOICE_STREAM)
-                  if probabilistic else None)
+                  if strategy.kind == "probabilistic" else None)
     hard_stop = horizon + _DRAIN_SLACK
 
     active: dict[int, FlowState] = {}
@@ -354,7 +351,7 @@ def run_simulation(
                     if state.buffer == 0.0:
                         break
                 state.rate_sum = rate_sum
-            if probabilistic:
+            if choice_rng is not None:
                 seeding.skip(choice_rng, t + 1 - start)
         else:
             eligible = []

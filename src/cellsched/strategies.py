@@ -231,8 +231,8 @@ def select_client(spec: StrategySpec, flows, rng=None):
     """
     if spec.kind == "probabilistic":
         spec = spec.children[bisect_right(spec._choice_bounds, rng.random())]
-    if len(flows) < 2:
-        return flows[0] if flows else None
+    if len(flows) == 1:
+        return flows[0]
     index_fn = _INDEX_FUNCS[spec.kind]
     best = best_v = None
     for flow in flows:

@@ -132,7 +132,8 @@ def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
-    write_benchmark(change, ("same", "moved"))
+    for checkout in (parent, change):
+        write_benchmark(checkout, ("same", "moved"))
     digests = {("same", parent): "d1", ("same", change): "d1",
                ("moved", parent): "d1", ("moved", change): "d2"}
 
@@ -161,6 +162,40 @@ def test_main_warns_when_a_workload_digest_differs(tmp_path, monkeypatch, capsys
     assert warnings == ["warning: moved: sim_digest differs, parent ['d1'] -> change ['d2']"]
 
 
+def test_main_warns_when_the_benchmark_differs(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "bench" / "__pycache__").mkdir(parents=True)
+        (checkout / "bench" / "run.py").write_text("x = 1\n")
+        write_benchmark(checkout, ("same",))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: result(2.0, 1.0))
+    monkeypatch.setattr(bench_pairs, "git_revision", lambda checkout: "abc")
+    out = tmp_path / "pairs.json"
+    argv = [str(parent), str(change), "--seed", "1", "--seconds", "1", "--plan", "same=1",
+            "--out", str(out)]
+
+    def warnings():
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+
+    # bytecode that a run leaves and files outside bench/ do not count
+    (change / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    (change / "README.md").write_text("other\n")
+    bench_pairs.main(argv)
+    hashes = json.loads(out.read_text())["bench_sha1"]
+    assert hashes["parent"] == hashes["change"] == bench_pairs.bench_sha1(parent)
+    assert warnings() == []
+    # an edit under bench/, or one to BENCHMARK.json alone, moves the change's hash
+    for run_py, workloads in (("x = 2\n", ("same",)), ("x = 1\n", ("same", "more"))):
+        (change / "bench" / "run.py").write_text(run_py)
+        write_benchmark(change, workloads)
+        bench_pairs.main(argv)
+        hashes = json.loads(out.read_text())["bench_sha1"]
+        assert hashes["change"] == bench_pairs.bench_sha1(change) != hashes["parent"]
+        assert warnings() == [f"warning: bench_sha1 differs, parent {hashes['parent']} -> "
+                              f"change {hashes['change']}"]
+
+
 def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout, text in ((parent, "x = 1\n"), (change, "x = 2\n")):
@@ -169,7 +204,8 @@ def test_main_names_each_side_by_a_hash_of_its_sources(tmp_path, monkeypatch):
         (checkout / "src" / "cellsched" / "b.py").write_text("y = 1\n")
         (checkout / "README.md").write_text(text)  # not a source file
     (change / "src" / "cellsched" / "b.py").write_text("\ny = 1\n  \nz = 2\n")
-    write_benchmark(change, ("same",))
+    for checkout in (parent, change):
+        write_benchmark(checkout, ("same",))
     monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: result(2.0, 1.0))
     monkeypatch.setattr(bench_pairs, "git_revision", lambda checkout: "unknown")
     out = tmp_path / "pairs.json"

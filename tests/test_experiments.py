@@ -488,6 +488,14 @@ class TestExperimentSerialization:
         assert config.sim.workload.horizon == 1000
         assert (config.replications, config.base_seed) == (2, 7)
 
+    def test_an_int_no_float_can_hold_decodes_exactly(self):
+        # decoding only: no run reaches such a horizon
+        big = 2**53 + 1  # 9007199254740993, read back from a float as ...992
+        config = experiment_from_dict({"horizon": big, "base_seed": big})
+        assert (config.sim.workload.horizon, config.base_seed) == (big, big)
+        config = experiment_from_dict({"horizon": str(big), "replications": 10.0})
+        assert (config.sim.workload.horizon, config.replications) == (big, 10)
+
     def test_unknown_keys_rejected_per_section(self):
         for payload in (
             {"mystery": 1},

@@ -6,8 +6,9 @@ for every index the reference knows and for linear sums and mixtures of
 them, under the infinite and the ``tcp-refill`` buffer, in both envelope
 modes and with the drain on or off, the served sequence, the completed
 flow records and the count of unfinished flows must agree exactly, slot
-for slot.  The last test draws its configs at random, the way acceptance
-criterion 9 does.
+for slot, also for runs that replay one seed's rates from a shared source.
+The last test draws its configs at random, the way acceptance criterion 9
+does.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from cellsched import (
     BufferModel, ChannelConfig, ParetoMixture, SimConfig, StrategySpec, WorkloadConfig,
     generate_workload, run_simulation,
 )
+from cellsched.channel import SharedRateSource
 
 from reference_model import BUFFER_INDICES, INDICES, Linear, simulate
 
@@ -116,9 +118,10 @@ def test_simulator_matches_reference_under_tcp_refill(spec):
     assert all_wait >= 20 * len(TCP_BUFFERS), f"only {all_wait} slots where every flow waits"
 
 
-def _check_config(config: SimConfig):
-    """Run ``config`` in both; returns the reference's replay once they agree, the count
-    of flows left unfinished included."""
+def _check_config(config: SimConfig, **given):
+    """Run ``config`` in both, the simulator on the ``flows`` and ``rate_source`` that
+    ``given`` may hold; returns the reference's replay once they agree, the count of
+    flows left unfinished included."""
     workload, buffer = config.workload, config.buffer
     tcp = (buffer.rtt, buffer.initial_window, buffer.max_window)
     expected = simulate(
@@ -126,7 +129,7 @@ def _check_config(config: SimConfig):
         tcp if buffer.mode == "tcp-refill" else None, config.channel,
         None if config.drain_after_horizon else workload.horizon,
     )
-    result = run_simulation(config, collect_trace=True)
+    result = run_simulation(config, collect_trace=True, **given)
     served = [(e.t, e.chosen_id) for e in result.trace if e.chosen_id is not None]
     i = _first_difference(served, expected.served)
     assert served == expected.served, (
@@ -164,6 +167,31 @@ def test_envelope_and_drain_match_reference(spec):
     assert contested >= 30 * runs, f"only {contested} contested slots"
     # on average a run without the drain stops with a flow still active
     assert unfinished >= stopped, f"only {unfinished} unfinished flows in {stopped} runs"
+
+
+# tas first: it skips its waits' rates, and the kinds after it read them back
+REPLAYED_SPECS = (TAS, T, StrategySpec(kind="TK", tk_variant="mean"), MIXTURE, LINEAR)
+
+
+def test_runs_replayed_from_a_shared_source_match_reference():
+    # per seed, one flow list and one SharedRateSource serve every kind in turn
+    runs = contested = all_wait = 0
+    for tcp in (None, TCP_BUFFERS[2], TCP_BUFFERS[5]):  # rtt 1 and 3, both window pairs
+        buffer = BufferModel() if tcp is None else BufferModel("tcp-refill", *tcp)
+        rate, horizon = (0.09, 1000) if tcp is None else (0.02, 300)
+        for seed in SEEDS:
+            workload = WorkloadConfig(arrival_rate=rate, horizon=horizon, seed=seed)
+            flows = generate_workload(workload)
+            shared = SharedRateSource(seed, ChannelConfig())
+            for spec in REPLAYED_SPECS:
+                config = SimConfig(workload=workload, strategy=spec, buffer=buffer)
+                replay = _check_config(config, flows=flows, rate_source=shared)
+                runs += 1
+                contested += replay.contested
+                all_wait += replay.all_wait
+    assert contested >= 30 * runs, f"only {contested} contested slots"
+    # waits whose rates tas skipped and the mean readers after it add up
+    assert all_wait >= 20 * len(SEEDS), f"only {all_wait} slots where every flow waits"
 
 
 ATOMIC_SPECS = tuple(spec for spec in RANKING_SPECS + MORE_SPECS if not spec.children)

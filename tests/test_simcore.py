@@ -250,7 +250,7 @@ class TestRefillBuffers:
         assert state.buffer == 100.0
         assert state.unfetched == 300.0
         assert state.congestion_window == 200.0  # doubled for the next cycle
-        assert state.refill_due is None and not waiting
+        assert not waiting
 
     def test_zero_rtt_delivers_same_slot(self, monkeypatch):
         # with rtt = 0 the refill lands on the slot after the emptying serve,
