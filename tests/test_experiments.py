@@ -554,11 +554,28 @@ class TestExperimentSerialization:
             ({"horizon": "10.5"}, "config.horizon: '10.5' is not a valid int"),
             ({"horizon": "1e-3"}, "config.horizon: '1e-3' is not a valid int"),
             ({"horizon": "inf"}, "config.horizon: 'inf' is not a valid int"),
+            # the fields the loader fixes are unknown in a file
+            ({"sim": {}}, "config: unknown fields ['sim']"),
+            ({"strategy": "tas"}, "config: unknown fields ['strategy']"),
+            ({"workload": {"seed": 1}}, "config.workload: unknown fields ['seed']"),
+            ({"workload": {"horizon": 5}}, "config.workload: unknown fields ['horizon']"),
         ],
     )
     def test_decode_failures_name_the_field(self, payload, where):
         with pytest.raises(ParameterError, match=re.escape(where)):
             experiment_from_dict(payload)
+
+    def test_a_field_given_decoded_is_unknown_in_the_data(self):
+        with pytest.raises(ParameterError, match=re.escape("w: unknown fields ['seed']")):
+            from_dict(WorkloadConfig, {"seed": 3}, "w", seed=0)
+
+    def test_loading_leaves_the_mapping_unchanged(self):
+        workload = {"arrival_rate": 0.05}
+        data = {"horizon": 1000, "workload": workload, "strategies": ["tas", "das"]}
+        experiment_from_dict(data)
+        assert data == {"horizon": 1000, "workload": {"arrival_rate": 0.05},
+                        "strategies": ["tas", "das"]}
+        assert data["workload"] is workload
 
     def test_tuples_decode_like_lists(self):
         linear = {"kind": "linear", "children": ["tas", "das"], "weights": [1.0, 0.5]}
