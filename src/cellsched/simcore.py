@@ -34,6 +34,11 @@ the running mean rate, else passed over by one ``stream.skip`` call, which
 keeps the stream on slot.  A probabilistic strategy's choice stream still
 advances by one draw per slot, skipped in one step at a stretch's end.
 
+With ``collect_trace`` the run also returns its per-slot service trace, a
+``Trace`` of three columns that holds no object per slot: a contended or
+single-flow slot appends its values, and an idle or wait stretch adds its
+rows once, at its end.
+
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
 flow ever gets stuck behind a rounding residue.
@@ -43,7 +48,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import NamedTuple
 
 from . import seeding
@@ -172,9 +179,9 @@ class SimConfig:
 class TraceEvent(NamedTuple):
     """One slot of the service trace: who was served and how much moved.
 
-    A named tuple rather than a frozen dataclass: one is built per slot of a
-    traced run.  The slot loop builds each row with ``tuple.__new__``, which
-    skips the named tuple's Python-level ``__new__`` and gives an equal row.
+    ``chosen_id`` is None on a slot that serves no flow.  A ``Trace`` builds
+    each row as it is read, with ``tuple.__new__``, which skips the named
+    tuple's Python-level ``__new__`` and gives an equal row.
     """
 
     t: int
@@ -183,11 +190,74 @@ class TraceEvent(NamedTuple):
     active_count: int
 
 
+def _rows(slots, chosen_ids, transfers, active_counts):
+    """The ``TraceEvent`` rows of equal-length columns, built in C as read."""
+    return map(tuple.__new__, repeat(TraceEvent),
+               zip(slots, chosen_ids, transfers, active_counts))
+
+
+class Trace(Sequence):
+    """The service trace of a run: one ``TraceEvent`` row per slot, kept as columns.
+
+    Row i is slot i, because the slot loop writes one row per slot from
+    slot 0 on, so ``t`` is not stored.  The other three fields are the
+    tuples ``chosen_ids``, ``transfers`` and ``active_counts``, for readers
+    that want a column whole.  Rows are built only when read: ``len``,
+    indexing (negative indices too), slicing (a tuple of rows), iteration,
+    ``==`` and ``hash`` behave as on a tuple of the rows, to which a trace
+    also compares equal.  No row stays alive, and so none stays tracked by
+    the garbage collector, for as long as the trace does.
+    """
+
+    __slots__ = ("chosen_ids", "transfers", "active_counts")
+
+    def __init__(self, chosen_ids, transfers, active_counts):
+        self.chosen_ids = chosen_ids
+        self.transfers = transfers
+        self.active_counts = active_counts
+
+    def __len__(self):
+        return len(self.chosen_ids)
+
+    def __getitem__(self, index):
+        slots = range(len(self.chosen_ids))[index]  # raises as a tuple's index would
+        if isinstance(index, slice):
+            return tuple(_rows(slots, self.chosen_ids[index], self.transfers[index],
+                               self.active_counts[index]))
+        return tuple.__new__(TraceEvent, (slots, self.chosen_ids[slots],
+                                          self.transfers[slots], self.active_counts[slots]))
+
+    def __iter__(self):
+        return _rows(count(), self.chosen_ids, self.transfers, self.active_counts)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return (self.chosen_ids == other.chosen_ids and self.transfers == other.transfers
+                    and self.active_counts == other.active_counts)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))  # as the tuple of its rows, which compares equal
+
+    def __repr__(self):
+        return f"Trace(<{len(self)} slots>)"
+
+
 @dataclass(frozen=True)
 class SimResult:
+    """What one run returns.
+
+    ``records`` holds a ``FlowRecord`` per departed flow, in departure
+    order; ``unfinished`` counts the flows still active when the run
+    stopped (0 whenever it drains).  ``trace`` is the run's ``Trace``, or
+    None unless ``run_simulation`` was asked to collect it.
+    """
+
     records: tuple[FlowRecord, ...]
     unfinished: int
-    trace: tuple[TraceEvent, ...] | None = None
+    trace: Trace | None = None
 
 
 def make_flow_state(spec: FlowSpec, model: BufferModel, stream=None) -> FlowState:
@@ -300,8 +370,8 @@ def run_simulation(
     active: dict[int, FlowState] = {}
     waiting: deque[FlowState] = deque()  # tcp-refill records in refill_due order
     records = []
-    trace = [] if collect_trace else None
-    event = tuple.__new__  # builds a TraceEvent without its Python-level __new__
+    chosen_ids, transfers, active_counts = [], [], []  # the trace, when collected
+    add_id, add_transfer, add_count = chosen_ids.append, transfers.append, active_counts.append
 
     arrivals = [spec.arrival_slot for spec in flows] + [horizon]  # horizon: none left
     next_pending = 0
@@ -331,13 +401,12 @@ def run_simulation(
             start = t
             stop = arrivals[next_pending] if t < horizon else hard_stop
             if waiting or not n:
+                chosen = None
                 if waiting:
                     due = waiting[0].refill_due
                     stop = due if due < stop else stop
                 for t in range(start, stop):
                     serve_slot(active, t, 0.0, None)
-                    if trace is not None:
-                        trace.append(event(TraceEvent, (t, None, 0.0, n)))
             else:
                 (state,) = active.values()
                 chosen = state.spec.id
@@ -346,13 +415,19 @@ def run_simulation(
                 for t in range(start, stop):
                     rate_sum += (rate := draw(t))
                     record, transfer = serve_slot(active, t, rate, state)
-                    if trace is not None:
-                        trace.append(event(TraceEvent, (t, chosen, transfer, 1)))
+                    if collect_trace:
+                        add_transfer(transfer)
                     if state.buffer == 0.0:
                         break
                 state.rate_sum = rate_sum
+            span = t + 1 - start
+            if collect_trace:  # the stretch's rows: n is 1 on a single-flow stretch
+                chosen_ids.extend(repeat(chosen, span))
+                active_counts.extend(repeat(n, span))
+                if chosen is None:
+                    transfers.extend(repeat(0.0, span))
             if choice_rng is not None:
-                seeding.skip(choice_rng, t + 1 - start)
+                seeding.skip(choice_rng, span)
         else:
             eligible = []
             for flow in active.values():
@@ -366,8 +441,10 @@ def run_simulation(
                 raise SchedulingError(f"no active flow chosen on contended slot {t}; "
                                       "invariant broken")
             record, transfer = serve_slot(active, t, state.rate, state)
-            if trace is not None:
-                trace.append(event(TraceEvent, (t, state.spec.id, transfer, n)))
+            if collect_trace:
+                add_id(state.spec.id)
+                add_transfer(transfer)
+                add_count(n)
         if record is not None:
             records.append(record)
         elif state is not None and state.buffer == 0.0:
@@ -386,5 +463,6 @@ def run_simulation(
     return SimResult(
         records=tuple(records),
         unfinished=len(active),
-        trace=tuple(trace) if trace is not None else None,
+        trace=(Trace(tuple(chosen_ids), tuple(transfers), tuple(active_counts))
+               if collect_trace else None),
     )

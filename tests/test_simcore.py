@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from collections import deque
@@ -25,7 +26,7 @@ from cellsched.channel import ChannelRateSource
 from cellsched.errors import SchedulingError
 from cellsched.metrics import FlowRecord
 from cellsched.simcore import (
-    FlowState, admit_arrivals, make_flow_state, refill_buffers, serve_slot,
+    FlowState, TraceEvent, admit_arrivals, make_flow_state, refill_buffers, serve_slot,
 )
 
 from conftest import FixedRateSource, make_flow
@@ -774,3 +775,72 @@ class TestRunSimulation:
         admitted = len(generate_workload(workload))
         assert len(result.records) + result.unfinished == admitted
         assert result.unfinished == 0  # drain enabled by default
+
+
+def _short_configs(count: int) -> list[SimConfig]:
+    """Criterion-9-style runs: tiny randomized configs, alternating the two buffers."""
+    rng = random.Random(34)
+    configs = []
+    for case in range(count):
+        buffer = INFINITE
+        if case % 2:
+            initial = rng.uniform(50.0, 200.0)
+            buffer = BufferModel(mode="tcp-refill", rtt=rng.randint(0, 8),
+                                 initial_window=initial,
+                                 max_window=initial * rng.uniform(1.0, 4.0))
+        kind = rng.choice(("round_robin", "max_ci", "tas", "das", "pf", "srpt", "T", "TK"))
+        configs.append(SimConfig(
+            workload=WorkloadConfig(arrival_rate=rng.uniform(0.15, 0.4),
+                                    horizon=rng.randint(40, 80), seed=case),
+            strategy=StrategySpec(kind=kind), buffer=buffer,
+        ))
+    return configs
+
+
+class TestTrace:
+    """A trace reads as the tuple of its ``TraceEvent`` rows, yet holds none of them."""
+
+    @pytest.mark.parametrize("config", _short_configs(6))
+    def test_rows_read_as_a_tuple_of_events(self, config):
+        trace = run_simulation(config, collect_trace=True).trace
+        rows = list(trace)
+        assert len(rows) == len(trace) > 5
+        assert all(type(e) is TraceEvent for e in rows)
+        assert [e.t for e in trace] == list(range(len(trace)))  # row i is slot i
+        assert rows == [trace[i] for i in range(len(trace))]
+        assert (trace[-1], trace[-len(trace)]) == (rows[-1], rows[0])
+        window = trace[2:5]
+        assert type(window) is tuple and window == tuple(rows[2:5])
+        assert all(type(e) is TraceEvent for e in window)
+        assert trace[::-3] == tuple(rows[::-3])
+        for index in (len(trace), -len(trace) - 1):
+            with pytest.raises(IndexError):
+                trace[index]
+        columns = zip(trace.chosen_ids, trace.transfers, trace.active_counts)
+        assert [e[1:] for e in rows] == list(columns)
+
+    @pytest.mark.parametrize("config", _short_configs(6))
+    def test_equal_runs_compare_equal_and_hash_alike(self, config):
+        a = run_simulation(config, collect_trace=True)
+        b = run_simulation(config, collect_trace=True)
+        other = replace(config, workload=replace(config.workload, seed=config.workload.seed + 100))
+        assert a.trace == b.trace and a.trace == tuple(b.trace) and tuple(a.trace) == b.trace
+        assert a.trace != run_simulation(other, collect_trace=True).trace
+        assert hash(a) == hash(b)
+        assert hash(a.trace) == hash(tuple(a.trace))
+
+    def test_a_held_trace_keeps_no_object_per_slot(self):
+        # A row of a tuple subclass stays tracked by the collector for as long as
+        # it lives, so a trace holding its rows would add one object per slot.
+        config = sim_config(flows_horizon=20_000, strategy="tas")
+        run_simulation(config)  # first-run set-up is not the trace's
+        gc.collect()
+        before = len(gc.get_objects())
+        plain = run_simulation(config)
+        gc.collect()
+        middle = len(gc.get_objects())
+        traced = run_simulation(config, collect_trace=True)
+        gc.collect()
+        after = len(gc.get_objects())
+        assert traced.records == plain.records and len(traced.trace) >= 20_000
+        assert (after - middle) - (middle - before) < len(traced.trace) // 100
