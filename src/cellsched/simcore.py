@@ -35,9 +35,9 @@ keeps the stream on slot.  A probabilistic strategy's choice stream still
 advances by one draw per slot, skipped in one step at a stretch's end.
 
 With ``collect_trace`` the run also returns its per-slot service trace, a
-``Trace`` of three columns that holds no object per slot: a contended or
-single-flow slot appends its values, and an idle or wait stretch adds its
-rows once, at its end.
+``Trace`` that keeps three columns and no object per slot: a contended slot
+appends to each column, a single-flow slot appends its transfer, and a
+forced stretch adds the rest of its values once, at its end.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
