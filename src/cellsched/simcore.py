@@ -196,25 +196,22 @@ def _rows(slots, chosen_ids, transfers, active_counts):
                zip(slots, chosen_ids, transfers, active_counts))
 
 
+@dataclass(frozen=True, slots=True)
 class Trace(Sequence):
     """The service trace of a run: one ``TraceEvent`` row per slot, kept as columns.
 
     Row i is slot i, because the slot loop writes one row per slot from
-    slot 0 on, so ``t`` is not stored.  The other three fields are the
-    tuples ``chosen_ids``, ``transfers`` and ``active_counts``, for readers
-    that want a column whole.  Rows are built only when read: ``len``,
-    indexing (negative indices too), slicing (a tuple of rows), iteration,
-    ``==`` and ``hash`` behave as on a tuple of the rows, to which a trace
-    also compares equal.  No row stays alive, and so none stays tracked by
-    the garbage collector, for as long as the trace does.
+    slot 0 on, so ``t`` is not stored; the fields are the other three
+    columns, for readers that want one whole.  Rows are built only when
+    read: ``len``, indexing (negative indices too), slicing (a tuple of
+    rows) and iteration behave as on the tuple of the rows, and two traces
+    are equal when their rows are.  No row stays alive, and so none stays
+    tracked by the garbage collector, for as long as the trace does.
     """
 
-    __slots__ = ("chosen_ids", "transfers", "active_counts")
-
-    def __init__(self, chosen_ids, transfers, active_counts):
-        self.chosen_ids = chosen_ids
-        self.transfers = transfers
-        self.active_counts = active_counts
+    chosen_ids: tuple[int | None, ...]
+    transfers: tuple[float, ...]
+    active_counts: tuple[int, ...]
 
     def __len__(self):
         return len(self.chosen_ids)
@@ -229,20 +226,6 @@ class Trace(Sequence):
 
     def __iter__(self):
         return _rows(count(), self.chosen_ids, self.transfers, self.active_counts)
-
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return (self.chosen_ids == other.chosen_ids and self.transfers == other.transfers
-                    and self.active_counts == other.active_counts)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))  # as the tuple of its rows, which compares equal
-
-    def __repr__(self):
-        return f"Trace(<{len(self)} slots>)"
 
 
 @dataclass(frozen=True)
