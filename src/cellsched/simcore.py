@@ -35,9 +35,9 @@ keeps the stream on slot.  A probabilistic strategy's choice stream still
 advances by one draw per slot, skipped in one step at a stretch's end.
 
 With ``collect_trace`` the run also returns its per-slot service trace, a
-``Trace`` that keeps three columns and no object per slot: a contended slot
-appends to each column, a single-flow slot appends its transfer, and a
-forced stretch adds the rest of its values once, at its end.
+``Trace`` that keeps three columns and no object per slot: a contended or
+single-flow slot appends to each column, and an idle or wait stretch adds
+its rows to each column once, at its end.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
@@ -384,12 +384,16 @@ def run_simulation(
             start = t
             stop = arrivals[next_pending] if t < horizon else hard_stop
             if waiting or not n:
-                chosen = None
                 if waiting:
                     due = waiting[0].refill_due
                     stop = due if due < stop else stop
                 for t in range(start, stop):
                     serve_slot(active, t, 0.0, None)
+                if collect_trace:  # list repetition: about half the cost of extend(repeat())
+                    span = stop - start
+                    chosen_ids += [None] * span
+                    transfers += [0.0] * span
+                    active_counts += [n] * span
             else:
                 (state,) = active.values()
                 chosen = state.spec.id
@@ -399,18 +403,14 @@ def run_simulation(
                     rate_sum += (rate := draw(t))
                     record, transfer = serve_slot(active, t, rate, state)
                     if collect_trace:
+                        add_id(chosen)
                         add_transfer(transfer)
+                        add_count(1)
                     if state.buffer == 0.0:
                         break
                 state.rate_sum = rate_sum
-            span = t + 1 - start
-            if collect_trace:  # the stretch's rows: n is 1 on a single-flow stretch
-                chosen_ids.extend(repeat(chosen, span))
-                active_counts.extend(repeat(n, span))
-                if chosen is None:
-                    transfers.extend(repeat(0.0, span))
             if choice_rng is not None:
-                seeding.skip(choice_rng, span)
+                seeding.skip(choice_rng, t + 1 - start)
         else:
             eligible = []
             for flow in active.values():
