@@ -51,11 +51,10 @@ class ChannelConfig:
 
 
 def envelope_factor(t: float, config: ChannelConfig) -> float:
-    """Envelope multiplier E(t); constant over t in literal mode."""
+    """Envelope multiplier E(t); literal mode reads every t as slot 1, as ``envelope_max`` does."""
     if config.envelope_mode == ENVELOPE_LITERAL:
-        arg = config.envelope_freq + config.envelope_phase
-    else:
-        arg = config.envelope_freq * t + config.envelope_phase
+        t = 1  # freq * 1 == freq exactly: the argument is freq + phase
+    arg = config.envelope_freq * t + config.envelope_phase
     return config.envelope_amplitude * (math.sin(arg) + 1.0)
 
 

@@ -39,7 +39,35 @@ from .experiments import (
 from .simcore import run_simulation
 from .workload import generate_workload
 
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's scanner, when built in
+
+class _UniqueKeys:
+    """A safe loader's check that no key is given twice in one mapping.
+
+    Each mapping's own keys are checked before its merge keys (``<<``) are
+    flattened into it, so a key may still override one that a merge brings.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._checked = set()  # a node merged more than once is flattened each time
+
+    def flatten_mapping(self, node):
+        if node not in self._checked:
+            self._checked.add(node)
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key.value!r}", key.start_mark)
+                    seen.add((key.tag, key.value))
+        super().flatten_mapping(node)
+
+
+class _LOADER(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The config loader: libyaml's scanner when PyYAML is built with it."""
+
 
 TABLE_HEADER = (
     "strategy",

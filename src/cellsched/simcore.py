@@ -37,7 +37,8 @@ advances by one draw per slot, skipped in one step at a stretch's end.
 With ``collect_trace`` the run also returns its per-slot service trace, a
 ``Trace`` that keeps three columns and no object per slot: a contended or
 single-flow slot appends to each column, and an idle or wait stretch adds
-its rows to each column once, at its end.
+its rows to each column once, at its end.  Rows come from iterating the
+trace; one slot is read from the columns.
 
 Buffer semantics are chosen so completion is exact in floating point: the
 final transfer equals the remaining buffer, and x - x == 0.0 always, so no
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple
@@ -179,8 +179,8 @@ class SimConfig:
 class TraceEvent(NamedTuple):
     """One slot of the service trace: who was served and how much moved.
 
-    ``chosen_id`` is None on a slot that serves no flow.  A ``Trace`` builds
-    each row as it is read, with ``tuple.__new__``, which skips the named
+    ``chosen_id`` is None on a slot that serves no flow.  Iterating a
+    ``Trace`` builds each row with ``tuple.__new__``, which skips the named
     tuple's Python-level ``__new__`` and gives an equal row.
     """
 
@@ -190,23 +190,17 @@ class TraceEvent(NamedTuple):
     active_count: int
 
 
-def _rows(slots, chosen_ids, transfers, active_counts):
-    """The ``TraceEvent`` rows of equal-length columns, built in C as read."""
-    return map(tuple.__new__, repeat(TraceEvent),
-               zip(slots, chosen_ids, transfers, active_counts))
-
-
 @dataclass(frozen=True, slots=True)
-class Trace(Sequence):
+class Trace:
     """The service trace of a run: one ``TraceEvent`` row per slot, kept as columns.
 
     Row i is slot i, because the slot loop writes one row per slot from
     slot 0 on, so ``t`` is not stored; the fields are the other three
-    columns, for readers that want one whole.  Rows are built only when
-    read: ``len``, indexing (negative indices too), slicing (a tuple of
-    rows) and iteration behave as on the tuple of the rows, and two traces
-    are equal when their rows are.  No row stays alive, and so none stays
-    tracked by the garbage collector, for as long as the trace does.
+    columns, which are also how to read one slot (``trace.chosen_ids[i]``).
+    Rows come only from iteration, built in C as read; ``len`` counts them,
+    and two traces are equal when their columns are.  No row stays alive,
+    and so none stays tracked by the garbage collector, for as long as the
+    trace does.
     """
 
     chosen_ids: tuple[int | None, ...]
@@ -216,16 +210,9 @@ class Trace(Sequence):
     def __len__(self):
         return len(self.chosen_ids)
 
-    def __getitem__(self, index):
-        slots = range(len(self.chosen_ids))[index]  # raises as a tuple's index would
-        if isinstance(index, slice):
-            return tuple(_rows(slots, self.chosen_ids[index], self.transfers[index],
-                               self.active_counts[index]))
-        return tuple.__new__(TraceEvent, (slots, self.chosen_ids[slots],
-                                          self.transfers[slots], self.active_counts[slots]))
-
     def __iter__(self):
-        return _rows(count(), self.chosen_ids, self.transfers, self.active_counts)
+        return map(tuple.__new__, repeat(TraceEvent),
+                   zip(count(), self.chosen_ids, self.transfers, self.active_counts))
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,13 @@ class TestEnvelopeFactor:
         assert values.pop() == pytest.approx(LITERAL_ENVELOPE, rel=1e-12)
         assert envelope_factor(0, config) == pytest.approx(1.6505, abs=1e-4)
 
+    @pytest.mark.parametrize("freq, phase", [(5e-4, 0.1), (0.3, -2.0), (-1.7, 40.0), (0.0, 1.0)])
+    def test_literal_mode_is_time_varying_at_slot_one(self, freq, phase):
+        literal = ChannelConfig(envelope_freq=freq, envelope_phase=phase)
+        moving = replace(literal, envelope_mode=ENVELOPE_TIME_VARYING)
+        for t in (0, 1, 2, 17, 12_345, 10**6, 2.5):
+            assert envelope_factor(t, literal) == envelope_factor(1, moving)
+
     def test_time_varying_at_zero(self):
         config = ChannelConfig(envelope_mode=ENVELOPE_TIME_VARYING)
         assert envelope_factor(0, config) == pytest.approx(1.6497, abs=1e-4)

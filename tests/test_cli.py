@@ -390,9 +390,57 @@ class TestYamlLoaders:
         path = tmp_path / "readme.yaml"
         path.write_text(_readme_yaml())
         config = load_config(str(path))
-        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(cli, "_LOADER", _PURE_LOADER)
         assert load_config(str(path)) == config
         assert len(config.strategies) == 6
+
+
+_PURE_LOADER = type("PureLoader", (cli._UniqueKeys, yaml.SafeLoader), {})
+
+
+@pytest.fixture(params=["default", "pure"])
+def either_loader(request, monkeypatch):
+    """Each test runs with the CLI's loader and with the pure-Python one."""
+    if request.param == "pure":
+        monkeypatch.setattr(cli, "_LOADER", _PURE_LOADER)
+
+
+@pytest.mark.usefixtures("either_loader")
+class TestDuplicateKeys:
+    """A key given twice in one mapping is an error, not a silent last-wins."""
+
+    def test_top_level_key_given_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text("horizon: 50\nreplications: 2\nhorizon: 60\n")
+        assert main(["dump-workload", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "found duplicate key 'horizon'" in err and "line 3" in err
+        assert not (tmp_path / "workload.csv").exists()
+
+    def test_nested_key_given_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text("horizon: 50\nworkload:\n  arrival_rate: 0.1\n"
+                        "  rate_lo_mult: 0.5\n  'arrival_rate': 0.2\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "found duplicate key 'arrival_rate'" in err and "line 5" in err
+
+    def test_a_key_may_override_a_merged_one(self, tmp_path):
+        # T's own c_const overrides the merged one; that mapping is merged again
+        # into the second strategy, where its merged keys are already in place
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            "horizon: 50\n"
+            "workload:\n  <<: {arrival_rate: 0.1, rate_lo_mult: 0.5}\n  arrival_rate: 0.2\n"
+            "strategies:\n"
+            "  - &t {kind: T, <<: {c_const: 1.0}, c_const: 2.0}\n"
+            "  - {<<: *t, mean_rate_mode: assigned}\n"
+        )
+        config = load_config(str(path))
+        workload = config.sim.workload
+        assert (workload.arrival_rate, workload.rate_lo_mult) == (0.2, 0.5)
+        assert [s.label() for s in config.strategies] == [
+            "T(c_const=2)", "T(c_const=2,mean_rate_mode=assigned)"]
 
 
 class _ClosedPipe(io.StringIO):

@@ -323,7 +323,7 @@ class TestServeSlot:
             rate_source=_SquareRateSource({0: 10.0, 1: 1.0}),
             collect_trace=True,
         )
-        assert [e.chosen_id for e in result.trace[:5]] == [0, None, None, None, 1]
+        assert result.trace.chosen_ids[:5] == (0, None, None, None, 1)
         # rates 10, 11, 14, 19, 26: the idle slots' draws are in the mean
         assert views[4][0] == 16.0 and set(views[4]) == {0, 1}
 
@@ -347,7 +347,7 @@ class TestServeSlot:
         )
         trace = result.trace
         assert [e.t for e in trace] == list(range(len(trace)))  # one row per slot
-        assert [(e.chosen_id, e.active_count) for e in trace[:6]] == [
+        assert list(zip(trace.chosen_ids, trace.active_counts))[:6] == [
             (0, 1), (1, 2), (None, 2), (None, 2), (2, 3), (1, 3),
         ]
         # each running mean holds every draw of the wait
@@ -365,7 +365,7 @@ class TestServeSlot:
             rate_source=_SquareRateSource({0: 100.0, 1: 1.0}),
             collect_trace=True,
         )
-        assert [e.chosen_id for e in result.trace[:3]] == [0, 0, 0]
+        assert result.trace.chosen_ids[:3] == (0, 0, 0)
         # flow 1 draws 1, 2, 5 while unserved
         assert views[1][1] == 1.5
         assert views[2][1] == 8.0 / 3.0
@@ -798,7 +798,7 @@ def _short_configs(count: int) -> list[SimConfig]:
 
 
 class TestTrace:
-    """A trace reads as the tuple of its ``TraceEvent`` rows, yet holds none of them."""
+    """A trace iterates as its ``TraceEvent`` rows, yet holds none of them."""
 
     @pytest.mark.parametrize("config", _short_configs(6))
     def test_rows_read_as_a_tuple_of_events(self, config):
@@ -807,15 +807,6 @@ class TestTrace:
         assert len(rows) == len(trace) > 5
         assert all(type(e) is TraceEvent for e in rows)
         assert [e.t for e in trace] == list(range(len(trace)))  # row i is slot i
-        assert rows == [trace[i] for i in range(len(trace))]
-        assert (trace[-1], trace[-len(trace)]) == (rows[-1], rows[0])
-        window = trace[2:5]
-        assert type(window) is tuple and window == tuple(rows[2:5])
-        assert all(type(e) is TraceEvent for e in window)
-        assert trace[::-3] == tuple(rows[::-3])
-        for index in (len(trace), -len(trace) - 1):
-            with pytest.raises(IndexError):
-                trace[index]
         columns = zip(trace.chosen_ids, trace.transfers, trace.active_counts)
         assert [e[1:] for e in rows] == list(columns)
 
