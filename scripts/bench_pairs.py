@@ -185,15 +185,10 @@ def source_lines(checkout: Path) -> int:
                for line in path.read_text().splitlines() if line.strip())
 
 
-def code_lines(checkout: Path) -> int:
-    """The number of non-blank lines in ``src/cellsched/*.py`` in ``checkout``
-    that hold a token other than a docstring or a ``#`` comment."""
-    return sum(code_lines_by_module(checkout).values())
-
-
 def code_lines_by_module(checkout: Path) -> dict[str, int]:
-    """:func:`code_lines` of each file of ``src/cellsched/*.py``, keyed by file name
-    in sorted order, so that code moved between modules shows as a move."""
+    """The number of non-blank lines of each file of ``src/cellsched/*.py`` in
+    ``checkout`` that hold a token other than a docstring or a ``#`` comment, keyed
+    by file name in sorted order, so that code moved between modules shows as a move."""
     counts = {}
     for path in sorted(checkout.glob("src/cellsched/*.py")):
         text = path.read_text()
@@ -237,6 +232,7 @@ def main(argv=None) -> int:
             return 2
         plan[name] = int(count)
 
+    by_module = {name: code_lines_by_module(checkout) for name, checkout in zip(SIDES, checkouts)}
     doc = {
         "description": args.description,
         "parent": git_revision(args.parent),
@@ -244,9 +240,8 @@ def main(argv=None) -> int:
         "source_sha1": {name: source_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
         "bench_sha1": {name: bench_sha1(checkout) for name, checkout in zip(SIDES, checkouts)},
         "source_lines": {name: source_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
-        "code_lines": {name: code_lines(checkout) for name, checkout in zip(SIDES, checkouts)},
-        "code_lines_by_module": {name: code_lines_by_module(checkout)
-                                 for name, checkout in zip(SIDES, checkouts)},
+        "code_lines": {name: sum(modules.values()) for name, modules in by_module.items()},
+        "code_lines_by_module": by_module,
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, "
                 f"Python {platform.python_version()}; times scaled to the nominal "
                 "host speed by bench/hostspeed.py",

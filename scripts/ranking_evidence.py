@@ -29,8 +29,8 @@ Run from the repository root (30-60 s on two cores):
 
 from __future__ import annotations
 
-import contextlib
 import math
+from unittest.mock import patch
 
 from cellsched import StrategySpec, experiment_from_dict, strategies
 from cellsched.experiments import RANKING_KINDS, replicate
@@ -79,20 +79,15 @@ def mixture_surface():
     print_pair("peak - (1,0,0)", scores[peak], scores[(1.0, 0.0, 0.0)])
 
 
-@contextlib.contextmanager
 def patched_indices(wrappers):
     """Replace each kind's index function ``fn`` by ``wrappers[kind](fn)`` for the duration.
 
     The simulator looks its index functions up each slot, so every index path
-    sees the replacements; the table is restored on exit, also on an exception.
+    sees the replacements; ``patch.dict`` restores the table on exit, also on
+    an exception.
     """
-    saved = {k: strategies._INDEX_FUNCS[k] for k in wrappers}
-    try:
-        for k, wrap in wrappers.items():
-            strategies._INDEX_FUNCS[k] = wrap(saved[k])
-        yield
-    finally:
-        strategies._INDEX_FUNCS.update(saved)
+    table = strategies._INDEX_FUNCS
+    return patch.dict(table, {k: wrap(table[k]) for k, wrap in wrappers.items()})
 
 
 def never_served_first():

@@ -157,12 +157,12 @@ class RateRecord(dict):
             self[t] = draw(t)
 
 
-class SharedRateSource:
+class SharedRateSource(ChannelRateSource):
     """One seed's channel rates, drawn once and replayed to every run on the seed.
 
     ``stream_for`` hands every run the flow's :class:`RateRecord`, made on
-    the flow's first admission with the flow's own stream from a
-    :class:`ChannelRateSource`.  A record keeps its stream and every rate
+    the flow's first admission with the flow's own stream from the
+    :class:`ChannelRateSource` base.  A record keeps its stream and every rate
     drawn so far, about 100 bytes a slot and 2.5 KB of generator state a
     flow, until the source is dropped.  A replayed run sees exactly the
     rates its own :class:`ChannelRateSource` would give.  A record belongs
@@ -171,13 +171,11 @@ class SharedRateSource:
     """
 
     def __init__(self, base_seed: int, config: ChannelConfig):
-        self._source = ChannelRateSource(base_seed, config)
+        super().__init__(base_seed, config)
         self._records: dict[int, RateRecord] = {}
 
     def stream_for(self, flow: FlowSpec) -> RateRecord:
         record = self._records.get(flow.id)
         if record is None or record.flow is not flow:
-            record = self._records[flow.id] = RateRecord(
-                flow, self._source.stream_for(flow)
-            )
+            record = self._records[flow.id] = RateRecord(flow, super().stream_for(flow))
         return record
