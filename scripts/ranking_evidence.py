@@ -22,6 +22,9 @@ their separate spreads.  Five studies are printed:
    documented 1/age index, which serves the youngest flow (10^5 slots,
    seeds 1-10).
 
+Studies 2 and 4 run the library's lineups, the ones ``sweep-prob`` and ``sweep-linear``
+run; the others take theirs from the config's ``strategies``, as a config file sets them.
+
 Run from the repository root (30-60 s on two cores):
 
     PYTHONPATH=src python3 scripts/ranking_evidence.py
@@ -32,8 +35,8 @@ from __future__ import annotations
 import math
 from unittest.mock import patch
 
-from cellsched import StrategySpec, experiment_from_dict, strategies
-from cellsched.experiments import RANKING_KINDS, replicate
+from cellsched import experiment_from_dict, strategies
+from cellsched.experiments import linear_lineup, mixture_lineup, replicate
 from cellsched.metrics import aggregate, paired
 
 
@@ -46,8 +49,8 @@ def print_pair(name, a, b, digits=4):
 
 def ranking_block(base_seed):
     config = experiment_from_dict({"base_seed": base_seed})
-    specs = [StrategySpec(kind=k) for k in RANKING_KINDS]
-    scores = dict(zip(RANKING_KINDS, replicate(config, specs)))
+    kinds = [spec.kind for spec in config.strategies]
+    scores = dict(zip(kinds, replicate(config, config.strategies)))
     aggs = {k: aggregate(v) for k, v in scores.items()}
     order = sorted(aggs, key=lambda k: aggs[k].log_alpt_mean, reverse=True)
     seeds = config.seeds
@@ -63,12 +66,8 @@ def ranking_block(base_seed):
 
 def mixture_surface():
     config = experiment_from_dict({"horizon": 10_000, "replications": 5})
-    children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
     grid = config.sweep.simplex_grid  # simplex_step 0.1
-    specs = [
-        StrategySpec(kind="probabilistic", children=children, weights=p) for p in grid
-    ]
-    scores = dict(zip(grid, replicate(config, specs)))
+    scores = dict(zip(grid, replicate(config, mixture_lineup(grid))))
     means = {p: aggregate(v).log_alpt_mean for p, v in scores.items()}
     peak = max(means, key=means.get)
     edge_gap = max(means[peak] - m for p, m in means.items() if p[0] == 0.0)
@@ -112,12 +111,11 @@ def cyclic_round_robin():
 
 
 def never_served_alternative():
-    config = experiment_from_dict({"horizon": 30_000, "replications": 5})
-    kinds = ("T", "TK", "tas")
-    specs = [StrategySpec(kind=k) for k in kinds]
-    as_documented = dict(zip(kinds, replicate(config, specs)))
+    kinds = ["T", "TK", "tas"]
+    config = experiment_from_dict({"horizon": 30_000, "replications": 5, "strategies": kinds})
+    as_documented = dict(zip(kinds, replicate(config, config.strategies)))
     with never_served_first():
-        lifted = dict(zip(kinds, replicate(config, specs)))
+        lifted = dict(zip(kinds, replicate(config, config.strategies)))
     print(f"never-served flows scored +inf by T and TK, h={config.sim.workload.horizon} "
           f"x {config.replications} seeds:")
     for k in kinds:
@@ -131,12 +129,7 @@ def never_served_alternative():
 def linear_alphas():
     config = experiment_from_dict({"horizon": 20_000, "replications": 20})
     alphas = (0.0, 0.5, 1.0, 2.0)
-    tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
-    specs = [
-        StrategySpec(kind="linear", children=(tas, das), weights=(1.0, a))
-        for a in alphas
-    ]
-    scores = dict(zip(alphas, replicate(config, specs)))
+    scores = dict(zip(alphas, replicate(config, linear_lineup(alphas))))
     seeds = config.seeds
     print(f"linear I_tas + alpha*I_das, h={config.sim.workload.horizon}, "
           f"seeds {seeds[0]}-{seeds[-1]}:")
@@ -149,12 +142,10 @@ def linear_alphas():
 
 
 def cyclic_reading():
-    config = experiment_from_dict({"base_seed": 1})
-    kinds = ("round_robin", "tas")
-    specs = [StrategySpec(kind=k) for k in kinds]
-    youngest, tas = replicate(config, specs)
+    config = experiment_from_dict({"base_seed": 1, "strategies": ["round_robin", "tas"]})
+    youngest, tas = replicate(config, config.strategies)
     with cyclic_round_robin():
-        (cyclic,) = replicate(config, specs[:1])
+        (cyclic,) = replicate(config, config.strategies[:1])
     seeds = config.seeds
     print(f"round_robin read as a cycle (constant index, tie rule alone), "
           f"seeds {seeds[0]}-{seeds[-1]}, h={config.sim.workload.horizon}:")

@@ -184,7 +184,7 @@ def _pm(mean: float, std: float) -> str:
     return f"{mean:8.3f} ± {std:.3f}"
 
 
-def cmd_run(config: ExperimentConfig) -> int:
+def cmd_run(config: ExperimentConfig) -> None:
     """strategy ranking table (logALPT/ALPT mean +/- std per strategy)"""
     scores = run_experiment(config)
     path = _emit(config, "ranking", "ranking.csv", write_ranking_csv, scores)
@@ -196,10 +196,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     for label, log_cell, alpt_cell in table:
         print(f"{label:<{label_w}}  {log_cell:>{log_w}}  {alpt_cell:>{alpt_w}}")
     print(f"wrote {path}")
-    return 0
 
 
-def cmd_sweep_linear(config: ExperimentConfig) -> int:
+def cmd_sweep_linear(config: ExperimentConfig) -> None:
     """logALPT curve of the linear index I_tas + alpha * I_das"""
     curve = sweep_linear(config)
     best_alpha, best = max(curve, key=lambda row: row[1].log_alpt_mean)
@@ -208,10 +207,9 @@ def cmd_sweep_linear(config: ExperimentConfig) -> int:
         print(f"alpha={alpha:<5g} logALPT {_pm(agg.log_alpt_mean, agg.log_alpt_std)}")
     print(f"best alpha: {best_alpha:g} (logALPT {best.log_alpt_mean:.3f})")
     print(f"wrote {path}")
-    return 0
 
 
-def cmd_sweep_prob(config: ExperimentConfig) -> int:
+def cmd_sweep_prob(config: ExperimentConfig) -> None:
     """logALPT surface of the probabilistic {T, tas, das} mixture"""
     surface = sweep_probabilistic(config)
     best_p, best = max(surface, key=lambda row: row[1].log_alpt_mean)
@@ -226,19 +224,17 @@ def cmd_sweep_prob(config: ExperimentConfig) -> int:
         f" (logALPT {best.log_alpt_mean:.3f})"
     )
     print(f"wrote {path}")
-    return 0
 
 
-def cmd_dump_workload(config: ExperimentConfig) -> int:
+def cmd_dump_workload(config: ExperimentConfig) -> None:
     """CSV of the generated arrival stream for the base seed"""
     workload = replace(config.sim.workload, seed=config.base_seed)
     flows = generate_workload(workload)
     path = _emit(config, "dump-workload", "workload.csv", write_workload_csv, flows)
     print(f"wrote {path} ({len(flows)} flows)")
-    return 0
 
 
-def cmd_trace(config: ExperimentConfig) -> int:
+def cmd_trace(config: ExperimentConfig) -> None:
     """per-slot service trace of one run of the first strategy"""
     spec, workload = config.strategies[0], replace(config.sim.workload, seed=config.base_seed)
     run = replace(config.sim, strategy=spec, workload=workload)
@@ -248,7 +244,6 @@ def cmd_trace(config: ExperimentConfig) -> int:
         f"wrote {path} ({len(result.trace)} slots, "
         f"{len(result.records)} completions, strategy {spec.label()})"
     )
-    return 0
 
 
 _COMMANDS = {
@@ -279,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](apply_overrides(load_config(args.config), args))
+        _COMMANDS[args.command](apply_overrides(load_config(args.config), args))
         sys.stdout.flush()  # a reader that left shows here, not at exit
-        return code
+        return 0
     except BrokenPipeError:  # the reader of stdout left; the files are written first
         if sys.stdout is sys.__stdout__:  # Python flushes it at exit: point it at devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

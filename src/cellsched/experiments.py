@@ -82,9 +82,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if self.replications < 2:
+        if type(self.replications) is not int or self.replications < 2:
             raise ParameterError(
-                f"replications={self.replications}; need >= 2 for a spread"
+                f"replications={self.replications!r}; need an int >= 2 for a spread"
             )
         if not self.strategies:
             raise ParameterError("strategies: the list is empty")
@@ -138,26 +138,34 @@ def run_experiment(config: ExperimentConfig) -> tuple[tuple[str, AggregateReport
     return tuple(sorted(rows, key=lambda row: row[1].log_alpt_mean, reverse=True))
 
 
+def linear_lineup(alphas) -> list[StrategySpec]:
+    """The linear index I_tas + alpha * I_das for each of ``alphas``, in order."""
+    tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
+    return [
+        StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
+        for alpha in alphas
+    ]
+
+
+def mixture_lineup(points) -> list[StrategySpec]:
+    """The {T, tas, das} mixture with each of ``points`` as its probabilities, in order."""
+    children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
+    return [
+        StrategySpec(kind="probabilistic", children=children, weights=point)
+        for point in points
+    ]
+
+
 def sweep_linear(config: ExperimentConfig):
     """logALPT curve of I_tas + alpha * I_das over the config's alpha grid."""
     grid = config.sweep.alpha_grid
-    tas, das = StrategySpec(kind="tas"), StrategySpec(kind="das")
-    specs = [
-        StrategySpec(kind="linear", children=(tas, das), weights=(1.0, alpha))
-        for alpha in grid
-    ]
-    return tuple(zip(grid, _scores(config, specs)))
+    return tuple(zip(grid, _scores(config, linear_lineup(grid))))
 
 
 def sweep_probabilistic(config: ExperimentConfig):
     """logALPT surface of the {T, tas, das} mixture over the config's simplex grid."""
     grid = config.sweep.simplex_grid
-    children = tuple(StrategySpec(kind=k) for k in ("T", "tas", "das"))
-    specs = [
-        StrategySpec(kind="probabilistic", children=children, weights=point)
-        for point in grid
-    ]
-    return tuple(zip(grid, _scores(config, specs)))
+    return tuple(zip(grid, _scores(config, mixture_lineup(grid))))
 
 
 # --- serialization -------------------------------------------------------

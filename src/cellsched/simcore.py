@@ -87,8 +87,8 @@ class BufferModel:
     def __post_init__(self):
         if self.mode not in (BUFFER_INFINITE, BUFFER_TCP_REFILL):
             raise ParameterError(f"unknown buffer mode {self.mode!r}")
-        if self.rtt < 0:
-            raise ParameterError(f"rtt={self.rtt} must be non-negative")
+        if type(self.rtt) is not int or self.rtt < 0:
+            raise ParameterError(f"rtt={self.rtt!r} must be a non-negative int")
         if not 0.0 < self.initial_window <= self.max_window:
             raise ParameterError(
                 f"need 0 < initial_window <= max_window, got "

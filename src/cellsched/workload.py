@@ -69,8 +69,8 @@ class WorkloadConfig:
     def __post_init__(self):
         if not self.arrival_rate > 0.0:
             raise ParameterError(f"arrival_rate={self.arrival_rate} must be positive")
-        if not self.horizon > 0:
-            raise ParameterError(f"horizon={self.horizon} must be positive")
+        if type(self.horizon) is not int or self.horizon <= 0:
+            raise ParameterError(f"horizon={self.horizon!r} must be positive and an int")
         if not 0.0 < self.rate_lo_mult < self.rate_hi_mult:
             raise ParameterError(
                 f"need 0 < rate_lo_mult < rate_hi_mult, got "
@@ -88,12 +88,12 @@ class FlowSpec:
     mean_rate: float  # kilobytes per slot
 
     def __post_init__(self):
-        if self.arrival_slot < 0:
-            raise ParameterError(f"arrival_slot={self.arrival_slot} must be >= 0")
-        if not self.file_size > 0.0:
-            raise ParameterError(f"file_size={self.file_size} must be positive")
-        if not self.mean_rate > 0.0:
-            raise ParameterError(f"mean_rate={self.mean_rate} must be positive")
+        if type(self.arrival_slot) is not int or self.arrival_slot < 0:
+            raise ParameterError(f"arrival_slot={self.arrival_slot!r} must be an int >= 0")
+        if not 0.0 < self.file_size < math.inf:
+            raise ParameterError(f"file_size={self.file_size} must be positive and finite")
+        if not 0.0 < self.mean_rate < math.inf:
+            raise ParameterError(f"mean_rate={self.mean_rate} must be positive and finite")
 
 
 def sample_interarrival(rng, arrival_rate: float) -> float:

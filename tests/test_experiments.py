@@ -71,6 +71,11 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             tiny_config(replications=1)
 
+    def test_rejects_a_non_int_replication_count(self):
+        for replications in (2.5, 3.0, True):
+            with pytest.raises(ParameterError, match="need an int >= 2"):
+                replace(tiny_config(), replications=replications)
+
     def test_defaults_describe_reference_setup(self):
         config = experiment_from_dict({})
         assert config.replications == 10

@@ -129,6 +129,11 @@ class TestBufferModel:
             with pytest.raises(ParameterError, match="'infinite' does not take"):
                 BufferModel(**{field: getattr(TCP, field) * 2})
 
+    def test_rejects_a_non_int_rtt(self):
+        for rtt in (2.5, 3.0, True):
+            with pytest.raises(ParameterError, match="rtt=.* must be a non-negative int"):
+                BufferModel(mode="tcp-refill", rtt=rtt)
+
 
 class TestSimConfigValidation:
     def test_horizon_defaults_to_workload(self):

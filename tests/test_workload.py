@@ -183,6 +183,11 @@ class TestGenerateWorkload:
         with pytest.raises(ParameterError):
             WorkloadConfig(arrival_rate=0.09, rate_lo_mult=2.0, rate_hi_mult=1.0)
 
+    def test_rejects_a_non_int_horizon(self):
+        for horizon in (200.5, 200.0, True):
+            with pytest.raises(ParameterError, match="horizon=.* must be positive and an int"):
+                WorkloadConfig(horizon=horizon)
+
 
 class TestFlowSpec:
     def test_rejects_bad_fields(self):
@@ -192,3 +197,16 @@ class TestFlowSpec:
             FlowSpec(id=0, arrival_slot=0, file_size=0.0, mean_rate=1.0)
         with pytest.raises(ParameterError):
             FlowSpec(id=0, arrival_slot=0, file_size=10.0, mean_rate=0.0)
+
+    def test_rejects_a_non_int_arrival_slot(self):
+        for slot in (2.5, 2.0, True):
+            with pytest.raises(ParameterError, match="arrival_slot=.* must be an int"):
+                FlowSpec(id=0, arrival_slot=slot, file_size=100.0, mean_rate=10.0)
+
+    def test_rejects_an_infinite_file_size(self):
+        with pytest.raises(ParameterError, match="file_size=inf must be positive and finite"):
+            FlowSpec(id=0, arrival_slot=0, file_size=math.inf, mean_rate=10.0)
+
+    def test_rejects_an_infinite_mean_rate(self):
+        with pytest.raises(ParameterError, match="mean_rate=inf must be positive and finite"):
+            FlowSpec(id=0, arrival_slot=0, file_size=100.0, mean_rate=math.inf)
