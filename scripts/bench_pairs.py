@@ -7,8 +7,9 @@ parent first on odd pairs and the change first on even pairs, then
 workload and end-to-end metric, each side's runs, median and quartiles, the
 number of pairs the change won, the change of the median in percent, a
 verdict against the metric's relative ``bound`` in BENCHMARK.json and
-``gain_resolved``, which says whether the change won every pair with its
-median beyond the parent's quartile on the better side; per side
+``gain_resolved``, which says whether the change was strictly better in at
+least nine tenths of the pairs (ties count for neither side) and its median
+better than the parent's by more than the parent's interquartile range; per side
 of the traced runs it writes the median of every metric, since a single
 traced run's self times swing with the host's speed.  Per workload,
 ``sim_digest_equal`` says whether both sides' runs gave the same
@@ -95,11 +96,12 @@ def verdict(parent: dict, change: dict, better: str, bound: float) -> str:
 
 
 def gain_resolved(parent: dict, change: dict, better: str, won: int, pairs: int) -> bool:
-    """Whether the change won all ``pairs`` and its median lies beyond the parent's
-    first quartile (lower is better) or third quartile (higher is better)."""
-    if better == "lower":
-        return won == pairs and change["median"] < parent["q1"]
-    return won == pairs and change["median"] > parent["q3"]
+    """Whether the change won at least nine tenths of the ``pairs`` (``won`` counts
+    the pairs where it was strictly better) and its median is better than the
+    parent's by more than the parent's interquartile range."""
+    sign = -1.0 if better == "lower" else 1.0
+    gap = sign * (change["median"] - parent["median"])
+    return 10 * won >= 9 * pairs and gap > parent["q3"] - parent["q1"]
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:

@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ParameterError(
                 f"replications={self.replications!r}; need an int >= 2 for a spread"
             )
+        if type(self.base_seed) is not int:
+            raise ParameterError(f"base_seed={self.base_seed!r} must be an int")
         if not self.strategies:
             raise ParameterError("strategies: the list is empty")
         labels = [spec.label() for spec in self.strategies]

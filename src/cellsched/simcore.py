@@ -126,7 +126,7 @@ class FlowState:
     ``stream``, the flow's channel rate stream or its seed's record of the
     flow's rates keyed by slot, is set at admission.
 
-    The five fields set at admission come first so that ``make_flow_state``
+    The five fields set at admission come first so that ``admit_arrivals``
     passes them positionally, at about half the cost of a keyword call.
     """
 
@@ -230,24 +230,21 @@ class SimResult:
     trace: Trace | None = None
 
 
-def make_flow_state(spec: FlowSpec, model: BufferModel, stream=None) -> FlowState:
-    """Fresh FlowState staging its first window: ``initial_window``, or the whole file."""
-    window = model.initial_window if model.mode == BUFFER_TCP_REFILL else math.inf
-    staged = spec.file_size if spec.file_size < window else window  # min(), without the call
-    return FlowState(spec, staged, spec.file_size - staged, window, stream)
-
-
 def admit_arrivals(active, t, pending, model, start, rate_source) -> int:
     """Admit every pending FlowSpec arriving at slot t; returns the next index.
 
     ``pending`` holds distinct ids in arrival order and ``start`` points at
-    the first spec not yet admitted.  Each record is made with the channel
+    the first spec not yet admitted.  Each record stages the flow's first
+    window (``initial_window``, or the whole file) and holds the channel
     stream ``rate_source`` gives its flow.
     """
+    window = model.initial_window if model.mode == BUFFER_TCP_REFILL else math.inf
     i = start
     while i < len(pending) and pending[i].arrival_slot <= t:
         spec = pending[i]
-        active[spec.id] = make_flow_state(spec, model, rate_source.stream_for(spec))
+        staged = spec.file_size if spec.file_size < window else window  # min(), without the call
+        active[spec.id] = FlowState(spec, staged, spec.file_size - staged, window,
+                                    rate_source.stream_for(spec))
         i += 1
     return i
 
@@ -310,9 +307,11 @@ def run_simulation(
     scheduling decisions), and a choice stream, made only for a
     probabilistic strategy, which consumes exactly one draw per slot.
 
-    ``flows`` (distinct ids in arrival order, all before the horizon, as
-    checked before slot 0) replaces the generated workload, so runs on one
-    seed can share its flows; ``rate_source`` replaces the seeded channel
+    ``flows`` (distinct ids in arrival order, all before the horizon and,
+    with a drain, each with a top rate of at least its size over the drain
+    guard's slots, as ``SimConfig`` holds the generated band; all checked
+    before slot 0) replaces the generated workload, so runs on one seed can
+    share its flows; ``rate_source`` replaces the seeded channel
     source.  Both also serve crafted scenarios with known arithmetic.
     """
     horizon = config.workload.horizon
@@ -320,12 +319,15 @@ def run_simulation(
         flows = generate_workload(config.workload)  # ids 0..n-1, in slot order
     else:
         ids, last = set(), 0
+        top = config.channel.hi_coeff * envelope_max(config.channel, horizon + _DRAIN_SLACK)
         for spec in flows:
             if spec.id in ids or not last <= spec.arrival_slot < horizon:
                 raise ParameterError(
                     f"flow {spec.id} arrives at slot {spec.arrival_slot}; given flows need "
                     f"distinct ids and arrivals in slot order before the horizon {horizon}"
                 )
+            if config.drain_after_horizon and not spec.file_size / _DRAIN_SLACK <= top * spec.mean_rate:
+                raise ParameterError(f"flow {spec.id} cannot drain: top rate < size / {_DRAIN_SLACK}")
             ids.add(spec.id)
             last = spec.arrival_slot
     if rate_source is None:

@@ -71,6 +71,8 @@ class WorkloadConfig:
             raise ParameterError(f"arrival_rate={self.arrival_rate} must be positive")
         if type(self.horizon) is not int or self.horizon <= 0:
             raise ParameterError(f"horizon={self.horizon!r} must be positive and an int")
+        if type(self.seed) is not int:
+            raise ParameterError(f"seed={self.seed!r} must be an int")
         if not 0.0 < self.rate_lo_mult < self.rate_hi_mult:
             raise ParameterError(
                 f"need 0 < rate_lo_mult < rate_hi_mult, got "

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from cellsched import strategies
 from cellsched.simcore import FlowState
 from cellsched.workload import FlowSpec
@@ -106,13 +104,3 @@ class _FixedStream:
 
     def skip(self, start: int, stop: int) -> None:
         pass  # every slot's rate is the same
-
-
-@pytest.fixture
-def stub_rng():
-    return StubRng
-
-
-@pytest.fixture
-def counting_rng():
-    return CountingRng

@@ -112,6 +112,32 @@ def test_gain_resolved_needs_every_pair_and_a_median_past_the_quartile():
     assert resolved(zip(parent, change)) == (False, False)
 
 
+def test_gain_resolved_takes_nine_wins_in_ten_pairs():
+    metrics = {"wall_s": {"better": "lower", "bound": 0.25},
+               "slots_per_s": {"better": "higher", "bound": 0.2}}
+
+    def resolved(change):
+        summary = bench_pairs.summarize(
+            [(result(p, ps), result(c, cs)) for (p, ps), (c, cs) in zip(parent, change)],
+            metrics)
+        return summary["wall_s"]["gain_resolved"], summary["slots_per_s"]["gain_resolved"]
+
+    # parent wall_s median 3.69, quartiles 3.6425 and 3.7575 (0.115 apart);
+    # slots_per_s median 95.5, quartiles 92.5 and 98.25 (5.75 apart)
+    parent = [(3.6, 100.0), (3.7, 95.0), (3.8, 90.0), (3.65, 97.0), (3.75, 93.0),
+              (3.62, 99.0), (3.72, 94.0), (3.78, 91.0), (3.68, 96.0), (3.66, 98.0)]
+    # a 12 % gain in nine pairs and a loss in the tenth: the medians 3.2648 and
+    # 105.84 are better by more than the parent's interquartile range
+    change = [(w * 0.88, s * 1.12) for w, s in parent[:9]] + [(3.9, 80.0)]
+    assert resolved(change) == (True, True)
+    # eight wins, a tie and a loss: a tie counts for neither side
+    change[8] = parent[8]
+    assert resolved(change) == (False, False)
+    # nine wins, but the medians 3.70 and 95.5 are no better than the parent's
+    change = [(w - 0.01, s + 1.0) for w, s in parent[:9]] + [(3.9, 80.0)]
+    assert resolved(change) == (False, False)
+
+
 def test_trace_medians_take_each_metric_median():
     runs = [result(2.0, 30.0), result(1.0, 10.0), result(5.0, 20.0, failed=1)]
     merged = bench_pairs.trace_medians(runs)

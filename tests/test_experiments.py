@@ -76,6 +76,11 @@ class TestExperimentConfig:
             with pytest.raises(ParameterError, match="need an int >= 2"):
                 replace(tiny_config(), replications=replications)
 
+    def test_rejects_a_non_int_base_seed(self):
+        for base_seed in (2.5, 3.0, True):
+            with pytest.raises(ParameterError, match="base_seed=.* must be an int"):
+                replace(tiny_config(), base_seed=base_seed)
+
     def test_defaults_describe_reference_setup(self):
         config = experiment_from_dict({})
         assert config.replications == 10

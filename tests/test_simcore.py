@@ -5,8 +5,10 @@ from __future__ import annotations
 import gc
 import math
 import random
+import time
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from cellsched.channel import ChannelRateSource
 from cellsched.errors import SchedulingError
 from cellsched.metrics import FlowRecord
 from cellsched.simcore import (
-    FlowState, TraceEvent, admit_arrivals, make_flow_state, refill_buffers, serve_slot,
+    FlowState, TraceEvent, admit_arrivals, refill_buffers, serve_slot,
 )
 
 from conftest import FixedRateSource, make_flow
@@ -152,33 +154,13 @@ class TestSimConfigValidation:
         sim_config(strategy="sectf", buffer=TCP)  # accepted
 
 
-class TestMakeFlowState:
-    def test_infinite_buffers_whole_file(self):
-        state = make_flow_state(make_flow(size=500.0), INFINITE)
-        assert state.buffer == 500.0
-        assert state.served == 0.0
-        assert state.unfetched == 0.0
-        assert state.congestion_window == math.inf  # one window holds the whole file
-
-    def test_tcp_stages_initial_window(self):
-        state = make_flow_state(make_flow(size=500.0), TCP)
-        assert state.buffer == 100.0
-        assert state.unfetched == 400.0
-        assert state.congestion_window == 100.0
-
-    def test_tcp_small_file_fits_entirely(self):
-        state = make_flow_state(make_flow(size=60.0), TCP)
-        assert state.buffer == 60.0
-        assert state.unfetched == 0.0
-
-    @pytest.mark.parametrize("model, window", [(INFINITE, math.inf), (TCP, 100.0)])
-    def test_positional_build_equals_keyword_build(self, model, window):
-        spec, stream = make_flow(size=500.0), object()
-        staged = min(spec.file_size, window)
-        assert make_flow_state(spec, model, stream) == FlowState(
-            spec=spec, buffer=staged, unfetched=500.0 - staged,
-            congestion_window=window, stream=stream,
-        )
+def _admitted(spec, model, stream=None) -> FlowState:
+    """The record ``admit_arrivals`` puts in ``active`` for ``spec``, arriving
+    alone, with ``stream`` as its channel stream."""
+    active = {}
+    source = SimpleNamespace(stream_for=lambda flow: stream)
+    assert admit_arrivals(active, spec.arrival_slot, [spec], model, 0, source) == 1
+    return active[spec.id]
 
 
 class TestAdmitArrivals:
@@ -197,6 +179,33 @@ class TestAdmitArrivals:
         assert sorted(active) == [0, 1] and nxt == 2
         # each record is admitted whole, holding the stream its source gave
         assert [active[fid].stream.draw(3) for fid in (0, 1)] == [3.0, 4.0]
+
+    def test_infinite_buffers_whole_file(self):
+        state = _admitted(make_flow(size=500.0), INFINITE)
+        assert state.buffer == 500.0
+        assert state.served == 0.0
+        assert state.unfetched == 0.0
+        assert state.congestion_window == math.inf  # one window holds the whole file
+
+    def test_tcp_stages_initial_window(self):
+        state = _admitted(make_flow(size=500.0), TCP)
+        assert state.buffer == 100.0
+        assert state.unfetched == 400.0
+        assert state.congestion_window == 100.0
+
+    def test_tcp_small_file_fits_entirely(self):
+        state = _admitted(make_flow(size=60.0), TCP)
+        assert state.buffer == 60.0
+        assert state.unfetched == 0.0
+
+    @pytest.mark.parametrize("model, window", [(INFINITE, math.inf), (TCP, 100.0)])
+    def test_positional_build_equals_keyword_build(self, model, window):
+        spec, stream = make_flow(size=500.0), object()
+        staged = min(spec.file_size, window)
+        assert _admitted(spec, model, stream) == FlowState(
+            spec=spec, buffer=staged, unfetched=500.0 - staged,
+            congestion_window=window, stream=stream,
+        )
 
 
 def _waiting(state, due: int) -> deque:
@@ -239,7 +248,7 @@ class TestRefillBuffers:
         assert trace[:4] == [(0, 40.0), (0, 40.0), (0, 20.0), (None, 0.0)]
         assert calls[0] == 3 + TCP.rtt
         # a record that is not due yet stays queued, its buffer as it was
-        state = make_flow_state(make_flow(size=500.0), TCP)
+        state = _admitted(make_flow(size=500.0), TCP)
         waiting = _waiting(state, 5)
         refill_buffers(waiting, 4, TCP)
         assert list(waiting) == [state] and state.buffer == 0.0
@@ -250,7 +259,7 @@ class TestRefillBuffers:
         trace, calls = _lone_run(monkeypatch, TCP, size=500.0, rate=100.0)
         assert trace[:32] == [(0, 100.0)] + [(None, 0.0)] * 30 + [(0, 100.0)]
         assert calls == [31, 62, 94]
-        state = make_flow_state(make_flow(size=500.0), TCP)
+        state = _admitted(make_flow(size=500.0), TCP)
         waiting = _waiting(state, 37)
         refill_buffers(waiting, 37, TCP)
         assert state.buffer == 100.0
@@ -267,14 +276,14 @@ class TestRefillBuffers:
         assert calls == [1, 2, 4]
 
     def test_window_clamps_at_remaining_bytes(self):
-        state = make_flow_state(make_flow(size=110.0), TCP)
+        state = _admitted(make_flow(size=110.0), TCP)
         state.served = 100.0
         state.unfetched = 10.0
         refill_buffers(_waiting(state, 30), 30, TCP)
         assert state.buffer == 10.0 and state.unfetched == 0.0
 
     def test_window_saturates_at_max(self):
-        state = make_flow_state(make_flow(size=10_000.0), TCP)
+        state = _admitted(make_flow(size=10_000.0), TCP)
         for cycle, expected_window in enumerate((200.0, 400.0, 400.0)):
             t = cycle * 1000
             refill_buffers(_waiting(state, t + TCP.rtt), t + TCP.rtt, TCP)
@@ -283,20 +292,20 @@ class TestRefillBuffers:
 
 class TestServeSlot:
     def test_rate_limited_transfer(self):
-        state = make_flow_state(make_flow(size=250.0), INFINITE)
+        state = _admitted(make_flow(size=250.0), INFINITE)
         record, transfer = serve_slot({0: state}, 0, 100.0, state)
         assert record is None and transfer == 100.0
         assert state.served == 100.0 and state.buffer == 150.0
 
     def test_buffer_limited_transfer(self):
-        state = make_flow_state(make_flow(size=500.0), TCP)
+        state = _admitted(make_flow(size=500.0), TCP)
         state.buffer = 40.0
         record, transfer = serve_slot({0: state}, 0, 100.0, state)
         assert record is None and transfer == 40.0
         assert state.buffer == 0.0
 
     def test_completion_departs_next_slot(self):
-        state = make_flow_state(make_flow(size=100.0, arrival=0), INFINITE)
+        state = _admitted(make_flow(size=100.0, arrival=0), INFINITE)
         state.served = 90.0
         state.buffer = 10.0
         active = {0: state}
@@ -376,7 +385,7 @@ class TestServeSlot:
         assert views[2][1] == 8.0 / 3.0
 
     def test_invalid_chosen_is_contract_violation(self):
-        state = make_flow_state(make_flow(size=100.0), INFINITE)
+        state = _admitted(make_flow(size=100.0), INFINITE)
         state.buffer = 0.0
         with pytest.raises(SchedulingError, match="flow 0 has an empty buffer at slot 0"):
             serve_slot({0: state}, 0, 5.0, state)
@@ -480,6 +489,22 @@ class TestRunSimulation:
             flows=[make_flow(size=10_000.0, mean_rate=1.0)],
             rate_source=FixedRateSource(1.0),
         )
+        assert result.records == ()
+        assert result.unfinished == 1
+
+    def test_undrainable_given_flow_is_rejected_before_slot_0(self):
+        # 1e308 kB at a mean rate of 1e-300 kB a slot cannot finish within the
+        # drain guard; the flow's own rate is held to SimConfig's rule for the
+        # generated band, so the run fails at once and names the flow
+        config = sim_config(flows_horizon=10, strategy="tas")
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="flow 0 cannot drain"):
+            run_simulation(config, flows=[make_flow(size=1e308, mean_rate=1e-300)])
+        assert time.perf_counter() - start < 1.0
+
+    def test_undrainable_given_flow_runs_without_a_drain(self):
+        config = sim_config(flows_horizon=10, strategy="tas", drain_after_horizon=False)
+        result = run_simulation(config, flows=[make_flow(size=1e308, mean_rate=1e-300)])
         assert result.records == ()
         assert result.unfinished == 1
 

@@ -131,7 +131,7 @@ class TestSampleFileSize:
         assert result.pvalue > 0.01
 
 
-class TestSampleMeanRate:
+class TestMeanRateBand:
     def test_band_edges(self):
         # 1/3 and 3 times the offered load 0.09 * REFERENCE_MIXTURE_MEAN
         lo, hi = mean_rate_band(WorkloadConfig())
@@ -187,6 +187,11 @@ class TestGenerateWorkload:
         for horizon in (200.5, 200.0, True):
             with pytest.raises(ParameterError, match="horizon=.* must be positive and an int"):
                 WorkloadConfig(horizon=horizon)
+
+    def test_rejects_a_non_int_seed(self):
+        for seed in (2.5, 3.0, True):
+            with pytest.raises(ParameterError, match="seed=.* must be an int"):
+                WorkloadConfig(seed=seed)
 
 
 class TestFlowSpec:
